@@ -131,6 +131,26 @@ def build_ida(b: GraphBuilder, features: Sequence[NodeId],
     return acc
 
 
+def _block_chain(b: GraphBuilder, x: NodeId, spec: HdaSpec) -> Callable[[NodeId], NodeId]:
+    """Check a tree's depth and input width, and return the builder of its
+    backbone: the first block follows the template, every later one runs at
+    ``out_channels`` with stride 1."""
+    if not 1 <= spec.depth <= 6:
+        raise DepthOutOfRange("depth must be within 1..6, got %d" % spec.depth)
+    if b.channels(x) != spec.block.in_channels:
+        raise ChannelMismatch("tree input has %d channels, block template expects %d"
+                              % (b.channels(x), spec.block.in_channels))
+    continuation = replace(spec.block, in_channels=spec.out_channels,
+                           out_channels=spec.out_channels, stride=1)
+    pending_first = [replace(spec.block, out_channels=spec.out_channels)]
+
+    def make_block(src: NodeId) -> NodeId:
+        bs = pending_first.pop() if pending_first else continuation
+        return build_block(b, src, bs)
+
+    return make_block
+
+
 def build_hda(b: GraphBuilder, x: NodeId, spec: HdaSpec) -> NodeId:
     """Build the merged-and-rerouted aggregation tree of depth ``spec.depth``.
 
@@ -139,20 +159,7 @@ def build_hda(b: GraphBuilder, x: NodeId, spec: HdaSpec) -> NodeId:
     Each sub-tree below the root consumes the output of the previous one,
     so every earlier aggregation feeds the later backbone.
     """
-    if not 1 <= spec.depth <= 6:
-        raise DepthOutOfRange("depth must be within 1..6, got %d" % spec.depth)
-    if b.channels(x) != spec.block.in_channels:
-        raise ChannelMismatch("tree input has %d channels, block template expects %d"
-                              % (b.channels(x), spec.block.in_channels))
-
-    continuation = replace(spec.block, in_channels=spec.out_channels,
-                           out_channels=spec.out_channels, stride=1)
-    first_spec = replace(spec.block, out_channels=spec.out_channels)
-    pending_first = [first_spec]
-
-    def make_block(src: NodeId) -> NodeId:
-        bs = pending_first.pop() if pending_first else continuation
-        return build_block(b, src, bs)
+    make_block = _block_chain(b, x, spec)
 
     def tree(depth: int, src: NodeId, top: bool) -> NodeId:
         rerouted: list[NodeId] = []
@@ -183,20 +190,7 @@ def build_unmerged_hda(b: GraphBuilder, x: NodeId, spec: HdaSpec) -> NodeId:
     backbone and a complete binary tree of 2^depth - 1 binary nodes
     aggregates them. Kept as a structural baseline for comparison; the
     catalog never builds it."""
-    if not 1 <= spec.depth <= 6:
-        raise DepthOutOfRange("depth must be within 1..6, got %d" % spec.depth)
-    if b.channels(x) != spec.block.in_channels:
-        raise ChannelMismatch("tree input has %d channels, block template expects %d"
-                              % (b.channels(x), spec.block.in_channels))
-
-    continuation = replace(spec.block, in_channels=spec.out_channels,
-                           out_channels=spec.out_channels, stride=1)
-    first_spec = replace(spec.block, out_channels=spec.out_channels)
-    pending_first = [first_spec]
-
-    def make_block(src: NodeId) -> NodeId:
-        bs = pending_first.pop() if pending_first else continuation
-        return build_block(b, src, bs)
+    make_block = _block_chain(b, x, spec)
 
     def node(left: NodeId, right: NodeId) -> NodeId:
         agg = AggNodeSpec((b.channels(left), b.channels(right)), spec.out_channels,

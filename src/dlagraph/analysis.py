@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import ir
-from .ir import (Graph, GraphNode, NodeId, OpKind, TensorShape, UpsampleMode,
-                 infer_node_shape, successors, topo_order, upsample_kernel_geometry)
+from .ir import (Graph, GraphNode, NodeId, OpKind, TensorShape, infer_node_shape,
+                 param_shapes, successors, topo_order)
 
 ShapeMap = dict[NodeId, TensorShape]
 
@@ -44,19 +45,7 @@ def infer_shapes(graph: Graph, input_shape: TensorShape) -> ShapeMap:
 
 def node_params(node: GraphNode) -> int:
     """Learnable scalars owned by one node."""
-    op = node.op
-    a = op.attrs
-    if op.kind == OpKind.CONV:
-        n = a["kernel"] ** 2 * (a["in_channels"] // a["groups"]) * a["out_channels"]
-        return n + (a["out_channels"] if a["has_bias"] else 0)
-    if op.kind == OpKind.BATCH_NORM:
-        return 2 * a["channels"]
-    if op.kind == OpKind.LINEAR:
-        return a["in_features"] * a["out_features"] + (a["out_features"] if a["has_bias"] else 0)
-    if op.kind == OpKind.UPSAMPLE and a["mode"] == UpsampleMode.LEARNED_TRANSPOSED_CONV.value:
-        kernel, _, _ = upsample_kernel_geometry(a["factor"])
-        return a["channels"] * kernel ** 2  # one kernel per channel, no bias
-    return 0
+    return sum(math.prod(shape) for shape in param_shapes(node.op).values())
 
 
 def count_params(graph: Graph) -> int:
@@ -64,18 +53,10 @@ def count_params(graph: Graph) -> int:
 
 
 def node_fmas(node: GraphNode, out_shape: TensorShape) -> int:
-    """Fused multiply-adds of one node at batch size 1."""
-    op = node.op
-    a = op.attrs
-    if op.kind == OpKind.CONV:
-        per_pixel = (a["in_channels"] // a["groups"]) * a["kernel"] ** 2
-        return out_shape.height * out_shape.width * a["out_channels"] * per_pixel
-    if op.kind == OpKind.LINEAR:
-        return a["in_features"] * a["out_features"]
-    if op.kind == OpKind.UPSAMPLE and a["mode"] == UpsampleMode.LEARNED_TRANSPOSED_CONV.value:
-        kernel, _, _ = upsample_kernel_geometry(a["factor"])
-        return out_shape.height * out_shape.width * a["channels"] * kernel ** 2
-    return 0
+    """Fused multiply-adds of one node at batch size 1: its weight is
+    applied once per output pixel."""
+    weight = param_shapes(node.op).get("weight")
+    return 0 if weight is None else out_shape.height * out_shape.width * math.prod(weight)
 
 
 def count_fmas(graph: Graph, input_shape: TensorShape) -> int:
@@ -105,13 +86,11 @@ def cost_report(graph: Graph, input_shape: TensorShape) -> CostReport:
         bucket = per_stage.setdefault(key, [0, 0])
         bucket[0] += node_params(node)
         bucket[1] += node_fmas(node, shapes[node.id])
-    report = CostReport(
-        params=count_params(graph),
+    return CostReport(
+        params=sum(v[0] for v in per_stage.values()),
         fmas=sum(v[1] for v in per_stage.values()),
         per_stage={k: StageCost(*v) for k, v in sorted(per_stage.items())},
     )
-    assert report.params == sum(v.params for v in report.per_stage.values())
-    return report
 
 
 @dataclass(frozen=True)
@@ -159,30 +138,44 @@ def _agg_hops_to_output(graph: Graph) -> dict[NodeId, int]:
     return {k: int(v) for k, v in dist.items()}
 
 
+def _stage_groups(graph: Graph) -> dict[int | str | None, list]:
+    """One pass over the tags: per stage tag (None when untagged), the
+    stage's block ids, its aggregation-node ids and its widest aggregation
+    concat."""
+    groups: dict[int | str | None, list] = {}
+    for node in graph.nodes:
+        tags = node.tags
+        group = groups.setdefault(tags.stage, [set(), set(), 0])
+        if tags.block_id is not None:
+            group[0].add(tags.block_id)
+        if tags.agg_node_id is not None:
+            group[1].add(tags.agg_node_id)
+            if node.op.kind == OpKind.CONCAT:
+                group[2] = max(group[2], len(node.inputs))
+    return groups
+
+
+def _stage_trees(groups: dict) -> Iterator[tuple[int, int, int | None, int, int]]:
+    """(stage, blocks, tree depth when the block count is a power of two
+    else None, aggregation nodes, root fan-in) for each numbered stage
+    holding blocks, in stage order."""
+    for stage in sorted(s for s, g in groups.items() if isinstance(s, int) and g[0]):
+        blocks, aggs, fanin = groups[stage]
+        depth = len(blocks).bit_length() - 1
+        yield (stage, len(blocks), depth if 2 ** depth == len(blocks) else None,
+               len(aggs), fanin)
+
+
 def structure_stats(graph: Graph) -> StructureStats:
     """Counts of tagged blocks and aggregation nodes, the widest
     aggregation fan-in, per-stage tree depths, and the worst shortest-path
     hop count from a block output to the graph output (counted in
     aggregation nodes entered)."""
-    block_ids = {n.tags.block_id for n in graph.nodes if n.tags.block_id is not None}
-    agg_ids = {n.tags.agg_node_id for n in graph.nodes if n.tags.agg_node_id is not None}
+    groups = _stage_groups(graph)
+    block_ids = set().union(*(g[0] for g in groups.values()))
+    agg_ids = set().union(*(g[1] for g in groups.values()))
     if not block_ids and not agg_ids:
         raise MissingTags("graph carries no block or aggregation tags")
-
-    max_fanin = 0
-    for node in graph.nodes:
-        if node.tags.agg_node_id is not None and node.op.kind == OpKind.CONCAT:
-            max_fanin = max(max_fanin, len(node.inputs))
-
-    stage_blocks: dict[int, set[int]] = {}
-    for node in graph.nodes:
-        if node.tags.block_id is not None and isinstance(node.tags.stage, int):
-            stage_blocks.setdefault(node.tags.stage, set()).add(node.tags.block_id)
-    per_stage_depth: dict[int, int | None] = {}
-    for stage, blocks in sorted(stage_blocks.items()):
-        count = len(blocks)
-        depth = count.bit_length() - 1
-        per_stage_depth[stage] = depth if 2 ** depth == count else None
 
     hops = _agg_hops_to_output(graph)
     max_hops = 0
@@ -193,8 +186,8 @@ def structure_stats(graph: Graph) -> StructureStats:
     return StructureStats(
         blocks=len(block_ids),
         agg_nodes=len(agg_ids),
-        max_root_fanin=max_fanin,
-        per_stage_depth=per_stage_depth,
+        max_root_fanin=max(g[2] for g in groups.values()),
+        per_stage_depth={tree[0]: tree[2] for tree in _stage_trees(groups)},
         max_block_to_output_hops=max_hops,
     )
 
@@ -205,31 +198,14 @@ def structural_violations(graph: Graph) -> list[str]:
     d+1 and d+2 (the upper value when the stage root also receives the
     cross-stage feature)."""
     problems: list[str] = []
-    stage_blocks: dict[int, set[int]] = {}
-    stage_aggs: dict[int, set[int]] = {}
-    stage_fanin: dict[int, int] = {}
-    for node in graph.nodes:
-        if not isinstance(node.tags.stage, int):
-            continue
-        s = node.tags.stage
-        if node.tags.block_id is not None:
-            stage_blocks.setdefault(s, set()).add(node.tags.block_id)
-        if node.tags.agg_node_id is not None:
-            stage_aggs.setdefault(s, set()).add(node.tags.agg_node_id)
-            if node.op.kind == OpKind.CONCAT:
-                stage_fanin[s] = max(stage_fanin.get(s, 0), len(node.inputs))
-    for stage, blocks in sorted(stage_blocks.items()):
-        count = len(blocks)
-        depth = count.bit_length() - 1
-        if 2 ** depth != count:
+    for stage, count, depth, aggs, fanin in _stage_trees(_stage_groups(graph)):
+        if depth is None:
             problems.append("StructureViolation: stage %d has %d blocks, not a power of two"
                             % (stage, count))
             continue
-        aggs = len(stage_aggs.get(stage, ()))
         if aggs != count // 2:
             problems.append("StructureViolation: stage %d has %d aggregation nodes for "
                             "%d blocks, expected %d" % (stage, aggs, count, count // 2))
-        fanin = stage_fanin.get(stage, 0)
         if not depth + 1 <= fanin <= depth + 2:
             problems.append("StructureViolation: stage %d root fan-in %d outside "
                             "[%d, %d]" % (stage, fanin, depth + 1, depth + 2))

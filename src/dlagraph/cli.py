@@ -35,7 +35,7 @@ def _diag(message: str) -> None:
 
 
 def _parse_hwc(text: str) -> TensorShape:
-    parts = text.lower().split("x")
+    parts = text.lower().split("x") if isinstance(text, str) else ()
     if len(parts) != 3:
         raise ValueError("expected HxWxC, got %r" % text)
     h, w, c = (int(p) for p in parts)
@@ -64,9 +64,18 @@ def _read_document(path: str):
     return parse(text)
 
 
-def _declared_input_shape(graph) -> TensorShape:
-    attrs = graph.node(graph.inputs[0]).op.attrs
-    return TensorShape(1, attrs["channels"], attrs["height"], attrs["width"])
+def _input_shape(graph, metadata: dict, override: str | None) -> TensorShape:
+    """The --input override, else the shape recorded in the metadata, else
+    the extents declared by the graph's first Input node."""
+    if override is not None:
+        return _parse_hwc(override)
+    if "input_shape" not in metadata:
+        attrs = graph.node(graph.inputs[0]).op.attrs
+        return TensorShape(1, attrs["channels"], attrs["height"], attrs["width"])
+    try:
+        return _parse_hwc(metadata["input_shape"])
+    except ValueError as exc:
+        raise ParseError("metadata input_shape: %s" % exc) from None
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -90,12 +99,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     graph, metadata = _read_document(args.graph)
-    if args.input is not None:
-        shape = _parse_hwc(args.input)
-    elif "input_shape" in metadata:
-        shape = _parse_hwc(metadata["input_shape"])
-    else:
-        shape = _declared_input_shape(graph)
+    violations = validate(graph)
+    if violations:
+        raise ParseError("document is not analyzable: %s" % violations[0])
+    shape = _input_shape(graph, metadata, args.input)
     try:
         costs = cost_report(graph, shape)
     except GraphError as exc:
@@ -134,12 +141,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     graph, metadata = _read_document(args.graph)
     problems = [str(v) for v in validate(graph)]
     if not problems:
-        if "input_shape" in metadata:
-            shape = _parse_hwc(metadata["input_shape"])
-        else:
-            shape = _declared_input_shape(graph)
         try:
-            infer_shapes(graph, shape)
+            infer_shapes(graph, _input_shape(graph, metadata, None))
         except ShapeConflict as exc:
             problems.append("ShapeConflict: %s" % exc)
         problems.extend(structural_violations(graph))

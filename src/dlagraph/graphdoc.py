@@ -19,19 +19,6 @@ class ParseError(Exception):
     """The document is not a well-formed graph description."""
 
 
-_REQUIRED_ATTRS: dict[OpKind, tuple[tuple[str, type], ...]] = {
-    OpKind.CONV: (("kernel", int), ("stride", int), ("padding", int),
-                  ("in_channels", int), ("out_channels", int), ("groups", int),
-                  ("has_bias", bool)),
-    OpKind.BATCH_NORM: (("channels", int), ("epsilon", float)),
-    OpKind.MAX_POOL: (("kernel", int), ("stride", int)),
-    OpKind.LINEAR: (("in_features", int), ("out_features", int), ("has_bias", bool)),
-    OpKind.CONCAT: (("axis", int),),
-    OpKind.UPSAMPLE: (("factor", int), ("mode", str), ("channels", int)),
-    OpKind.SOFTMAX: (("axis", int),),
-    OpKind.INPUT: (("channels", int), ("height", int), ("width", int)),
-}
-
 _TAG_KEYS = ("stage", "block_id", "agg_node_id")
 
 
@@ -79,22 +66,12 @@ def _parse_node(record: Any, position: int) -> GraphNode:
     _expect(record["id"] == position,
             "node ids must be dense and ascending; position %d holds id %r"
             % (position, record["id"]))
-    try:
-        kind = OpKind(record["kind"])
-    except ValueError:
-        raise ParseError("unknown op kind %r" % record["kind"]) from None
     attrs = record["attrs"]
     _expect(isinstance(attrs, dict), "attrs of node %d is not an object" % position)
-    for key, want in _REQUIRED_ATTRS.get(kind, ()):
-        _expect(key in attrs, "node %d (%s) lacks attr %r" % (position, kind.value, key))
-        value = attrs[key]
-        if want is float:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        elif want is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, want)
-        _expect(ok, "attr %r of node %d is not a %s" % (key, position, want.__name__))
+    try:
+        op = PrimOp(OpKind(record["kind"]), dict(attrs))
+    except ValueError as exc:
+        raise ParseError("node %d: %s" % (position, exc)) from None
     inputs = record["inputs"]
     _expect(isinstance(inputs, list) and all(isinstance(i, int) for i in inputs),
             "inputs of node %d must be a list of ids" % position)
@@ -104,9 +81,12 @@ def _parse_node(record: Any, position: int) -> GraphNode:
     tags_json = record["tags"]
     _expect(isinstance(tags_json, dict) and set(tags_json) <= set(_TAG_KEYS),
             "tags of node %d carry unknown keys" % position)
+    for key, value in tags_json.items():
+        _expect(type(value) is int or (key == "stage" and type(value) is str),
+                "tag %r of node %d has the wrong type: %r" % (key, position, value))
     tags = Tags(stage=tags_json.get("stage"), block_id=tags_json.get("block_id"),
                 agg_node_id=tags_json.get("agg_node_id"))
-    return GraphNode(position, PrimOp(kind, dict(attrs)), tuple(inputs), tags)
+    return GraphNode(position, op, tuple(inputs), tags)
 
 
 def parse(text: str) -> tuple[Graph, dict[str, Any]]:
@@ -119,6 +99,7 @@ def parse(text: str) -> tuple[Graph, dict[str, Any]]:
         _expect(key in doc, "document lacks %r" % key)
     _expect(doc["format_version"] == FORMAT_VERSION,
             "unsupported format_version %r" % doc["format_version"])
+    _expect(isinstance(doc["metadata"], dict), "metadata is not an object")
     raw_nodes = doc["nodes"]
     _expect(isinstance(raw_nodes, list) and raw_nodes, "document has no nodes")
     nodes = tuple(_parse_node(rec, i) for i, rec in enumerate(raw_nodes))

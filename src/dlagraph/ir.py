@@ -100,24 +100,80 @@ def arity_bounds(kind: OpKind) -> tuple[int, int | None]:
     return _ARITY.get(kind, _DEFAULT_ARITY)
 
 
+# Attribute schema per op kind: name -> (type, range check or None).
+_COUNT = (int, lambda v: v > 0)
+_FLAG = (bool, None)
+_CHANNEL_AXIS = (int, lambda v: v == 1)  # concat and softmax act on channels only
+_ATTRS: dict[OpKind, dict[str, tuple[type, Any]]] = {
+    OpKind.CONV: {"kernel": _COUNT, "stride": _COUNT, "padding": (int, lambda v: v >= 0),
+                  "in_channels": _COUNT, "out_channels": _COUNT, "groups": _COUNT,
+                  "has_bias": _FLAG},
+    OpKind.BATCH_NORM: {"channels": _COUNT, "epsilon": (float, lambda v: v > 0)},
+    OpKind.MAX_POOL: {"kernel": _COUNT, "stride": _COUNT, "ceil_mode": _FLAG},
+    OpKind.LINEAR: {"in_features": _COUNT, "out_features": _COUNT, "has_bias": _FLAG},
+    OpKind.CONCAT: {"axis": _CHANNEL_AXIS},
+    OpKind.SOFTMAX: {"axis": _CHANNEL_AXIS},
+    OpKind.UPSAMPLE: {"factor": (int, lambda v: v > 0 and v % 2 == 0), "channels": _COUNT,
+                      "mode": (str, lambda v: v in {m.value for m in UpsampleMode})},
+    OpKind.INPUT: {"channels": _COUNT, "height": _COUNT, "width": _COUNT},
+}
+
+
 @dataclass(frozen=True)
 class PrimOp:
-    """A primitive operation with its kind-specific attribute map."""
+    """A primitive operation with its kind-specific attribute map; construction
+    raises ValueError for an attribute the kind's schema lacks or rejects."""
 
     kind: OpKind
     attrs: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        a = self.attrs
+        schema = _ATTRS.get(self.kind, {})
+        if a.keys() != schema.keys():
+            raise ValueError("%s takes attrs %s, got %s"
+                             % (self.kind.value, sorted(schema), sorted(a)))
+        for name, (want, in_range) in schema.items():
+            value = a[name]
+            if type(value) is not want and not (want is float and type(value) is int):
+                raise ValueError("%s attr %r must be a %s, got %r"
+                                 % (self.kind.value, name, want.__name__, value))
+            if in_range is not None and not in_range(value):
+                raise ValueError("%s attr %r is out of range: %r"
+                                 % (self.kind.value, name, value))
+        if self.kind == OpKind.CONV and (a["in_channels"] % a["groups"]
+                                         or a["out_channels"] % a["groups"]):
+            raise ValueError("channels (%d -> %d) not divisible by groups=%d"
+                             % (a["in_channels"], a["out_channels"], a["groups"]))
 
     def attr(self, name: str) -> Any:
         return self.attrs[name]
 
 
+def param_shapes(op: PrimOp) -> dict[str, tuple[int, ...]]:
+    """Shapes of the learnable tensors a node of this op owns, by name.
+    Every parameter and FMA count and the executor's initialization derive
+    from these; a ``"weight"`` is applied once per output pixel."""
+    a = op.attrs
+    if op.kind == OpKind.CONV:
+        shapes = {"weight": (a["out_channels"], a["in_channels"] // a["groups"],
+                             a["kernel"], a["kernel"])}
+    elif op.kind == OpKind.LINEAR:
+        shapes = {"weight": (a["out_features"], a["in_features"])}
+    elif op.kind == OpKind.BATCH_NORM:
+        return {"scale": (a["channels"],), "shift": (a["channels"],)}
+    elif op.kind == OpKind.UPSAMPLE and a["mode"] == UpsampleMode.LEARNED_TRANSPOSED_CONV.value:
+        kernel, _, _ = upsample_kernel_geometry(a["factor"])
+        return {"weight": (a["channels"], 1, kernel, kernel)}  # one kernel per channel
+    else:
+        return {}
+    if a["has_bias"]:
+        shapes["bias"] = shapes["weight"][:1]
+    return shapes
+
+
 def conv(kernel: int, stride: int, padding: int, in_channels: int,
          out_channels: int, groups: int = 1, has_bias: bool = False) -> PrimOp:
-    if kernel < 1 or stride < 1 or padding < 0:
-        raise ValueError("bad conv geometry k=%d s=%d p=%d" % (kernel, stride, padding))
-    if in_channels % groups or out_channels % groups:
-        raise ValueError("channels (%d -> %d) not divisible by groups=%d"
-                         % (in_channels, out_channels, groups))
     return PrimOp(OpKind.CONV, {
         "kernel": kernel, "stride": stride, "padding": padding,
         "in_channels": in_channels, "out_channels": out_channels,
@@ -157,8 +213,6 @@ def add() -> PrimOp:
 
 
 def upsample(factor: int, mode: UpsampleMode, channels: int) -> PrimOp:
-    if factor < 2 or factor % 2:
-        raise ValueError("upsample factor must be an even integer >= 2, got %d" % factor)
     return PrimOp(OpKind.UPSAMPLE, {"factor": factor, "mode": mode.value, "channels": channels})
 
 
@@ -255,7 +309,7 @@ def infer_node_shape(op: PrimOp, input_shapes: Sequence[TensorShape]) -> TensorS
         (s,) = input_shapes
         k, st = op.attr("kernel"), op.attr("stride")
         num_h, num_w = s.height - k, s.width - k
-        if op.attrs.get("ceil_mode", False):
+        if op.attr("ceil_mode"):
             oh = -(-num_h // st) + 1
             ow = -(-num_w // st) + 1
         else:
@@ -459,14 +513,9 @@ def validate(graph: Graph) -> list[Violation]:
             if not 0 <= src < n:
                 report.append(Violation("UnknownInput", node.id,
                                         "refers to missing node %d" % src))
-        if node.op.kind == OpKind.CONV:
-            a = node.op.attrs
-            if a["kernel"] < 1 or a["stride"] < 1:
-                report.append(Violation("BadAttribute", node.id, "conv kernel/stride < 1"))
-            if a["in_channels"] % a["groups"] or a["out_channels"] % a["groups"]:
-                report.append(Violation("BadAttribute", node.id,
-                                        "conv channels not divisible by groups"))
 
+    if not graph.outputs:
+        report.append(Violation("NoOutput", None, "graph declares no outputs"))
     for out in graph.outputs:
         if not 0 <= out < n:
             report.append(Violation("UnknownInput", None, "output id %d missing" % out))

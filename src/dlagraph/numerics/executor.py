@@ -9,6 +9,7 @@ bit-identical results across runs.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -69,34 +70,33 @@ def init_params(graph: Graph, seed: int) -> ParamStore:
     store = ParamStore()
     for node in graph.nodes:
         a = node.op.attrs
-        kind = node.op.kind
-        if kind == OpKind.CONV:
-            icg = a["in_channels"] // a["groups"]
-            fan_in = icg * a["kernel"] ** 2
-            bound = 1.0 / np.sqrt(fan_in)
-            named = {"weight": rng.uniform(-bound, bound,
-                                           (a["out_channels"], icg, a["kernel"], a["kernel"]))}
-            if a["has_bias"]:
-                named["bias"] = np.zeros(a["out_channels"])
+        named = {}
+        for name, shape in ir.param_shapes(node.op).items():
+            if name == "scale":
+                named[name] = np.ones(shape)
+            elif name != "weight":  # bias, shift
+                named[name] = np.zeros(shape)
+            elif node.op.kind == OpKind.UPSAMPLE:
+                named[name] = ops.bilinear_upsample_weight(a["channels"], a["factor"])
+            else:
+                bound = 1.0 / np.sqrt(math.prod(shape[1:]))  # 1/sqrt(fan_in)
+                named[name] = rng.uniform(-bound, bound, shape)
+        if node.op.kind == OpKind.BATCH_NORM:
+            named.update(running_mean=np.zeros(a["channels"]),
+                         running_var=np.ones(a["channels"]))
+        if named:
             store.tensors[node.id] = named
-        elif kind == OpKind.LINEAR:
-            bound = 1.0 / np.sqrt(a["in_features"])
-            named = {"weight": rng.uniform(-bound, bound,
-                                           (a["out_features"], a["in_features"]))}
-            if a["has_bias"]:
-                named["bias"] = np.zeros(a["out_features"])
-            store.tensors[node.id] = named
-        elif kind == OpKind.BATCH_NORM:
-            c = a["channels"]
-            store.tensors[node.id] = {
-                "scale": np.ones(c), "shift": np.zeros(c),
-                "running_mean": np.zeros(c), "running_var": np.ones(c),
-            }
-        elif kind == OpKind.UPSAMPLE and a["mode"] == UpsampleMode.LEARNED_TRANSPOSED_CONV.value:
-            store.tensors[node.id] = {
-                "weight": ops.bilinear_upsample_weight(a["channels"], a["factor"]),
-            }
     return store
+
+
+def _upsample_weight(node, params: ParamStore) -> tuple[np.ndarray, bool]:
+    """The kernel an upsampling node applies, and whether it is learned:
+    the node's own tensor for a learned transposed conv, else the fixed
+    bilinear kernel."""
+    a = node.op.attrs
+    if a["mode"] == UpsampleMode.LEARNED_TRANSPOSED_CONV.value:
+        return params.tensors[node.id]["weight"], True
+    return ops.bilinear_upsample_weight(a["channels"], a["factor"]), False
 
 
 @dataclass
@@ -163,8 +163,7 @@ def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
         elif kind == OpKind.RELU:
             values[nid] = np.maximum(xs[0], 0.0)
         elif kind == OpKind.MAX_POOL:
-            y, winner = ops.maxpool(xs[0], a["kernel"], a["stride"],
-                                    a.get("ceil_mode", False))
+            y, winner = ops.maxpool(xs[0], a["kernel"], a["stride"], a["ceil_mode"])
             values[nid] = y
             aux[nid] = winner
         elif kind == OpKind.GLOBAL_AVG_POOL:
@@ -181,11 +180,8 @@ def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
             values[nid] = xs[0] + xs[1]
         elif kind == OpKind.UPSAMPLE:
             f = a["factor"]
-            kernel, stride, padding = upsample_kernel_geometry(f)
-            if a["mode"] == UpsampleMode.LEARNED_TRANSPOSED_CONV.value:
-                w = params.tensors[nid]["weight"]
-            else:
-                w = ops.bilinear_upsample_weight(a["channels"], f)
+            _, stride, padding = upsample_kernel_geometry(f)
+            w, _ = _upsample_weight(node, params)
             out_hw = (xs[0].shape[2] * f, xs[0].shape[3] * f)
             values[nid] = ops.conv_apply_adjoint(xs[0], w, stride, padding,
                                                  a["channels"], out_hw)
@@ -289,9 +285,7 @@ def backward(graph: Graph, params: ParamStore, tape: Tape,
         elif kind == OpKind.UPSAMPLE:
             f = a["factor"]
             kernel, stride, padding = upsample_kernel_geometry(f)
-            learned = a["mode"] == UpsampleMode.LEARNED_TRANSPOSED_CONV.value
-            w = (params.tensors[nid]["weight"] if learned
-                 else ops.bilinear_upsample_weight(a["channels"], f))
+            w, learned = _upsample_weight(node, params)
             accumulate(node.inputs[0],
                        ops.conv_apply(gy, w, None, stride, padding, a["channels"]))
             if learned:

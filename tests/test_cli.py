@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -172,3 +176,86 @@ def test_build_output_is_byte_identical_across_runs(capsys, tmp_path):
     assert run(capsys, "build", "DLA-34", "-o", str(a))[0] == 0
     assert run(capsys, "build", "DLA-34", "-o", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def catalog_docs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mutated")
+    docs = {}
+    for name, head, classes in (("DLA-34", "classify", 1000), ("decoder", "dense", 19)):
+        path = root / ("%s.json" % name)
+        assert main(["build", "DLA-34", "--input", "224x224x3", "--classes", str(classes),
+                     "--head", head, "-o", str(path)]) == 0
+        docs[name] = path.read_text()
+    return root, docs
+
+
+def _first(doc, kind):
+    return next(n for n in doc["nodes"] if n["kind"] == kind)
+
+
+def _set_attr(kind, key, value):
+    def mutate(doc):
+        _first(doc, kind)["attrs"][key] = value
+    return mutate
+
+
+def _set_tag(key, value):
+    def mutate(doc):
+        next(n for n in doc["nodes"] if key in n["tags"])["tags"][key] = value
+    return mutate
+
+
+def _set_doc(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
+def _widen_add(doc):
+    add = _first(doc, "Add")
+    add["inputs"].append(add["inputs"][0])
+
+
+# (document, mutation, exit codes of check, report and export-dot)
+MUTATIONS = {
+    "conv-groups-0": ("DLA-34", _set_attr("Conv", "groups", 0), (4, 4, 4)),
+    "conv-kernel-0": ("DLA-34", _set_attr("Conv", "kernel", 0), (4, 4, 4)),
+    "conv-stride-0": ("decoder", _set_attr("Conv", "stride", 0), (4, 4, 4)),
+    "maxpool-kernel-0": ("DLA-34", _set_attr("MaxPool", "kernel", 0), (4, 4, 4)),
+    "batchnorm-epsilon-negative": ("decoder", _set_attr("BatchNorm", "epsilon", -1), (4, 4, 4)),
+    "upsample-mode-nearest": ("decoder", _set_attr("Upsample", "mode", "nearest"), (4, 4, 4)),
+    "upsample-factor-3": ("decoder", _set_attr("Upsample", "factor", 3), (4, 4, 4)),
+    "metadata-not-object": ("DLA-34", _set_doc("metadata", 3), (4, 4, 4)),
+    "stage-list": ("decoder", _set_tag("stage", [3]), (4, 4, 4)),
+    "agg-node-id-str": ("DLA-34", _set_tag("agg_node_id", "0"), (4, 4, 4)),
+    "outputs-empty": ("decoder", _set_doc("outputs", []), (1, 4, 0)),
+    "add-three-inputs": ("DLA-34", _widen_add, (1, 4, 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MUTATIONS))
+def test_mutated_document_gets_documented_exit_code(capsys, catalog_docs, case):
+    root, docs = catalog_docs
+    name, mutate, expected = MUTATIONS[case]
+    doc = json.loads(docs[name])
+    mutate(doc)
+    path = root / ("%s.json" % case)
+    path.write_text(json.dumps(doc))
+    codes = []
+    for command in ("check", "report", "export-dot"):
+        code, _, err = run(capsys, command, str(path))
+        assert "Traceback" not in err
+        codes.append(code)
+    assert tuple(codes) == expected
+
+
+def test_import_does_not_load_numpy():
+    import dlagraph
+
+    src = str(pathlib.Path(dlagraph.__file__).resolve().parents[1])
+    probe = subprocess.run([sys.executable, "-c",
+                            "import sys, dlagraph; print('numpy' in sys.modules)"],
+                           env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, check=True)
+    assert probe.stdout.strip() == "False"
