@@ -106,6 +106,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         costs = cost_report(graph, shape)
     except GraphError as exc:
+        if args.input is not None:
+            raise IndivisibleInput("--input %s does not fit the document: %s"
+                                   % (args.input, exc)) from None
         raise ParseError("document is not analyzable: %s" % exc) from None
     payload = {
         "params": costs.params,
@@ -156,6 +159,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    for flag, value in (("--samples", args.samples), ("--batch", args.batch)):
+        if value < 1:
+            raise ValueError("%s must be >= 1, got %d" % (flag, value))
     if args.head == "classify":
         graph = build_toy_classifier(args.arch, args.width_cap, args.input,
                                      num_classes=args.classes)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .ir import Graph, GraphNode, OpKind, PrimOp, Tags
+from .ir import Graph, GraphNode, OpKind, PrimOp, Tags, UnknownInput
 
 FORMAT_VERSION = "1"
 
@@ -33,7 +33,7 @@ def _tags_to_json(tags: Tags) -> dict[str, Any]:
 
 def graph_to_document(graph: Graph, metadata: dict[str, Any] | None = None) -> dict:
     nodes = []
-    for node in sorted(graph.nodes, key=lambda n: n.id):
+    for node in graph.nodes:
         nodes.append({
             "id": node.id,
             "kind": node.op.kind.value,
@@ -63,21 +63,10 @@ def _parse_node(record: Any, position: int) -> GraphNode:
     _expect(isinstance(record, dict), "node record %d is not an object" % position)
     for key in ("id", "kind", "attrs", "inputs", "tags"):
         _expect(key in record, "node record %d lacks %r" % (position, key))
-    _expect(record["id"] == position,
-            "node ids must be dense and ascending; position %d holds id %r"
-            % (position, record["id"]))
     attrs = record["attrs"]
     _expect(isinstance(attrs, dict), "attrs of node %d is not an object" % position)
-    try:
-        op = PrimOp(OpKind(record["kind"]), dict(attrs))
-    except ValueError as exc:
-        raise ParseError("node %d: %s" % (position, exc)) from None
     inputs = record["inputs"]
-    _expect(isinstance(inputs, list) and all(isinstance(i, int) for i in inputs),
-            "inputs of node %d must be a list of ids" % position)
-    for i in inputs:
-        _expect(0 <= i < position,
-                "node %d consumes id %d, which does not precede it" % (position, i))
+    _expect(isinstance(inputs, list), "inputs of node %d must be a list of ids" % position)
     tags_json = record["tags"]
     _expect(isinstance(tags_json, dict) and set(tags_json) <= set(_TAG_KEYS),
             "tags of node %d carry unknown keys" % position)
@@ -86,7 +75,11 @@ def _parse_node(record: Any, position: int) -> GraphNode:
                 "tag %r of node %d has the wrong type: %r" % (key, position, value))
     tags = Tags(stage=tags_json.get("stage"), block_id=tags_json.get("block_id"),
                 agg_node_id=tags_json.get("agg_node_id"))
-    return GraphNode(position, op, tuple(inputs), tags)
+    try:
+        return GraphNode(record["id"], PrimOp(OpKind(record["kind"]), dict(attrs)),
+                         tuple(inputs), tags)
+    except (ValueError, UnknownInput) as exc:
+        raise ParseError("node %d: %s" % (position, exc)) from None
 
 
 def parse(text: str) -> tuple[Graph, dict[str, Any]]:
@@ -103,17 +96,12 @@ def parse(text: str) -> tuple[Graph, dict[str, Any]]:
     raw_nodes = doc["nodes"]
     _expect(isinstance(raw_nodes, list) and raw_nodes, "document has no nodes")
     nodes = tuple(_parse_node(rec, i) for i, rec in enumerate(raw_nodes))
-    n = len(nodes)
     for key in ("inputs", "outputs"):
-        ids = doc[key]
-        _expect(isinstance(ids, list) and all(isinstance(i, int) and 0 <= i < n for i in ids),
-                "%s list is not a list of node ids" % key)
-    declared_inputs = tuple(doc["inputs"])
-    actual_inputs = tuple(node.id for node in nodes if node.op.kind == OpKind.INPUT)
-    _expect(declared_inputs == actual_inputs,
-            "declared inputs %s do not match Input nodes %s"
-            % (declared_inputs, actual_inputs))
-    graph = Graph(nodes, declared_inputs, tuple(doc["outputs"]))
+        _expect(isinstance(doc[key], list), "%s list is not a list of node ids" % key)
+    try:
+        graph = Graph(nodes, tuple(doc["inputs"]), tuple(doc["outputs"]))
+    except UnknownInput as exc:
+        raise ParseError(str(exc)) from None
     return graph, dict(doc["metadata"])
 
 
@@ -144,35 +132,25 @@ def to_dot(graph: Graph, collapse: str = "none") -> str:
     if collapse not in ("none", "blocks"):
         raise ValueError("collapse must be 'none' or 'blocks'")
     lines = ["digraph dla {", "  rankdir=TB;"]
-
-    if collapse == "none":
-        vertex = {node.id: "n%d" % node.id for node in graph.nodes}
-        for node in graph.nodes:
-            if node.tags.agg_node_id is not None:
-                shape = "diamond"
-            elif node.tags.block_id is not None:
-                shape = "box"
-            else:
-                shape = "ellipse"
-            lines.append('  %s [label="%s", shape=%s];'
-                         % (vertex[node.id], _op_label(node), shape))
-    else:
-        vertex = {}
-        emitted = set()
-        for node in graph.nodes:
-            if node.tags.agg_node_id is not None:
-                name = "a%d" % node.tags.agg_node_id
-                label, shape = "agg %d" % node.tags.agg_node_id, "diamond"
-            elif node.tags.block_id is not None:
-                name = "b%d" % node.tags.block_id
-                label, shape = "block %d" % node.tags.block_id, "box"
-            else:
-                name = "n%d" % node.id
-                label, shape = _op_label(node), "ellipse"
-            vertex[node.id] = name
-            if name not in emitted:
-                emitted.add(name)
-                lines.append('  %s [label="%s", shape=%s];' % (name, label, shape))
+    vertex = {}
+    emitted = set()
+    for node in graph.nodes:
+        tags = node.tags
+        name, label = "n%d" % node.id, None
+        if tags.agg_node_id is not None:
+            shape = "diamond"
+            if collapse == "blocks":
+                name, label = "a%d" % tags.agg_node_id, "agg %d" % tags.agg_node_id
+        elif tags.block_id is not None:
+            shape = "box"
+            if collapse == "blocks":
+                name, label = "b%d" % tags.block_id, "block %d" % tags.block_id
+        else:
+            shape = "ellipse"
+        vertex[node.id] = name
+        if name not in emitted:
+            emitted.add(name)
+            lines.append('  %s [label="%s", shape=%s];' % (name, label or _op_label(node), shape))
 
     seen_edges = set()
     for node in graph.nodes:

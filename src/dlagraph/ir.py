@@ -1,8 +1,9 @@
 """Computation-graph intermediate representation.
 
 A ``Graph`` is an immutable directed acyclic multigraph of primitive tensor
-operations. Node ids are dense integers assigned in construction order, so
-for builder-produced graphs the id order is already a topological order.
+operations. Node ids are dense integers assigned in construction order, and
+every input id is below its node's id, so the id order is already a
+topological order; construction rejects any graph for which this fails.
 ``GraphBuilder`` is the single-writer construction API; built graphs are
 safe to share between any number of readers.
 """
@@ -23,15 +24,11 @@ class GraphError(Exception):
 
 
 class UnknownInput(GraphError):
-    """An edge refers to a node id that does not exist yet."""
+    """A node, input or output id names no node that precedes its use."""
 
 
 class ArityMismatch(GraphError):
     """An op was given the wrong number of inputs."""
-
-
-class CycleDetected(GraphError):
-    """No topological order exists."""
 
 
 class ShapeConflict(GraphError):
@@ -59,12 +56,6 @@ class TensorShape:
     @property
     def spatial(self) -> tuple[int, int]:
         return (self.height, self.width)
-
-    def nelems(self) -> int:
-        return self.batch * self.channels * self.height * self.width
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.batch, self.channels, self.height, self.width)
 
 
 class OpKind(enum.Enum):
@@ -242,26 +233,44 @@ class Tags:
     block_id: int | None = None
     agg_node_id: int | None = None
 
-    def is_empty(self) -> bool:
-        return self.stage is None and self.block_id is None and self.agg_node_id is None
-
 
 @dataclass(frozen=True)
 class GraphNode:
+    """One op application; construction raises UnknownInput unless the id is
+    an int and every input id is an int in ``[0, id)``."""
+
     id: NodeId
     op: PrimOp
     inputs: tuple[NodeId, ...]
     tags: Tags = Tags()
 
+    def __post_init__(self) -> None:
+        if type(self.id) is not int or not all(type(i) is int and 0 <= i < self.id
+                                               for i in self.inputs):
+            raise UnknownInput("node %r: id must be an int and inputs %r earlier node ids"
+                               % (self.id, self.inputs))
+
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable-after-build multigraph. ``nodes[i].id == i`` always holds
-    for builder-produced graphs; input argument order is preserved verbatim."""
+    """Immutable multigraph; input argument order is preserved verbatim.
+    Construction raises UnknownInput unless ``nodes[i].id == i``, ``inputs``
+    lists the Input node ids in id order, and every output id names a node."""
 
     nodes: tuple[GraphNode, ...]
     inputs: tuple[NodeId, ...]
     outputs: tuple[NodeId, ...]
+
+    def __post_init__(self) -> None:
+        for i, node in enumerate(self.nodes):
+            if node.id != i:
+                raise UnknownInput("node at position %d carries id %d" % (i, node.id))
+        input_ids = tuple(node.id for node in self.nodes if node.op.kind == OpKind.INPUT)
+        if not all(type(i) is int for i in self.inputs) or self.inputs != input_ids:
+            raise UnknownInput("declared inputs %r do not match Input nodes %r"
+                               % (self.inputs, input_ids))
+        if not all(type(o) is int and 0 <= o < len(self.nodes) for o in self.outputs):
+            raise UnknownInput("output ids %r do not all name a node" % (self.outputs,))
 
     def node(self, nid: NodeId) -> GraphNode:
         return self.nodes[nid]
@@ -391,26 +400,22 @@ class GraphBuilder:
         return self._shapes[nid].channels
 
     def add(self, op: PrimOp, inputs: Sequence[NodeId] = (), tags: Tags | None = None) -> NodeId:
-        inputs = tuple(inputs)
-        for i in inputs:
-            if not 0 <= i < len(self._nodes):
-                raise UnknownInput("input id %d does not exist (graph has %d nodes)"
-                                   % (i, len(self._nodes)))
+        nid = len(self._nodes)
+        if tags is None:
+            tags = Tags(stage=self._stage, block_id=self._block_id, agg_node_id=self._agg_id)
+        node = GraphNode(nid, op, tuple(inputs), tags)
         lo, hi = arity_bounds(op.kind)
-        if len(inputs) < lo or (hi is not None and len(inputs) > hi):
+        if len(node.inputs) < lo or (hi is not None and len(node.inputs) > hi):
             raise ArityMismatch("%s takes %s inputs, got %d"
                                 % (op.kind.value,
                                    ("exactly %d" % lo) if lo == hi else ("at least %d" % lo),
-                                   len(inputs)))
-        nid = len(self._nodes)
+                                   len(node.inputs)))
         if op.kind == OpKind.INPUT:
             shape = TensorShape(1, op.attr("channels"), op.attr("height"), op.attr("width"))
             self._inputs.append(nid)
         else:
-            shape = infer_node_shape(op, [self._shapes[i] for i in inputs])
-        if tags is None:
-            tags = Tags(stage=self._stage, block_id=self._block_id, agg_node_id=self._agg_id)
-        self._nodes.append(GraphNode(nid, op, inputs, tags))
+            shape = infer_node_shape(op, [self._shapes[i] for i in node.inputs])
+        self._nodes.append(node)
         self._shapes.append(shape)
         return nid
 
@@ -459,10 +464,7 @@ class GraphBuilder:
 
 def topo_order(graph: Graph) -> list[NodeId]:
     """Deterministic topological order; ties broken by ascending node id.
-
-    For builder-produced graphs this is simply 0..n-1. Raises CycleDetected
-    for hand-assembled graphs containing a back-edge.
-    """
+    Since every input id is below its node's id, this is 0..n-1."""
     indegree = {n.id: len(n.inputs) for n in graph.nodes}
     succ = successors(graph)
     ready = [nid for nid, deg in indegree.items() if deg == 0]
@@ -475,9 +477,6 @@ def topo_order(graph: Graph) -> list[NodeId]:
             indegree[consumer] -= 1
             if indegree[consumer] == 0:
                 heapq.heappush(ready, consumer)
-    if len(order) != len(graph.nodes):
-        raise CycleDetected("%d of %d nodes are stuck on a cycle"
-                            % (len(graph.nodes) - len(order), len(graph.nodes)))
     return order
 
 
@@ -493,54 +492,23 @@ class Violation:
 
 
 def validate(graph: Graph) -> list[Violation]:
-    """Check all structural invariants; returns a report, empty means valid.
+    """Check what construction leaves open: op arity, declared outputs and
+    reachability from the graph inputs; returns a report, empty means valid.
 
     Pure: never raises for graph defects, never mutates.
     """
     report: list[Violation] = []
-    n = len(graph.nodes)
-
-    for i, node in enumerate(graph.nodes):
-        if node.id != i:
-            report.append(Violation("BadNodeId", node.id,
-                                    "node at position %d carries id %d" % (i, node.id)))
-    for node in graph.nodes:
+    reachable = set(graph.inputs)
+    for node in graph.nodes:  # inputs precede consumers, so one pass settles reachability
         lo, hi = arity_bounds(node.op.kind)
         if len(node.inputs) < lo or (hi is not None and len(node.inputs) > hi):
             report.append(Violation("ArityViolation", node.id,
                                     "%s with %d inputs" % (node.op.kind.value, len(node.inputs))))
-        for src in node.inputs:
-            if not 0 <= src < n:
-                report.append(Violation("UnknownInput", node.id,
-                                        "refers to missing node %d" % src))
-
-    if not graph.outputs:
-        report.append(Violation("NoOutput", None, "graph declares no outputs"))
-    for out in graph.outputs:
-        if not 0 <= out < n:
-            report.append(Violation("UnknownInput", None, "output id %d missing" % out))
-
-    if any(v.kind == "UnknownInput" for v in report):
-        return report  # edge set is broken; reachability and order are meaningless
-
-    try:
-        topo_order(graph)
-    except CycleDetected as exc:
-        report.append(Violation("CycleDetected", None, str(exc)))
-
-    # Reachability from the declared graph inputs; a fixpoint sweep keeps
-    # this correct even for hand-built graphs with shuffled ids or cycles.
-    reachable = set(graph.inputs)
-    changed = True
-    while changed:
-        changed = False
-        for node in graph.nodes:
-            if node.id not in reachable and node.inputs \
-                    and all(i in reachable for i in node.inputs):
-                reachable.add(node.id)
-                changed = True
-    for node in graph.nodes:
-        if node.id not in reachable:
+        if node.inputs and all(i in reachable for i in node.inputs):
+            reachable.add(node.id)
+        elif node.id not in reachable:
             report.append(Violation("OrphanNode", node.id,
                                     "not reachable from any graph input"))
+    if not graph.outputs:
+        report.append(Violation("NoOutput", None, "graph declares no outputs"))
     return report

@@ -51,9 +51,6 @@ class ParamStore:
                 if name not in NON_LEARNABLE:
                     yield nid, name, named[name]
 
-    def num_learnable(self) -> int:
-        return sum(arr.size for _, _, arr in self.learnable_entries())
-
     def copy(self) -> "ParamStore":
         return ParamStore({nid: {k: v.copy() for k, v in named.items()}
                            for nid, named in self.tensors.items()})
@@ -351,7 +348,10 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     """Compare reverse-mode gradients against central differences on a
     random contraction of the outputs, over ``sample`` uniformly sampled
     learnable parameters. ``corrupt_backward`` flips the sign of the
-    largest sampled analytic gradient to prove the check can fail."""
+    largest sampled analytic gradient to prove the check can fail. Raises
+    ValueError for ``sample < 1``."""
+    if sample < 1:
+        raise ValueError("sample must be >= 1, got %d" % sample)
     rng = np.random.default_rng(seed)
     outputs, tape = forward(graph, params, [x], Mode.TRAIN, update_running=False)
     # Keep the contracted scalar small: central differences carry an
@@ -394,14 +394,14 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
         entries.append(GradCheckEntry(nid, name, int(offset), analytic, float(numeric),
                                       _rel_error(analytic, numeric)))
 
-    if corrupt_backward and entries:
+    if corrupt_backward:
         target = max(range(len(entries)), key=lambda i: abs(entries[i].analytic))
         e = entries[target]
         corrupted = -e.analytic
         entries[target] = GradCheckEntry(e.node_id, e.name, e.index, corrupted,
                                          e.numeric, _rel_error(corrupted, e.numeric))
 
-    max_err = max((e.rel_error for e in entries), default=0.0)
+    max_err = max(e.rel_error for e in entries)
     return GradReport(tuple(entries), max_err, epsilon, tolerance,
                       passed=max_err < tolerance)
 

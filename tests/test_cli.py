@@ -149,6 +149,13 @@ def test_gradcheck_unknown_architecture_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--batch"])
+def test_gradcheck_zero_count_exits_2_naming_the_flag(capsys, flag):
+    code, _, err = run(capsys, "gradcheck", "DLA-34", flag, "0")
+    assert code == 2
+    assert flag in err
+
+
 def test_build_dense_head_and_report(capsys, tmp_path):
     path = tmp_path / "dense.json"
     code, _, _ = run(capsys, "build", "DLA-34", "--input", "224x224x3",
@@ -168,6 +175,12 @@ def test_report_input_override_rescales_fmas(capsys, doc_path):
     bigger = json.loads(out)
     assert bigger["params"] == base["params"]
     assert bigger["fmas"] > 3.9 * base["fmas"]
+
+
+def test_report_input_override_with_wrong_channels_exits_3(capsys, doc_path):
+    code, _, err = run(capsys, "report", str(doc_path), "--input", "224x224x4")
+    assert code == 3
+    assert "--input" in err
 
 
 def test_build_output_is_byte_identical_across_runs(capsys, tmp_path):
@@ -217,6 +230,10 @@ def _widen_add(doc):
     add["inputs"].append(add["inputs"][0])
 
 
+def _bool_input_id(doc):
+    doc["nodes"][1]["inputs"] = [False]
+
+
 # (document, mutation, exit codes of check, report and export-dot)
 MUTATIONS = {
     "conv-groups-0": ("DLA-34", _set_attr("Conv", "groups", 0), (4, 4, 4)),
@@ -231,6 +248,8 @@ MUTATIONS = {
     "agg-node-id-str": ("DLA-34", _set_tag("agg_node_id", "0"), (4, 4, 4)),
     "outputs-empty": ("decoder", _set_doc("outputs", []), (1, 4, 0)),
     "add-three-inputs": ("DLA-34", _widen_add, (1, 4, 0)),
+    "input-id-bool": ("DLA-34", _bool_input_id, (4, 4, 4)),
+    "output-id-bool": ("decoder", _set_doc("outputs", [True]), (4, 4, 4)),
 }
 
 

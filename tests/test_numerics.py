@@ -206,6 +206,13 @@ def test_grad_check_zero_tolerance_cannot_pass():
     assert not report.passed
 
 
+def test_grad_check_rejects_empty_sample():
+    g = simple_net()
+    xval = np.random.default_rng(2).standard_normal((2, 4, 8, 8))
+    with pytest.raises(ValueError):
+        grad_check(g, init_params(g, 5), xval, sample=0)
+
+
 def test_grad_report_json_shape():
     g = simple_net()
     params = init_params(g, 5)
