@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -162,6 +163,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     for flag, value in (("--samples", args.samples), ("--batch", args.batch)):
         if value < 1:
             raise ValueError("%s must be >= 1, got %d" % (flag, value))
+    if not 0.0 < args.epsilon < math.inf:
+        raise ValueError("--epsilon must be finite and > 0, got %r" % args.epsilon)
+    if math.isnan(args.tol):
+        raise ValueError("--tol must not be nan")
     if args.head == "classify":
         graph = build_toy_classifier(args.arch, args.width_cap, args.input,
                                      num_classes=args.classes)

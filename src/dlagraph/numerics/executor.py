@@ -121,22 +121,31 @@ def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
     if len(inputs) != len(graph.inputs):
         raise ShapeMismatch("graph takes %d inputs, got %d"
                             % (len(graph.inputs), len(inputs)))
-    values: dict[NodeId, np.ndarray] = {}
-    aux: dict[NodeId, object] = {}
-    feed = {nid: np.asarray(x, dtype=np.float64) for nid, x in zip(graph.inputs, inputs)}
-    for nid, x in feed.items():
+    values = {nid: np.asarray(x, dtype=np.float64) for nid, x in zip(graph.inputs, inputs)}
+    for nid, x in values.items():
         _check_input_tensor(graph.node(nid), x)
-    batches = {x.shape[0] for x in feed.values()}
+    batches = {x.shape[0] for x in values.values()}
     if len(batches) > 1:
         raise ShapeMismatch("inputs disagree on batch size: %s" % sorted(batches))
+    aux: dict[NodeId, object] = {}
+    _evaluate(graph, params, topo_order(graph), values, aux, mode, update_running)
+    outputs = [values[o] for o in graph.outputs]
+    return outputs, Tape(graph, mode, values, aux)
 
-    for nid in topo_order(graph):
+
+def _evaluate(graph: Graph, params: ParamStore, order: Sequence[NodeId],
+              values: dict[NodeId, np.ndarray], aux: dict[NodeId, object],
+              mode: Mode, update_running: bool) -> None:
+    """Evaluate the nodes named by ``order``, in that order, into ``values``
+    and ``aux``. Each node's inputs must already be in ``values``; Input
+    nodes keep the tensor the caller put there."""
+    for nid in order:
         node = graph.node(nid)
         kind = node.op.kind
         a = node.op.attrs
         xs = [values[i] for i in node.inputs]
         if kind == OpKind.INPUT:
-            values[nid] = feed[nid]
+            pass
         elif kind == OpKind.CONV:
             p = params.tensors[nid]
             values[nid] = ops.conv_apply(xs[0], p["weight"], p.get("bias"),
@@ -188,8 +197,6 @@ def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
             values[nid] = xs[0]
         else:  # pragma: no cover
             raise NotImplementedError(kind)
-    outputs = [values[o] for o in graph.outputs]
-    return outputs, Tape(graph, mode, values, aux)
 
 
 def backward(graph: Graph, params: ParamStore, tape: Tape,
@@ -341,6 +348,17 @@ def _rel_error(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1e-8)
 
 
+def _downstream_cone(graph: Graph, root: NodeId) -> list[NodeId]:
+    """``root`` and every node that depends on it, in ascending id order.
+    One ascending pass finds them all because every input id is below its
+    node's id."""
+    inside = {root}
+    for node in graph.nodes[root + 1:]:
+        if not inside.isdisjoint(node.inputs):
+            inside.add(node.id)
+    return sorted(inside)
+
+
 def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
                epsilon: float = 1e-5, tolerance: float = 1e-4,
                sample: int = 200, seed: int = 0,
@@ -348,10 +366,19 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     """Compare reverse-mode gradients against central differences on a
     random contraction of the outputs, over ``sample`` uniformly sampled
     learnable parameters. ``corrupt_backward`` flips the sign of the
-    largest sampled analytic gradient to prove the check can fail. Raises
-    ValueError for ``sample < 1``."""
+    largest sampled analytic gradient to prove the check can fail.
+
+    Each probe re-evaluates only the downstream cone of the node that owns
+    the perturbed parameter and reads every other activation from the
+    first forward's tape, which gives the same bits as a full forward.
+    Raises ValueError for ``sample < 1``, an ``epsilon`` that is not finite
+    and positive, or a NaN ``tolerance``."""
     if sample < 1:
         raise ValueError("sample must be >= 1, got %d" % sample)
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and > 0, got %r" % epsilon)
+    if math.isnan(tolerance):
+        raise ValueError("tolerance must not be NaN")
     rng = np.random.default_rng(seed)
     outputs, tape = forward(graph, params, [x], Mode.TRAIN, update_running=False)
     # Keep the contracted scalar small: central differences carry an
@@ -362,9 +389,10 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     contraction = [c * (0.01 / norm) for c in contraction]
     pgrads, _ = backward(graph, params, tape, contraction)
 
-    def loss() -> float:
-        outs, _ = forward(graph, params, [x], Mode.TRAIN, update_running=False)
-        return float(sum(np.vdot(g, o) for g, o in zip(contraction, outs)))
+    def loss(cone: list[NodeId]) -> float:
+        values = dict(tape.values)
+        _evaluate(graph, params, cone, values, {}, Mode.TRAIN, update_running=False)
+        return float(sum(np.vdot(g, values[o]) for g, o in zip(contraction, graph.outputs)))
 
     flat: list[tuple[NodeId, str, int]] = []
     for nid, name, arr in params.learnable_entries():
@@ -375,18 +403,21 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     entries: list[GradCheckEntry] = []
     cursor = 0
     slot = 0
+    cone_root, cone = None, []
     for pick in picks:
         while pick >= cursor + flat[slot][2]:
             cursor += flat[slot][2]
             slot += 1
         nid, name, _ = flat[slot]
+        if nid != cone_root:  # picks are sorted, so one node's picks come in a row
+            cone_root, cone = nid, _downstream_cone(graph, nid)
         offset = pick - cursor
         arr = params.tensors[nid][name]
         original = arr.flat[offset]
         arr.flat[offset] = original + epsilon
-        lo_plus = loss()
+        lo_plus = loss(cone)
         arr.flat[offset] = original - epsilon
-        lo_minus = loss()
+        lo_minus = loss(cone)
         arr.flat[offset] = original
         numeric = (lo_plus - lo_minus) / (2.0 * epsilon)
         node_grads = pgrads.get(nid, {})

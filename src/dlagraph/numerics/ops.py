@@ -22,7 +22,13 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray
     oh, ow = conv_out_hw(h, w, kernel, stride, padding)
     if oh < 1 or ow < 1:
         raise ValueError("convolution window does not fit input %dx%d" % (h, w))
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    if padding:
+        # Zeros plus one slice assignment: the same bits as np.pad, at a
+        # fraction of its per-call overhead.
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
+    else:
+        xp = x
     cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=x.dtype)
     for i in range(kernel):
         for j in range(kernel):

@@ -149,9 +149,15 @@ def test_gradcheck_unknown_architecture_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--batch"])
-def test_gradcheck_zero_count_exits_2_naming_the_flag(capsys, flag):
-    code, _, err = run(capsys, "gradcheck", "DLA-34", flag, "0")
+@pytest.mark.parametrize("flag, value", [
+    pytest.param("--samples", "0", id="--samples"),
+    pytest.param("--batch", "0", id="--batch"),
+    pytest.param("--epsilon", "0", id="--epsilon-0"),
+    pytest.param("--epsilon", "nan", id="--epsilon-nan"),
+    pytest.param("--tol", "nan", id="--tol-nan"),
+])
+def test_gradcheck_zero_count_exits_2_naming_the_flag(capsys, flag, value):
+    code, _, err = run(capsys, "gradcheck", "DLA-34", flag, value)
     assert code == 2
     assert flag in err
 

@@ -5,6 +5,7 @@ from conftest import naive_conv2d
 
 from dlagraph import ir
 from dlagraph.aggregation import AggNodeSpec, build_aggregation_node
+from dlagraph.architectures import build_toy_classifier, build_toy_dense_decoder
 from dlagraph.ir import GraphBuilder, OpKind, TensorShape, UpsampleMode
 from dlagraph.numerics import (Mode, ParamStore, ShapeMismatch, StaleTape, backward,
                                cross_entropy, forward, grad_check, init_params,
@@ -36,6 +37,20 @@ def test_conv_apply_matches_direct_loop_oracle():
         got = ops.conv_apply(x, w, bias, stride, padding, groups)
         want = naive_conv2d(x, w, bias, stride, padding, groups)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 3])
+def test_im2col_matches_np_pad_construction_bit_for_bit(padding, stride):
+    x = np.random.default_rng(4).standard_normal((2, 3, 7, 6))
+    k = 3
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh, ow = ops.conv_out_hw(7, 6, k, stride, padding)
+    want = np.empty((2, 3, k, k, oh, ow))
+    for i in range(k):
+        for j in range(k):
+            want[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    assert np.array_equal(ops._im2col(x, k, stride, padding), want)
 
 
 def test_init_params_is_bit_deterministic():
@@ -211,6 +226,73 @@ def test_grad_check_rejects_empty_sample():
     xval = np.random.default_rng(2).standard_normal((2, 4, 8, 8))
     with pytest.raises(ValueError):
         grad_check(g, init_params(g, 5), xval, sample=0)
+
+
+@pytest.mark.parametrize("kwargs", [{"epsilon": 0.0}, {"epsilon": -1e-5},
+                                    {"epsilon": float("nan")}, {"epsilon": float("inf")},
+                                    {"tolerance": float("nan")}])
+def test_grad_check_rejects_bad_epsilon_or_tolerance(kwargs):
+    g = simple_net()
+    xval = np.random.default_rng(2).standard_normal((2, 4, 8, 8))
+    with pytest.raises(ValueError):
+        grad_check(g, init_params(g, 5), xval, sample=5, **kwargs)
+
+
+def two_output_net():
+    """A shared trunk feeding two heads: each head's parameters reach only
+    its own output."""
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(1, 3, 6, 6))
+    trunk = b.add(ir.conv(3, 1, 1, 3, 2), [x])
+    trunk = b.add(ir.batch_norm(2), [trunk])
+    trunk = b.add(ir.relu(), [trunk])
+    dense = b.add(ir.conv(3, 1, 1, 2, 2), [trunk])
+    b.mark_output(dense)
+    y = b.add(ir.conv(1, 1, 0, 2, 3), [trunk])
+    y = b.add(ir.global_avg_pool(), [y])
+    y = b.add(ir.linear(3, 4), [y])
+    y = b.add(ir.softmax(), [y])
+    b.mark_output(y)
+    return b.build()
+
+
+@pytest.mark.parametrize("build, hw, sample", [
+    (lambda: build_toy_classifier("DLA-34", 16, 16, num_classes=10), 16, 24),
+    (lambda: build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5), 32, 12),
+    (two_output_net, 6, 200),
+], ids=["DLA-34", "decoder", "two-output"])
+def test_grad_check_matches_full_forward_differences_bit_for_bit(build, hw, sample):
+    g = build()
+    params = init_params(g, 7)
+    before = params.copy()
+    xval = np.random.default_rng(3).standard_normal((2, 3, hw, hw))
+    eps, seed = 1e-5, 1
+    report = grad_check(g, params, xval, epsilon=eps, sample=sample, seed=seed)
+    for nid, named in before.tensors.items():
+        for name, arr in named.items():
+            assert params.tensors[nid][name].tobytes() == arr.tobytes(), (nid, name)
+
+    # Reference: the contraction grad_check draws first from its seed, and
+    # two full forwards per entry.
+    rng = np.random.default_rng(seed)
+    outs, _ = forward(g, params, [xval], Mode.TRAIN, update_running=False)
+    contraction = [rng.standard_normal(o.shape) for o in outs]
+    norm = np.sqrt(sum(float(np.vdot(c, c)) for c in contraction))
+    contraction = [c * (0.01 / norm) for c in contraction]
+
+    def loss():
+        outs, _ = forward(g, params, [xval], Mode.TRAIN, update_running=False)
+        return float(sum(np.vdot(c, o) for c, o in zip(contraction, outs)))
+
+    for e in report.entries:
+        arr = params.tensors[e.node_id][e.name]
+        original = arr.flat[e.index]
+        arr.flat[e.index] = original + eps
+        plus = loss()
+        arr.flat[e.index] = original - eps
+        minus = loss()
+        arr.flat[e.index] = original
+        assert ((plus - minus) / (2.0 * eps)).hex() == e.numeric.hex(), e
 
 
 def test_grad_report_json_shape():
