@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 check or gradient failure, 2 bad argument, 3 bad
-input shape, 4 parse error. Machine-readable output goes to stdout,
-diagnostics to stderr. Output files are written atomically.
+Exit codes: 0 ok, 1 check or gradient failure, 2 bad argument (an
+unwritable output path included), 3 bad input shape, 4 parse error, 141
+stdout closed by its reader (the status of a process that SIGPIPE ends).
+Machine-readable output goes to stdout, diagnostics to stderr. Output
+files are written atomically.
 """
 
 from __future__ import annotations
@@ -44,16 +46,22 @@ def _parse_hwc(text: str) -> TensorShape:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dlagraph-", suffix=".tmp")
+    """Write through a temp file beside the target, then rename it into
+    place. A path that cannot be written is a bad argument (ValueError)."""
+    if os.path.isdir(path):
+        raise ValueError("cannot write %s: it is a directory" % path)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".dlagraph-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _read_document(path: str):
@@ -243,7 +251,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows on buffered output only here
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does). Point stdout at
+        # devnull so that the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except UnknownArchitecture as exc:
         _diag(str(exc))
         return 2

@@ -1,9 +1,9 @@
 """Dense float64 kernels for the reference executor.
 
-Convolution is realized through im2col plus batched matmul; the
-transposed convolution is the exact adjoint of the forward map (the same
-einsum read backwards), so <Ax, y> == <x, At y> holds to rounding error.
-All reductions have a fixed order, which keeps runs bit-identical.
+Convolution is realized through im2col plus batched matmul; the transposed
+convolution is the exact adjoint of the forward map (transposed matmul, then
+col2im), so <Ax, y> == <x, At y> holds to rounding error. All reductions
+have a fixed order, which keeps runs bit-identical.
 """
 
 from __future__ import annotations
@@ -28,21 +28,28 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray
         xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         xp[:, :, padding:padding + h, padding:padding + w] = x
     else:
-        xp = x
-    cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=x.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols
+        xp = np.ascontiguousarray(x)
+    # Strided views are built on xp's buffer, which numpy bounds-checks, at a
+    # fraction of as_strided's per-call cost.
+    sn, sc, sh, sw = xp.strides
+    return np.ndarray((n, c, kernel, kernel, oh, ow), xp.dtype, xp, 0,
+                      (sn, sc, sh, sw, stride * sh, stride * sw)).copy()
 
 
 def _col2im(cols: np.ndarray, h: int, w: int, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patches back onto an (N, C, H, W) grid."""
+    """Adjoint of _im2col: scatter-add patches back onto an (N, C, H, W) grid.
+    Taps i .. i + stride - 1 hit disjoint rows, so one add per block offset
+    (i, j) through a stride-phase view keeps each cell's ascending tap order."""
     n, c, kernel, _, oh, ow = cols.shape
     xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
+    sn, sc, sh, sw = xp.strides
+    phase_strides = (sn, sc, sh, stride * sh, sw, stride * sw)
+    by_phase = cols.transpose(0, 1, 2, 4, 3, 5)
+    for i in range(0, kernel, stride):
+        for j in range(0, kernel, stride):
+            taps = by_phase[:, :, i:i + stride, :, j:j + stride]
+            phases = np.ndarray(taps.shape, xp.dtype, xp, i * sh + j * sw, phase_strides)
+            phases += taps
     if padding:
         return xp[:, :, padding:-padding, padding:-padding]
     return xp
@@ -102,10 +109,14 @@ def conv_weight_grad(z: np.ndarray, x: np.ndarray, kernel: int, stride: int,
 def batchnorm_train(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
                     eps: float) -> tuple[np.ndarray, tuple]:
     """Normalize with biased batch statistics over (N, H, W) per channel."""
-    mean = x.mean(axis=(0, 2, 3), keepdims=True)
-    var = x.var(axis=(0, 2, 3), keepdims=True)
+    # the reductions and divisions of x.mean and x.var, with the mean and
+    # x - mean formed once; xhat is x - mean until it is scaled in place
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    mean = np.add.reduce(x, (0, 2, 3), keepdims=True) / m
+    xhat = x - mean
+    var = np.add.reduce(np.square(xhat), (0, 2, 3), keepdims=True) / m
     ivar = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * ivar
+    xhat *= ivar
     y = scale[None, :, None, None] * xhat + shift[None, :, None, None]
     return y, (xhat, ivar, mean, var)
 

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import pathlib
@@ -195,6 +197,33 @@ def test_build_output_is_byte_identical_across_runs(capsys, tmp_path):
     assert run(capsys, "build", "DLA-34", "-o", str(a))[0] == 0
     assert run(capsys, "build", "DLA-34", "-o", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("target", ["nodir/x.json", ""], ids=["missing-parent", "directory"])
+def test_build_unwritable_output_exits_2_naming_the_path(capsys, tmp_path, target):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = str(out / target)
+    code, _, err = run(capsys, "build", "DLA-34", "-o", path)
+    assert code == 2
+    assert path in err and err.count("\n") == 1
+    # no temp file in the target's directory or in its parent
+    assert [p.name for p in tmp_path.rglob("*")] == ["out"]
+
+
+class _ClosedStdout(io.TextIOWrapper):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("command", ["report", "export-dot"])
+def test_closed_stdout_exits_141_without_traceback(capsys, monkeypatch, tmp_path, doc_path,
+                                                   command):
+    with _ClosedStdout(open(tmp_path / "stdout", "wb")) as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main([command, str(doc_path)])
+    assert code == 141
+    assert capsys.readouterr().err == ""
 
 
 @pytest.fixture(scope="module")

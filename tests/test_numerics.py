@@ -39,18 +39,66 @@ def test_conv_apply_matches_direct_loop_oracle():
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("padding", [0, 1, 3])
-def test_im2col_matches_np_pad_construction_bit_for_bit(padding, stride):
-    x = np.random.default_rng(4).standard_normal((2, 3, 7, 6))
-    k = 3
+# (kernel, stride, padding): kernels 1-5 and 7 at strides 1-3 and paddings
+# 0-3, plus the bilinear upsampling geometry k = 2f, s = f, p = f/2.
+KERNEL_GRID = list(dict.fromkeys(
+    [(k, s, p) for k in (1, 2, 3, 4, 5, 7) for s in (1, 2, 3) for p in range(4)]
+    + [(2 * f, f, f // 2) for f in (2, 4, 8, 16)]))
+# ids read padding-stride, with the kernel appended when it is not 3
+KERNEL_GRID_IDS = ["%d-%d" % (p, s) + ("" if k == 3 else "-k%d" % k)
+                   for k, s, p in KERNEL_GRID]
+
+
+def _grid_extent(kernel, stride, padding):
+    # two output rows and columns plus a trailing remainder the windows skip
+    return max(1, kernel + stride + stride // 2 - 2 * padding)
+
+
+@pytest.mark.parametrize("kernel,stride,padding", KERNEL_GRID, ids=KERNEL_GRID_IDS)
+def test_im2col_matches_np_pad_construction_bit_for_bit(kernel, stride, padding):
+    h = _grid_extent(kernel, stride, padding)
+    x = np.random.default_rng(4).standard_normal((2, 3, h, h + 1))
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh, ow = ops.conv_out_hw(7, 6, k, stride, padding)
-    want = np.empty((2, 3, k, k, oh, ow))
-    for i in range(k):
-        for j in range(k):
+    oh, ow = ops.conv_out_hw(h, h + 1, kernel, stride, padding)
+    want = np.empty((2, 3, kernel, kernel, oh, ow))
+    for i in range(kernel):
+        for j in range(kernel):
             want[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    assert np.array_equal(ops._im2col(x, k, stride, padding), want)
+    assert np.array_equal(ops._im2col(x, kernel, stride, padding), want)
+
+
+@pytest.mark.parametrize("kernel,stride,padding", KERNEL_GRID, ids=KERNEL_GRID_IDS)
+def test_col2im_matches_per_tap_loop_bit_for_bit(kernel, stride, padding):
+    h = _grid_extent(kernel, stride, padding)
+    w = h + 1
+    oh, ow = ops.conv_out_hw(h, w, kernel, stride, padding)
+    cols = np.random.default_rng(5).standard_normal((2, 3, kernel, kernel, oh, ow))
+    xp = np.zeros((2, 3, h + 2 * padding, w + 2 * padding))
+    for i in range(kernel):
+        for j in range(kernel):
+            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
+    want = xp[:, :, padding:padding + h, padding:padding + w]
+    assert np.array_equal(ops._col2im(cols, h, w, stride, padding), want)
+
+
+@pytest.mark.parametrize("shape,crop", [((2, 16, 1, 1), False), ((2, 16, 4, 4), False),
+                                        ((16, 32, 16, 16), False), ((2, 16, 5, 6), True)],
+                         ids=["2x16x1x1", "2x16x4x4", "16x32x16x16", "cropped-view"])
+def test_batchnorm_train_matches_two_pass_statistics_bit_for_bit(shape, crop):
+    x = 3.0 + 25.0 * np.random.default_rng(6).standard_normal(shape)
+    if crop:
+        x = x[:, :, 1:, :-1]
+    c = x.shape[1]
+    rng = np.random.default_rng(7)
+    scale, shift = rng.standard_normal(c), rng.standard_normal(c)
+    mean = x.mean(axis=(0, 2, 3), keepdims=True)
+    var = x.var(axis=(0, 2, 3), keepdims=True)
+    ivar = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mean) * ivar
+    y = scale[None, :, None, None] * xhat + shift[None, :, None, None]
+    got_y, got_aux = ops.batchnorm_train(x, scale, shift, 1e-5)
+    for got, want in zip((got_y,) + got_aux, (y, xhat, ivar, mean, var), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_init_params_is_bit_deterministic():
