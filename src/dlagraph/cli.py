@@ -25,7 +25,7 @@ from .architectures import (DenseHeadSpec, IndivisibleInput, UnknownArchitecture
                             arch_spec, build_classifier, build_dense_decoder,
                             build_toy_classifier, build_toy_dense_decoder, catalog_names)
 from .graphdoc import ParseError, parse, serialize, to_dot
-from .ir import GraphError, ShapeConflict, TensorShape, validate
+from .ir import GraphError, ShapeConflict, TensorShape, infer_node_shape, validate
 from .numerics import grad_check, init_params
 
 FMA_CONVENTION = ("fused multiply-adds of convolution, linear, and learned "
@@ -79,8 +79,7 @@ def _input_shape(graph, metadata: dict, override: str | None) -> TensorShape:
     if override is not None:
         return _parse_hwc(override)
     if "input_shape" not in metadata:
-        attrs = graph.node(graph.inputs[0]).op.attrs
-        return TensorShape(1, attrs["channels"], attrs["height"], attrs["width"])
+        return infer_node_shape(graph.node(graph.inputs[0]).op, [])
     try:
         return _parse_hwc(metadata["input_shape"])
     except ValueError as exc:

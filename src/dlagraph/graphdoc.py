@@ -105,26 +105,6 @@ def parse(text: str) -> tuple[Graph, dict[str, Any]]:
     return graph, dict(doc["metadata"])
 
 
-def _op_label(node: GraphNode) -> str:
-    a = node.op.attrs
-    kind = node.op.kind
-    if kind == OpKind.CONV:
-        extra = " g%d" % a["groups"] if a["groups"] > 1 else ""
-        return "Conv %dx%d s%d%s %d>%d" % (a["kernel"], a["kernel"], a["stride"],
-                                           extra, a["in_channels"], a["out_channels"])
-    if kind == OpKind.MAX_POOL:
-        return "MaxPool %dx%d s%d" % (a["kernel"], a["kernel"], a["stride"])
-    if kind == OpKind.LINEAR:
-        return "Linear %d>%d" % (a["in_features"], a["out_features"])
-    if kind == OpKind.UPSAMPLE:
-        return "Upsample x%d" % a["factor"]
-    if kind == OpKind.INPUT:
-        return "Input %dx%dx%d" % (a["channels"], a["height"], a["width"])
-    if kind == OpKind.BATCH_NORM:
-        return "BN %d" % a["channels"]
-    return kind.value
-
-
 def to_dot(graph: Graph, collapse: str = "none") -> str:
     """Render as a DOT digraph. ``collapse="blocks"`` folds every tagged
     block and aggregation node into one vertex each; aggregation vertices
@@ -150,7 +130,7 @@ def to_dot(graph: Graph, collapse: str = "none") -> str:
         vertex[node.id] = name
         if name not in emitted:
             emitted.add(name)
-            lines.append('  %s [label="%s", shape=%s];' % (name, label or _op_label(node), shape))
+            lines.append('  %s [label="%s", shape=%s];' % (name, label or node.op.label(), shape))
 
     seen_edges = set()
     for node in graph.nodes:

@@ -6,6 +6,12 @@ every input id is below its node's id, so the id order is already a
 topological order; construction rejects any graph for which this fails.
 ``GraphBuilder`` is the single-writer construction API; built graphs are
 safe to share between any number of readers.
+
+What each op kind means statically is one ``OpDef`` entry in ``OPS``: its
+attribute schema, arity, shape rule, learnable-tensor shapes and DOT label.
+Convolution and pooling windows share one rule, ``window_out_hw``, which the
+numeric kernels import too. The kinds' forward and backward kernels form the
+executor's table in ``numerics.executor``, since this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import enum
 import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 NodeId = int
 
@@ -78,35 +84,158 @@ class UpsampleMode(enum.Enum):
     LEARNED_TRANSPOSED_CONV = "learned_transposed_conv"
 
 
-# (min_inputs, max_inputs); None means unbounded.
-_ARITY: dict[OpKind, tuple[int, int | None]] = {
-    OpKind.INPUT: (0, 0),
-    OpKind.CONCAT: (2, None),
-    OpKind.ADD: (2, 2),
-}
-_DEFAULT_ARITY = (1, 1)
+def window_out_hw(h: int, w: int, kernel: int, stride: int, padding: int,
+                  ceil_mode: bool = False) -> tuple[int, int]:
+    """Output extent of a kernel x kernel window sliding by ``stride`` over an
+    h x w input padded by ``padding``: floor((extent + 2*padding - kernel) /
+    stride) + 1, or the ceiling with ``ceil_mode``; below 1 the window does
+    not fit. Convolution and pooling share it, in shape rules and kernels."""
+    span_h, span_w = h + 2 * padding - kernel, w + 2 * padding - kernel
+    if ceil_mode:
+        return -(-span_h // stride) + 1, -(-span_w // stride) + 1
+    return span_h // stride + 1, span_w // stride + 1
 
 
-def arity_bounds(kind: OpKind) -> tuple[int, int | None]:
-    return _ARITY.get(kind, _DEFAULT_ARITY)
+# Shape rules raise ShapeConflict, naming the op kind, for operands that do not fit.
+
+def _expect_channels(what: str, want: int, s: TensorShape) -> TensorShape:
+    if s.channels != want:
+        raise ShapeConflict("%s expects %d channels, got %d" % (what, want, s.channels))
+    return s
 
 
-# Attribute schema per op kind: name -> (type, range check or None).
+def _conv_shape(a: dict[str, Any], s: TensorShape) -> TensorShape:
+    _expect_channels("conv", a["in_channels"], s)
+    oh, ow = window_out_hw(s.height, s.width, a["kernel"], a["stride"], a["padding"])
+    if oh < 1 or ow < 1:
+        raise ShapeConflict("conv output collapses to zero extent")
+    return TensorShape(s.batch, a["out_channels"], oh, ow)
+
+
+def _max_pool_shape(a: dict[str, Any], s: TensorShape) -> TensorShape:
+    oh, ow = window_out_hw(s.height, s.width, a["kernel"], a["stride"], 0, a["ceil_mode"])
+    if oh < 1 or ow < 1:
+        raise ShapeConflict("pool output collapses to zero extent")
+    return TensorShape(s.batch, s.channels, oh, ow)
+
+
+def _linear_shape(a: dict[str, Any], s: TensorShape) -> TensorShape:
+    if s.spatial != (1, 1):
+        raise ShapeConflict("linear expects 1x1 spatial extent, got %dx%d" % s.spatial)
+    if s.channels != a["in_features"]:
+        raise ShapeConflict("linear expects %d features, got %d"
+                            % (a["in_features"], s.channels))
+    return TensorShape(s.batch, a["out_features"], 1, 1)
+
+
+def _concat_shape(a: dict[str, Any], *shapes: TensorShape) -> TensorShape:
+    first = shapes[0]
+    for s in shapes[1:]:
+        if (s.batch, s.height, s.width) != (first.batch, first.height, first.width):
+            raise ShapeConflict("concat operands disagree outside the channel axis")
+    return TensorShape(first.batch, sum(s.channels for s in shapes), first.height, first.width)
+
+
+def _add_shape(a: dict[str, Any], left: TensorShape, right: TensorShape) -> TensorShape:
+    if left != right:
+        raise ShapeConflict("add operands differ: %s vs %s" % (left, right))
+    return left
+
+
+def _upsample_shape(a: dict[str, Any], s: TensorShape) -> TensorShape:
+    _expect_channels("upsample", a["channels"], s)
+    f = a["factor"]
+    return TensorShape(s.batch, s.channels, s.height * f, s.width * f)
+
+
+# Learnable-tensor rules: attrs -> {name: shape}. A "weight" is applied
+# once per output pixel.
+
+def _weight_and_bias(a: dict[str, Any], weight: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
+    shapes = {"weight": weight}
+    if a["has_bias"]:
+        shapes["bias"] = weight[:1]
+    return shapes
+
+
+def _conv_params(a: dict[str, Any]) -> dict[str, tuple[int, ...]]:
+    return _weight_and_bias(a, (a["out_channels"], a["in_channels"] // a["groups"],
+                                a["kernel"], a["kernel"]))
+
+
+def _upsample_params(a: dict[str, Any]) -> dict[str, tuple[int, ...]]:
+    if a["mode"] != UpsampleMode.LEARNED_TRANSPOSED_CONV.value:
+        return {}
+    kernel, _, _ = upsample_kernel_geometry(a["factor"])
+    return {"weight": (a["channels"], 1, kernel, kernel)}  # one kernel per channel
+
+
+def _conv_label(a: dict[str, Any]) -> str:
+    groups = " g%d" % a["groups"] if a["groups"] > 1 else ""
+    return "Conv %dx%d s%d%s %d>%d" % (a["kernel"], a["kernel"], a["stride"], groups,
+                                       a["in_channels"], a["out_channels"])
+
+
+@dataclass(frozen=True)
+class OpDef:
+    """The static facts of one op kind; the executor's kernel table holds
+    its numerics. Each callable takes the node's attrs first."""
+
+    attrs: dict[str, tuple[type, Any]]  # name -> (type, range check or None)
+    shape: Callable[..., TensorShape] = lambda a, s: s  # (attrs, *input shapes)
+    params: Callable[..., dict[str, tuple[int, ...]]] = lambda a: {}  # learnable shapes
+    label: Callable[..., str] | None = None  # DOT label; None: the kind's name
+    min_inputs: int = 1
+    max_inputs: int | None = 1  # None: unbounded
+
+    def takes(self, n_inputs: int) -> bool:
+        return self.min_inputs <= n_inputs and (self.max_inputs is None
+                                                or n_inputs <= self.max_inputs)
+
+
+# Attribute checks: (type, range check or None).
 _COUNT = (int, lambda v: v > 0)
 _FLAG = (bool, None)
 _CHANNEL_AXIS = (int, lambda v: v == 1)  # concat and softmax act on channels only
-_ATTRS: dict[OpKind, dict[str, tuple[type, Any]]] = {
-    OpKind.CONV: {"kernel": _COUNT, "stride": _COUNT, "padding": (int, lambda v: v >= 0),
-                  "in_channels": _COUNT, "out_channels": _COUNT, "groups": _COUNT,
-                  "has_bias": _FLAG},
-    OpKind.BATCH_NORM: {"channels": _COUNT, "epsilon": (float, lambda v: v > 0)},
-    OpKind.MAX_POOL: {"kernel": _COUNT, "stride": _COUNT, "ceil_mode": _FLAG},
-    OpKind.LINEAR: {"in_features": _COUNT, "out_features": _COUNT, "has_bias": _FLAG},
-    OpKind.CONCAT: {"axis": _CHANNEL_AXIS},
-    OpKind.SOFTMAX: {"axis": _CHANNEL_AXIS},
-    OpKind.UPSAMPLE: {"factor": (int, lambda v: v > 0 and v % 2 == 0), "channels": _COUNT,
-                      "mode": (str, lambda v: v in {m.value for m in UpsampleMode})},
-    OpKind.INPUT: {"channels": _COUNT, "height": _COUNT, "width": _COUNT},
+
+OPS: dict[OpKind, OpDef] = {
+    OpKind.CONV: OpDef(
+        attrs={"kernel": _COUNT, "stride": _COUNT, "padding": (int, lambda v: v >= 0),
+               "in_channels": _COUNT, "out_channels": _COUNT, "groups": _COUNT,
+               "has_bias": _FLAG},
+        shape=_conv_shape, params=_conv_params, label=_conv_label),
+    OpKind.BATCH_NORM: OpDef(
+        attrs={"channels": _COUNT, "epsilon": (float, lambda v: v > 0)},
+        shape=lambda a, s: _expect_channels("batchnorm", a["channels"], s),
+        params=lambda a: {"scale": (a["channels"],), "shift": (a["channels"],)},
+        label=lambda a: "BN %d" % a["channels"]),
+    OpKind.RELU: OpDef(attrs={}),
+    OpKind.MAX_POOL: OpDef(
+        attrs={"kernel": _COUNT, "stride": _COUNT, "ceil_mode": _FLAG},
+        shape=_max_pool_shape,
+        label=lambda a: "MaxPool %dx%d s%d" % (a["kernel"], a["kernel"], a["stride"])),
+    OpKind.GLOBAL_AVG_POOL: OpDef(
+        attrs={}, shape=lambda a, s: TensorShape(s.batch, s.channels, 1, 1)),
+    OpKind.LINEAR: OpDef(
+        attrs={"in_features": _COUNT, "out_features": _COUNT, "has_bias": _FLAG},
+        shape=_linear_shape,
+        params=lambda a: _weight_and_bias(a, (a["out_features"], a["in_features"])),
+        label=lambda a: "Linear %d>%d" % (a["in_features"], a["out_features"])),
+    OpKind.CONCAT: OpDef(attrs={"axis": _CHANNEL_AXIS}, shape=_concat_shape,
+                         min_inputs=2, max_inputs=None),
+    OpKind.ADD: OpDef(attrs={}, shape=_add_shape, min_inputs=2, max_inputs=2),
+    OpKind.UPSAMPLE: OpDef(
+        attrs={"factor": (int, lambda v: v > 0 and v % 2 == 0), "channels": _COUNT,
+               "mode": (str, lambda v: v in {m.value for m in UpsampleMode})},
+        shape=_upsample_shape, params=_upsample_params,
+        label=lambda a: "Upsample x%d" % a["factor"]),
+    OpKind.SOFTMAX: OpDef(attrs={"axis": _CHANNEL_AXIS}),
+    OpKind.INPUT: OpDef(
+        attrs={"channels": _COUNT, "height": _COUNT, "width": _COUNT},
+        shape=lambda a: TensorShape(1, a["channels"], a["height"], a["width"]),
+        label=lambda a: "Input %dx%dx%d" % (a["channels"], a["height"], a["width"]),
+        min_inputs=0, max_inputs=0),
+    OpKind.OUTPUT: OpDef(attrs={}),
 }
 
 
@@ -120,7 +249,7 @@ class PrimOp:
 
     def __post_init__(self) -> None:
         a = self.attrs
-        schema = _ATTRS.get(self.kind, {})
+        schema = OPS[self.kind].attrs
         if a.keys() != schema.keys():
             raise ValueError("%s takes attrs %s, got %s"
                              % (self.kind.value, sorted(schema), sorted(a)))
@@ -137,30 +266,17 @@ class PrimOp:
             raise ValueError("channels (%d -> %d) not divisible by groups=%d"
                              % (a["in_channels"], a["out_channels"], a["groups"]))
 
-    def attr(self, name: str) -> Any:
-        return self.attrs[name]
+    def label(self) -> str:
+        """Short DOT label: the kind's name, or its entry's rendering."""
+        describe = OPS[self.kind].label
+        return self.kind.value if describe is None else describe(self.attrs)
 
 
 def param_shapes(op: PrimOp) -> dict[str, tuple[int, ...]]:
     """Shapes of the learnable tensors a node of this op owns, by name.
     Every parameter and FMA count and the executor's initialization derive
     from these; a ``"weight"`` is applied once per output pixel."""
-    a = op.attrs
-    if op.kind == OpKind.CONV:
-        shapes = {"weight": (a["out_channels"], a["in_channels"] // a["groups"],
-                             a["kernel"], a["kernel"])}
-    elif op.kind == OpKind.LINEAR:
-        shapes = {"weight": (a["out_features"], a["in_features"])}
-    elif op.kind == OpKind.BATCH_NORM:
-        return {"scale": (a["channels"],), "shift": (a["channels"],)}
-    elif op.kind == OpKind.UPSAMPLE and a["mode"] == UpsampleMode.LEARNED_TRANSPOSED_CONV.value:
-        kernel, _, _ = upsample_kernel_geometry(a["factor"])
-        return {"weight": (a["channels"], 1, kernel, kernel)}  # one kernel per channel
-    else:
-        return {}
-    if a["has_bias"]:
-        shapes["bias"] = shapes["weight"][:1]
-    return shapes
+    return OPS[op.kind].params(op.attrs)
 
 
 def conv(kernel: int, stride: int, padding: int, in_channels: int,
@@ -292,83 +408,11 @@ def successors(graph: Graph) -> dict[NodeId, list[NodeId]]:
 
 
 def infer_node_shape(op: PrimOp, input_shapes: Sequence[TensorShape]) -> TensorShape:
-    """Single-op shape rule shared by the builder and the shape analysis.
-
-    Conv and MaxPool use floor((extent + 2*padding - kernel) / stride) + 1;
-    MaxPool may opt into ceil division via its ``ceil_mode`` attribute.
-    Raises ShapeConflict when operands are inconsistent.
-    """
-    kind = op.kind
-    if kind == OpKind.INPUT:
-        raise ShapeConflict("Input nodes take their shape from the caller")
-
-    if kind == OpKind.CONV:
-        (s,) = input_shapes
-        if s.channels != op.attr("in_channels"):
-            raise ShapeConflict("conv expects %d channels, got %d"
-                                % (op.attr("in_channels"), s.channels))
-        k, st, p = op.attr("kernel"), op.attr("stride"), op.attr("padding")
-        oh = (s.height + 2 * p - k) // st + 1
-        ow = (s.width + 2 * p - k) // st + 1
-        if oh < 1 or ow < 1:
-            raise ShapeConflict("conv output collapses to zero extent")
-        return TensorShape(s.batch, op.attr("out_channels"), oh, ow)
-
-    if kind == OpKind.MAX_POOL:
-        (s,) = input_shapes
-        k, st = op.attr("kernel"), op.attr("stride")
-        num_h, num_w = s.height - k, s.width - k
-        if op.attr("ceil_mode"):
-            oh = -(-num_h // st) + 1
-            ow = -(-num_w // st) + 1
-        else:
-            oh = num_h // st + 1
-            ow = num_w // st + 1
-        if oh < 1 or ow < 1:
-            raise ShapeConflict("pool output collapses to zero extent")
-        return TensorShape(s.batch, s.channels, oh, ow)
-
-    if kind == OpKind.GLOBAL_AVG_POOL:
-        (s,) = input_shapes
-        return TensorShape(s.batch, s.channels, 1, 1)
-
-    if kind == OpKind.LINEAR:
-        (s,) = input_shapes
-        if s.spatial != (1, 1):
-            raise ShapeConflict("linear expects 1x1 spatial extent, got %dx%d" % s.spatial)
-        if s.channels != op.attr("in_features"):
-            raise ShapeConflict("linear expects %d features, got %d"
-                                % (op.attr("in_features"), s.channels))
-        return TensorShape(s.batch, op.attr("out_features"), 1, 1)
-
-    if kind == OpKind.CONCAT:
-        first = input_shapes[0]
-        for s in input_shapes[1:]:
-            if (s.batch, s.height, s.width) != (first.batch, first.height, first.width):
-                raise ShapeConflict("concat operands disagree outside the channel axis")
-        return TensorShape(first.batch, sum(s.channels for s in input_shapes),
-                           first.height, first.width)
-
-    if kind == OpKind.ADD:
-        a, b = input_shapes
-        if a != b:
-            raise ShapeConflict("add operands differ: %s vs %s" % (a, b))
-        return a
-
-    if kind == OpKind.UPSAMPLE:
-        (s,) = input_shapes
-        if s.channels != op.attr("channels"):
-            raise ShapeConflict("upsample expects %d channels, got %d"
-                                % (op.attr("channels"), s.channels))
-        f = op.attr("factor")
-        return TensorShape(s.batch, s.channels, s.height * f, s.width * f)
-
-    # BatchNorm, ReLU, Softmax, Output preserve their input shape.
-    (s,) = input_shapes
-    if kind == OpKind.BATCH_NORM and s.channels != op.attr("channels"):
-        raise ShapeConflict("batchnorm expects %d channels, got %d"
-                            % (op.attr("channels"), s.channels))
-    return s
+    """Single-op shape rule shared by the builder and the shape analysis;
+    Conv and MaxPool windows follow ``window_out_hw``, and an Input gives
+    its declared extents at batch 1. Raises ShapeConflict when operands are
+    inconsistent."""
+    return OPS[op.kind].shape(op.attrs, *input_shapes)
 
 
 class GraphBuilder:
@@ -404,17 +448,14 @@ class GraphBuilder:
         if tags is None:
             tags = Tags(stage=self._stage, block_id=self._block_id, agg_node_id=self._agg_id)
         node = GraphNode(nid, op, tuple(inputs), tags)
-        lo, hi = arity_bounds(op.kind)
-        if len(node.inputs) < lo or (hi is not None and len(node.inputs) > hi):
-            raise ArityMismatch("%s takes %s inputs, got %d"
-                                % (op.kind.value,
-                                   ("exactly %d" % lo) if lo == hi else ("at least %d" % lo),
-                                   len(node.inputs)))
+        spec = OPS[op.kind]
+        if not spec.takes(len(node.inputs)):
+            bound = "exactly" if spec.min_inputs == spec.max_inputs else "at least"
+            raise ArityMismatch("%s takes %s %d inputs, got %d"
+                                % (op.kind.value, bound, spec.min_inputs, len(node.inputs)))
+        shape = infer_node_shape(op, [self._shapes[i] for i in node.inputs])
         if op.kind == OpKind.INPUT:
-            shape = TensorShape(1, op.attr("channels"), op.attr("height"), op.attr("width"))
             self._inputs.append(nid)
-        else:
-            shape = infer_node_shape(op, [self._shapes[i] for i in node.inputs])
         self._nodes.append(node)
         self._shapes.append(shape)
         return nid
@@ -500,8 +541,7 @@ def validate(graph: Graph) -> list[Violation]:
     report: list[Violation] = []
     reachable = set(graph.inputs)
     for node in graph.nodes:  # inputs precede consumers, so one pass settles reachability
-        lo, hi = arity_bounds(node.op.kind)
-        if len(node.inputs) < lo or (hi is not None and len(node.inputs) > hi):
+        if not OPS[node.op.kind].takes(len(node.inputs)):
             report.append(Violation("ArityViolation", node.id,
                                     "%s with %d inputs" % (node.op.kind.value, len(node.inputs))))
         if node.inputs and all(i in reachable for i in node.inputs):

@@ -4,19 +4,25 @@ and finite-difference gradient verification over any graph at toy scale.
 Everything runs in 64-bit floats. The executor is a correctness oracle,
 not a performance runtime: identical (graph, seed, input) triples produce
 bit-identical results across runs.
+
+``KERNELS`` holds each op kind's forward and backward next to each other;
+``forward``, ``backward`` and ``grad_check`` dispatch every node through it.
+Shapes, attributes and learnable-tensor shapes come from ``ir.OPS``.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .. import ir
-from ..ir import Graph, NodeId, OpKind, UpsampleMode, topo_order, upsample_kernel_geometry
+from ..ir import Graph, NodeId, OpKind, topo_order, upsample_kernel_geometry
 from . import ops
 
 BN_MOMENTUM = 0.1
@@ -86,16 +92,6 @@ def init_params(graph: Graph, seed: int) -> ParamStore:
     return store
 
 
-def _upsample_weight(node, params: ParamStore) -> tuple[np.ndarray, bool]:
-    """The kernel an upsampling node applies, and whether it is learned:
-    the node's own tensor for a learned transposed conv, else the fixed
-    bilinear kernel."""
-    a = node.op.attrs
-    if a["mode"] == UpsampleMode.LEARNED_TRANSPOSED_CONV.value:
-        return params.tensors[node.id]["weight"], True
-    return ops.bilinear_upsample_weight(a["channels"], a["factor"]), False
-
-
 @dataclass
 class Tape:
     graph: Graph
@@ -133,6 +129,115 @@ def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
     return outputs, Tape(graph, mode, values, aux)
 
 
+class Kernels(NamedTuple):
+    """The numerics of one op kind. Both take the node's attrs ``a`` and its
+    learnable tensors ``p`` (None if it owns none) first, and look ``ops``
+    functions up when they run, so a wrapper put on the module takes effect."""
+
+    forward: Callable  # (a, p, xs, mode, update_running) -> (value, kept or None)
+    backward: Callable  # (a, p, gy, xs, y, kept) -> ([grad per input], {tensor: grad})
+
+
+def _conv(a, p, xs, *_):
+    return ops.conv_apply(xs[0], p["weight"], p.get("bias"), a["stride"], a["padding"],
+                          a["groups"]), None
+
+
+def _conv_grad(a, p, gy, xs, *_):
+    gx = ops.conv_apply_adjoint(gy, p["weight"], a["stride"], a["padding"], a["groups"],
+                                xs[0].shape[2:])
+    named = {"weight": ops.conv_weight_grad(gy, xs[0], a["kernel"], a["stride"],
+                                            a["padding"], a["groups"])}
+    if a["has_bias"]:
+        named["bias"] = gy.sum(axis=(0, 2, 3))
+    return [gx], named
+
+
+def _batch_norm(a, p, xs, mode, update_running):
+    if mode != Mode.TRAIN:
+        return ops.batchnorm_eval(xs[0], p["scale"], p["shift"], p["running_mean"],
+                                  p["running_var"], a["epsilon"]), None
+    y, kept = ops.batchnorm_train(xs[0], p["scale"], p["shift"], a["epsilon"])
+    if update_running:
+        _, _, mean, var = kept
+        for name, batch_stat in (("running_mean", mean), ("running_var", var)):
+            p[name] *= 1.0 - BN_MOMENTUM
+            p[name] += BN_MOMENTUM * batch_stat.reshape(-1)
+    return y, kept
+
+
+def _batch_norm_grad(a, p, gy, xs, y, kept):
+    gx, gscale, gshift = ops.batchnorm_train_grads(gy, xs[0], kept, p["scale"])
+    return [gx], {"scale": gscale, "shift": gshift}
+
+
+def _max_pool_grad(a, p, gy, xs, y, winner):
+    return [ops.maxpool_grad(gy, winner, xs[0].shape, a["kernel"], a["stride"])], {}
+
+
+def _linear_grad(a, p, gy, xs, *_):
+    gx, gw, gb = ops.linear_grads(gy, xs[0], p["weight"], a["has_bias"])
+    return [gx], ({"weight": gw} if gb is None else {"weight": gw, "bias": gb})
+
+
+def _concat_grad(a, p, gy, xs, *_):
+    ends = np.cumsum([x.shape[1] for x in xs])
+    return [gy[:, end - x.shape[1]:end] for x, end in zip(xs, ends)], {}
+
+
+def _add(a, p, xs, *_):
+    if xs[0].shape != xs[1].shape:
+        raise ShapeMismatch("add operands differ: %s vs %s" % (xs[0].shape, xs[1].shape))
+    return xs[0] + xs[1], None
+
+
+def _upsample_weight(a, p):  # a learned upsampling owns its kernel
+    return p["weight"] if p else ops.bilinear_upsample_weight(a["channels"], a["factor"])
+
+
+def _upsample(a, p, xs, *_):
+    f = a["factor"]
+    _, stride, padding = upsample_kernel_geometry(f)
+    out_hw = (xs[0].shape[2] * f, xs[0].shape[3] * f)
+    return ops.conv_apply_adjoint(xs[0], _upsample_weight(a, p), stride, padding,
+                                  a["channels"], out_hw), None
+
+
+def _upsample_grad(a, p, gy, xs, *_):
+    kernel, stride, padding = upsample_kernel_geometry(a["factor"])
+    gx = ops.conv_apply(gy, _upsample_weight(a, p), None, stride, padding, a["channels"])
+    if not p:  # a fixed upsampling learns nothing
+        return [gx], {}
+    gw = ops.conv_weight_grad(xs[0], gy, kernel, stride, padding, a["channels"])
+    return [gx], {"weight": gw}
+
+
+KERNELS: dict[OpKind, Kernels] = {
+    OpKind.CONV: Kernels(_conv, _conv_grad),
+    OpKind.BATCH_NORM: Kernels(_batch_norm, _batch_norm_grad),
+    OpKind.RELU: Kernels(lambda a, p, xs, *_: (np.maximum(xs[0], 0.0), None),
+                         lambda a, p, gy, xs, *_: ([gy * (xs[0] > 0.0)], {})),
+    OpKind.MAX_POOL: Kernels(
+        lambda a, p, xs, *_: ops.maxpool(xs[0], a["kernel"], a["stride"], a["ceil_mode"]),
+        _max_pool_grad),
+    OpKind.GLOBAL_AVG_POOL: Kernels(
+        lambda a, p, xs, *_: (ops.global_avg_pool(xs[0]), None),
+        lambda a, p, gy, xs, *_: ([ops.global_avg_pool_grad(gy, xs[0].shape)], {})),
+    OpKind.LINEAR: Kernels(
+        lambda a, p, xs, *_: (ops.linear_apply(xs[0], p["weight"], p.get("bias")), None),
+        _linear_grad),
+    OpKind.CONCAT: Kernels(lambda a, p, xs, *_: (np.concatenate(xs, axis=1), None),
+                           _concat_grad),
+    OpKind.ADD: Kernels(_add, lambda a, p, gy, *_: ([gy, gy], {})),
+    OpKind.UPSAMPLE: Kernels(_upsample, _upsample_grad),
+    OpKind.SOFTMAX: Kernels(
+        lambda a, p, xs, *_: (ops.softmax_channels(xs[0]), None),
+        lambda a, p, gy, xs, y, _: ([ops.softmax_channels_grad(gy, y)], {})),
+    OpKind.OUTPUT: Kernels(lambda a, p, xs, *_: (xs[0], None),
+                           lambda a, p, gy, *_: ([gy], {})),
+}
+
+
 def _evaluate(graph: Graph, params: ParamStore, order: Sequence[NodeId],
               values: dict[NodeId, np.ndarray], aux: dict[NodeId, object],
               mode: Mode, update_running: bool) -> None:
@@ -141,62 +246,13 @@ def _evaluate(graph: Graph, params: ParamStore, order: Sequence[NodeId],
     nodes keep the tensor the caller put there."""
     for nid in order:
         node = graph.node(nid)
-        kind = node.op.kind
-        a = node.op.attrs
-        xs = [values[i] for i in node.inputs]
-        if kind == OpKind.INPUT:
-            pass
-        elif kind == OpKind.CONV:
-            p = params.tensors[nid]
-            values[nid] = ops.conv_apply(xs[0], p["weight"], p.get("bias"),
-                                         a["stride"], a["padding"], a["groups"])
-        elif kind == OpKind.BATCH_NORM:
-            p = params.tensors[nid]
-            if mode == Mode.TRAIN:
-                y, bn_aux = ops.batchnorm_train(xs[0], p["scale"], p["shift"], a["epsilon"])
-                values[nid] = y
-                aux[nid] = bn_aux
-                if update_running:
-                    _, _, mean, var = bn_aux
-                    p["running_mean"] *= 1.0 - BN_MOMENTUM
-                    p["running_mean"] += BN_MOMENTUM * mean.reshape(-1)
-                    p["running_var"] *= 1.0 - BN_MOMENTUM
-                    p["running_var"] += BN_MOMENTUM * var.reshape(-1)
-            else:
-                values[nid] = ops.batchnorm_eval(xs[0], p["scale"], p["shift"],
-                                                 p["running_mean"], p["running_var"],
-                                                 a["epsilon"])
-        elif kind == OpKind.RELU:
-            values[nid] = np.maximum(xs[0], 0.0)
-        elif kind == OpKind.MAX_POOL:
-            y, winner = ops.maxpool(xs[0], a["kernel"], a["stride"], a["ceil_mode"])
-            values[nid] = y
-            aux[nid] = winner
-        elif kind == OpKind.GLOBAL_AVG_POOL:
-            values[nid] = ops.global_avg_pool(xs[0])
-        elif kind == OpKind.LINEAR:
-            p = params.tensors[nid]
-            values[nid] = ops.linear_apply(xs[0], p["weight"], p.get("bias"))
-        elif kind == OpKind.CONCAT:
-            values[nid] = np.concatenate(xs, axis=1)
-        elif kind == OpKind.ADD:
-            if xs[0].shape != xs[1].shape:
-                raise ShapeMismatch("add operands differ: %s vs %s"
-                                    % (xs[0].shape, xs[1].shape))
-            values[nid] = xs[0] + xs[1]
-        elif kind == OpKind.UPSAMPLE:
-            f = a["factor"]
-            _, stride, padding = upsample_kernel_geometry(f)
-            w, _ = _upsample_weight(node, params)
-            out_hw = (xs[0].shape[2] * f, xs[0].shape[3] * f)
-            values[nid] = ops.conv_apply_adjoint(xs[0], w, stride, padding,
-                                                 a["channels"], out_hw)
-        elif kind == OpKind.SOFTMAX:
-            values[nid] = ops.softmax_channels(xs[0])
-        elif kind == OpKind.OUTPUT:
-            values[nid] = xs[0]
-        else:  # pragma: no cover
-            raise NotImplementedError(kind)
+        if node.op.kind is OpKind.INPUT:
+            continue
+        values[nid], kept = KERNELS[node.op.kind].forward(
+            node.op.attrs, params.tensors.get(nid), [values[i] for i in node.inputs],
+            mode, update_running)
+        if kept is not None:
+            aux[nid] = kept
 
 
 def backward(graph: Graph, params: ParamStore, tape: Tape,
@@ -226,80 +282,17 @@ def backward(graph: Graph, params: ParamStore, tape: Tape,
         accumulate(out_id, np.asarray(g, dtype=np.float64))
 
     pgrads: GradStore = {}
-
-    def param_grad(nid: NodeId, name: str, g: np.ndarray) -> None:
-        slot = pgrads.setdefault(nid, {})
-        if name in slot:
-            slot[name] = slot[name] + g
-        else:
-            slot[name] = g
-
     for nid in reversed(topo_order(graph)):
-        if nid not in grads:
-            continue
         node = graph.node(nid)
-        kind = node.op.kind
-        a = node.op.attrs
-        gy = grads[nid]
-        xs = [tape.values[i] for i in node.inputs]
-        if kind == OpKind.INPUT:
+        if nid not in grads or node.op.kind is OpKind.INPUT:
             continue
-        elif kind == OpKind.OUTPUT:
-            accumulate(node.inputs[0], gy)
-        elif kind == OpKind.CONV:
-            p = params.tensors[nid]
-            gx = ops.conv_apply_adjoint(gy, p["weight"], a["stride"], a["padding"],
-                                        a["groups"], xs[0].shape[2:])
-            gw = ops.conv_weight_grad(gy, xs[0], a["kernel"], a["stride"],
-                                      a["padding"], a["groups"])
-            accumulate(node.inputs[0], gx)
-            param_grad(nid, "weight", gw)
-            if a["has_bias"]:
-                param_grad(nid, "bias", gy.sum(axis=(0, 2, 3)))
-        elif kind == OpKind.BATCH_NORM:
-            p = params.tensors[nid]
-            gx, gscale, gshift = ops.batchnorm_train_grads(gy, xs[0], tape.aux[nid],
-                                                           p["scale"])
-            accumulate(node.inputs[0], gx)
-            param_grad(nid, "scale", gscale)
-            param_grad(nid, "shift", gshift)
-        elif kind == OpKind.RELU:
-            accumulate(node.inputs[0], gy * (xs[0] > 0.0))
-        elif kind == OpKind.MAX_POOL:
-            accumulate(node.inputs[0], ops.maxpool_grad(gy, tape.aux[nid], xs[0].shape,
-                                                        a["kernel"], a["stride"]))
-        elif kind == OpKind.GLOBAL_AVG_POOL:
-            accumulate(node.inputs[0], ops.global_avg_pool_grad(gy, xs[0].shape))
-        elif kind == OpKind.LINEAR:
-            p = params.tensors[nid]
-            gx, gw, gb = ops.linear_grads(gy, xs[0], p["weight"], a["has_bias"])
-            accumulate(node.inputs[0], gx)
-            param_grad(nid, "weight", gw)
-            if gb is not None:
-                param_grad(nid, "bias", gb)
-        elif kind == OpKind.CONCAT:
-            offset = 0
-            for src, x in zip(node.inputs, xs):
-                c = x.shape[1]
-                accumulate(src, gy[:, offset:offset + c])
-                offset += c
-        elif kind == OpKind.ADD:
-            accumulate(node.inputs[0], gy)
-            accumulate(node.inputs[1], gy)
-        elif kind == OpKind.UPSAMPLE:
-            f = a["factor"]
-            kernel, stride, padding = upsample_kernel_geometry(f)
-            w, learned = _upsample_weight(node, params)
-            accumulate(node.inputs[0],
-                       ops.conv_apply(gy, w, None, stride, padding, a["channels"]))
-            if learned:
-                param_grad(nid, "weight",
-                           ops.conv_weight_grad(xs[0], gy, kernel, stride, padding,
-                                                a["channels"]))
-        elif kind == OpKind.SOFTMAX:
-            accumulate(node.inputs[0], ops.softmax_channels_grad(gy, tape.values[nid]))
-        else:  # pragma: no cover
-            raise NotImplementedError(kind)
+        gxs, named = KERNELS[node.op.kind].backward(
+            node.op.attrs, params.tensors.get(nid), grads[nid],
+            [tape.values[i] for i in node.inputs], tape.values[nid], tape.aux.get(nid))
+        for src, g in zip(node.inputs, gxs):
+            accumulate(src, g)
+        if named:  # each node is visited once, so its tensors' gradients are complete
+            pgrads[nid] = named
 
     input_grads = [grads.get(i, np.zeros_like(tape.values[i])) for i in graph.inputs]
     return pgrads, input_grads
@@ -372,13 +365,19 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     the perturbed parameter and reads every other activation from the
     first forward's tape, which gives the same bits as a full forward.
     Raises ValueError for ``sample < 1``, an ``epsilon`` that is not finite
-    and positive, or a NaN ``tolerance``."""
+    and positive, a NaN ``tolerance``, or parameters with no learnable
+    entry."""
     if sample < 1:
         raise ValueError("sample must be >= 1, got %d" % sample)
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and > 0, got %r" % epsilon)
     if math.isnan(tolerance):
         raise ValueError("tolerance must not be NaN")
+    flat = list(params.learnable_entries())
+    ends = list(itertools.accumulate(arr.size for _, _, arr in flat))  # flat index ends
+    if not ends or ends[-1] == 0:
+        raise ValueError("the graph has no learnable parameters to check")
+    total = ends[-1]
     rng = np.random.default_rng(seed)
     outputs, tape = forward(graph, params, [x], Mode.TRAIN, update_running=False)
     # Keep the contracted scalar small: central differences carry an
@@ -394,25 +393,16 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
         _evaluate(graph, params, cone, values, {}, Mode.TRAIN, update_running=False)
         return float(sum(np.vdot(g, values[o]) for g, o in zip(contraction, graph.outputs)))
 
-    flat: list[tuple[NodeId, str, int]] = []
-    for nid, name, arr in params.learnable_entries():
-        flat.append((nid, name, arr.size))
-    total = sum(size for _, _, size in flat)
     picks = sorted(rng.choice(total, size=min(sample, total), replace=False).tolist())
 
     entries: list[GradCheckEntry] = []
-    cursor = 0
-    slot = 0
     cone_root, cone = None, []
     for pick in picks:
-        while pick >= cursor + flat[slot][2]:
-            cursor += flat[slot][2]
-            slot += 1
-        nid, name, _ = flat[slot]
+        slot = bisect.bisect_right(ends, pick)
+        nid, name, arr = flat[slot]
         if nid != cone_root:  # picks are sorted, so one node's picks come in a row
             cone_root, cone = nid, _downstream_cone(graph, nid)
-        offset = pick - cursor
-        arr = params.tensors[nid][name]
+        offset = pick - (ends[slot] - arr.size)
         original = arr.flat[offset]
         arr.flat[offset] = original + epsilon
         lo_plus = loss(cone)

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def conv_out_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple[int, int]:
-    return ((h + 2 * padding - kernel) // stride + 1,
-            (w + 2 * padding - kernel) // stride + 1)
+from ..ir import window_out_hw
 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     """(N, C, H, W) -> (N, C, k, k, OH, OW) patch tensor."""
     n, c, h, w = x.shape
-    oh, ow = conv_out_hw(h, w, kernel, stride, padding)
+    oh, ow = window_out_hw(h, w, kernel, stride, padding)
     if oh < 1 or ow < 1:
         raise ValueError("convolution window does not fit input %dx%d" % (h, w))
     if padding:
@@ -81,7 +78,7 @@ def conv_apply_adjoint(z: np.ndarray, w: np.ndarray, stride: int, padding: int,
     n = z.shape[0]
     oc, icg, kernel, _ = w.shape
     h, wd = in_hw
-    oh, ow = conv_out_hw(h, wd, kernel, stride, padding)
+    oh, ow = window_out_hw(h, wd, kernel, stride, padding)
     if (z.shape[2], z.shape[3]) != (oh, ow):
         raise ValueError("adjoint operand is %dx%d, conv output side is %dx%d"
                          % (z.shape[2], z.shape[3], oh, ow))
@@ -144,22 +141,15 @@ def batchnorm_eval(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
     return scale[None, :, None, None] * xhat + shift[None, :, None, None]
 
 
-def _pool_extent(extent: int, kernel: int, stride: int, ceil_mode: bool) -> int:
-    num = extent - kernel
-    out = -(-num // stride) + 1 if ceil_mode else num // stride + 1
-    if out < 1:
-        raise ValueError("pool window does not fit extent %d" % extent)
-    return out
-
-
 def maxpool(x: np.ndarray, kernel: int, stride: int,
             ceil_mode: bool) -> tuple[np.ndarray, np.ndarray]:
     """Returns (pooled, winner) where winner holds the flat in-window index
     of each maximum; ties resolve to the first window cell. Ceil mode
     clips trailing windows at the border instead of dropping them."""
     n, c, h, w = x.shape
-    oh = _pool_extent(h, kernel, stride, ceil_mode)
-    ow = _pool_extent(w, kernel, stride, ceil_mode)
+    oh, ow = window_out_hw(h, w, kernel, stride, 0, ceil_mode)
+    if oh < 1 or ow < 1:
+        raise ValueError("pool window does not fit input %dx%d" % (h, w))
     stack = np.full((kernel * kernel, n, c, oh, ow), -np.inf, dtype=x.dtype)
     for i in range(kernel):
         hv = min(oh, max(0, -(-(h - i) // stride)))

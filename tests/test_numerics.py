@@ -59,7 +59,7 @@ def test_im2col_matches_np_pad_construction_bit_for_bit(kernel, stride, padding)
     h = _grid_extent(kernel, stride, padding)
     x = np.random.default_rng(4).standard_normal((2, 3, h, h + 1))
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh, ow = ops.conv_out_hw(h, h + 1, kernel, stride, padding)
+    oh, ow = ir.window_out_hw(h, h + 1, kernel, stride, padding)
     want = np.empty((2, 3, kernel, kernel, oh, ow))
     for i in range(kernel):
         for j in range(kernel):
@@ -71,7 +71,7 @@ def test_im2col_matches_np_pad_construction_bit_for_bit(kernel, stride, padding)
 def test_col2im_matches_per_tap_loop_bit_for_bit(kernel, stride, padding):
     h = _grid_extent(kernel, stride, padding)
     w = h + 1
-    oh, ow = ops.conv_out_hw(h, w, kernel, stride, padding)
+    oh, ow = ir.window_out_hw(h, w, kernel, stride, padding)
     cols = np.random.default_rng(5).standard_normal((2, 3, kernel, kernel, oh, ow))
     xp = np.zeros((2, 3, h + 2 * padding, w + 2 * padding))
     for i in range(kernel):
@@ -274,6 +274,12 @@ def test_grad_check_rejects_empty_sample():
     xval = np.random.default_rng(2).standard_normal((2, 4, 8, 8))
     with pytest.raises(ValueError):
         grad_check(g, init_params(g, 5), xval, sample=0)
+    # a graph without learnable tensors leaves nothing to sample
+    b = GraphBuilder()
+    b.mark_output(b.add(ir.relu(), [b.add_input(TensorShape(1, 4, 8, 8))]))
+    bare = b.build()
+    with pytest.raises(ValueError, match="no learnable parameters"):
+        grad_check(bare, init_params(bare, 5), xval, sample=3)
 
 
 @pytest.mark.parametrize("kwargs", [{"epsilon": 0.0}, {"epsilon": -1e-5},

@@ -1,0 +1,58 @@
+import re
+
+from dlagraph import ir
+from dlagraph.graphdoc import to_dot
+from dlagraph.ir import GraphBuilder, OpKind, TensorShape, UpsampleMode
+from dlagraph.numerics import executor
+
+
+def test_every_op_kind_has_a_static_entry():
+    assert set(ir.OPS) == set(OpKind)
+
+
+def test_every_op_kind_but_input_has_forward_and_backward_kernels():
+    assert set(executor.KERNELS) == set(OpKind) - {OpKind.INPUT}
+    for kernels in executor.KERNELS.values():
+        assert callable(kernels.forward) and callable(kernels.backward)
+
+
+def every_kind_graph():
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(1, 4, 8, 8))
+    y = b.add(ir.conv(3, 1, 1, 4, 4, groups=2), [x])
+    y = b.add(ir.batch_norm(4), [y])
+    y = b.add(ir.relu(), [y])
+    y = b.add(ir.max_pool(2, 2), [y])
+    y = b.add(ir.upsample(2, UpsampleMode.FIXED_BILINEAR, 4), [y])
+    y = b.add(ir.add(), [y, x])
+    y = b.add(ir.concat(), [y, x])
+    y = b.add(ir.softmax(), [y])
+    y = b.add(ir.global_avg_pool(), [y])
+    y = b.add(ir.linear(8, 3), [y])
+    b.mark_output(y)
+    return b.build()
+
+
+DOT_LABELS = {
+    OpKind.INPUT: "Input 4x8x8",
+    OpKind.CONV: "Conv 3x3 s1 g2 4>4",
+    OpKind.BATCH_NORM: "BN 4",
+    OpKind.RELU: "ReLU",
+    OpKind.MAX_POOL: "MaxPool 2x2 s2",
+    OpKind.UPSAMPLE: "Upsample x2",
+    OpKind.ADD: "Add",
+    OpKind.CONCAT: "Concat",
+    OpKind.SOFTMAX: "Softmax",
+    OpKind.GLOBAL_AVG_POOL: "GlobalAvgPool",
+    OpKind.LINEAR: "Linear 8>3",
+    OpKind.OUTPUT: "Output",
+}
+
+
+def test_dot_label_of_each_op_kind():
+    assert set(DOT_LABELS) == set(OpKind)
+    graph = every_kind_graph()
+    labels = dict(re.findall(r'^  n(\d+) \[label="([^"]*)"', to_dot(graph), re.M))
+    got = {node.op.kind: labels[str(node.id)] for node in graph.nodes}
+    assert got == DOT_LABELS
+    assert ir.conv(7, 2, 3, 3, 16).label() == "Conv 7x7 s2 3>16"  # groups=1 is not shown
