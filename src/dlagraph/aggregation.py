@@ -65,7 +65,8 @@ class HdaSpec:
     built consumes the tree input at ``block.in_channels`` (and the
     template stride); every later block runs at ``out_channels`` with
     stride 1. ``extra_root_inputs`` are appended to the root node's
-    argument list after the backbone features.
+    argument list after the backbone features. Its aggregation nodes
+    convolve 1x1.
     """
 
     depth: int
@@ -73,7 +74,6 @@ class HdaSpec:
     out_channels: int
     extra_root_inputs: tuple[NodeId, ...] = ()
     residual_nodes: bool = False
-    node_kernel: int = 1
 
 
 def build_aggregation_node(b: GraphBuilder, inputs: Sequence[NodeId],
@@ -176,7 +176,6 @@ def build_hda(b: GraphBuilder, x: NodeId, spec: HdaSpec) -> NodeId:
         agg = AggNodeSpec(
             input_channels=tuple(b.channels(i) for i in node_inputs),
             out_channels=spec.out_channels,
-            kernel=spec.node_kernel,
             residual=spec.residual_nodes,
             residual_index=residual_index if spec.residual_nodes else None,
         )
@@ -194,7 +193,7 @@ def build_unmerged_hda(b: GraphBuilder, x: NodeId, spec: HdaSpec) -> NodeId:
 
     def node(left: NodeId, right: NodeId) -> NodeId:
         agg = AggNodeSpec((b.channels(left), b.channels(right)), spec.out_channels,
-                          kernel=spec.node_kernel, residual=spec.residual_nodes)
+                          residual=spec.residual_nodes)
         return build_aggregation_node(b, [left, right], agg)
 
     def tree(depth: int, src: NodeId) -> tuple[NodeId, NodeId]:

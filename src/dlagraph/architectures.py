@@ -68,17 +68,12 @@ class ArchSpec:
 
 @dataclass(frozen=True)
 class DenseHeadSpec:
-    """Dense-prediction head: common projection width, node kernel, class
-    count, and the fixed output stride of 2 (stage-2 resolution)."""
+    """Dense-prediction head: class count and common projection width. Its
+    aggregation nodes use 3x3 convolutions, and it scores at output stride
+    2 (stage-2 resolution)."""
 
     num_classes: int
     project_channels: int = 32
-    node_kernel: int = 3
-    output_stride: int = 2
-
-    def __post_init__(self) -> None:
-        if self.output_stride != 2:
-            raise ValueError("only output stride 2 is supported")
 
 
 _CATALOG: tuple[ArchSpec, ...] = (
@@ -212,7 +207,7 @@ def build_dense_decoder(spec: ArchSpec, head: DenseHeadSpec,
                                       width), [y])
             fused.append(y)
         y = build_ida(b, fused, lambda step, lc, rc: AggNodeSpec(
-            (lc, rc), width, kernel=head.node_kernel))
+            (lc, rc), width, kernel=3))
         y = b.add(ir.conv(1, 1, 0, width, head.num_classes, has_bias=True), [y])
         y = b.add(ir.softmax(), [y])
         b.mark_output(y)

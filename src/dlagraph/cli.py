@@ -25,7 +25,7 @@ from .architectures import (DenseHeadSpec, IndivisibleInput, UnknownArchitecture
                             arch_spec, build_classifier, build_dense_decoder,
                             build_toy_classifier, build_toy_dense_decoder, catalog_names)
 from .graphdoc import ParseError, parse, serialize, to_dot
-from .ir import GraphError, ShapeConflict, TensorShape, infer_node_shape, validate
+from .ir import Graph, GraphError, ShapeConflict, TensorShape, infer_node_shape, validate
 from .numerics import grad_check, init_params
 
 FMA_CONVENTION = ("fused multiply-adds of convolution, linear, and learned "
@@ -38,7 +38,7 @@ def _diag(message: str) -> None:
 
 
 def _parse_hwc(text: str) -> TensorShape:
-    parts = text.lower().split("x") if isinstance(text, str) else ()
+    parts = text.lower().split("x")
     if len(parts) != 3:
         raise ValueError("expected HxWxC, got %r" % text)
     h, w, c = (int(p) for p in parts)
@@ -64,26 +64,21 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _read_document(path: str):
+def _read_document(path: str) -> Graph:
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
-    return parse(text)
+    return parse(text)[0]
 
 
-def _input_shape(graph, metadata: dict, override: str | None) -> TensorShape:
-    """The --input override, else the shape recorded in the metadata, else
-    the extents declared by the graph's first Input node."""
+def _input_shape(graph: Graph, override: str | None) -> TensorShape:
+    """The --input override, else the extents the graph's Input node
+    declares; the document's metadata is not consulted."""
     if override is not None:
         return _parse_hwc(override)
-    if "input_shape" not in metadata:
-        return infer_node_shape(graph.node(graph.inputs[0]).op, [])
-    try:
-        return _parse_hwc(metadata["input_shape"])
-    except ValueError as exc:
-        raise ParseError("metadata input_shape: %s" % exc) from None
+    return infer_node_shape(graph.node(graph.inputs[0]).op, [])
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -106,11 +101,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    graph, metadata = _read_document(args.graph)
-    violations = validate(graph)
-    if violations:
-        raise ParseError("document is not analyzable: %s" % violations[0])
-    shape = _input_shape(graph, metadata, args.input)
+    graph = _read_document(args.graph)
+    shape = _input_shape(graph, args.input)
     try:
         costs = cost_report(graph, shape)
     except GraphError as exc:
@@ -143,17 +135,17 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    graph, _ = _read_document(args.graph)
+    graph = _read_document(args.graph)
     sys.stdout.write(to_dot(graph, collapse=args.collapse))
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    graph, metadata = _read_document(args.graph)
+    graph = _read_document(args.graph)
     problems = [str(v) for v in validate(graph)]
     if not problems:
         try:
-            infer_shapes(graph, _input_shape(graph, metadata, None))
+            infer_shapes(graph, _input_shape(graph, None))
         except ShapeConflict as exc:
             problems.append("ShapeConflict: %s" % exc)
         problems.extend(structural_violations(graph))
@@ -167,13 +159,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    for flag, value in (("--samples", args.samples), ("--batch", args.batch)):
-        if value < 1:
-            raise ValueError("%s must be >= 1, got %d" % (flag, value))
+    for flag, value, least in (("--samples", args.samples, 1), ("--batch", args.batch, 1),
+                               ("--seed", args.seed, 0)):
+        if value < least:
+            raise ValueError("%s must be >= %d, got %d" % (flag, least, value))
     if not 0.0 < args.epsilon < math.inf:
         raise ValueError("--epsilon must be finite and > 0, got %r" % args.epsilon)
-    if math.isnan(args.tol):
-        raise ValueError("--tol must not be nan")
+    if not args.tol >= 0.0:
+        raise ValueError("--tol must be >= 0, got %r" % args.tol)
     if args.head == "classify":
         graph = build_toy_classifier(args.arch, args.width_cap, args.input,
                                      num_classes=args.classes)
@@ -217,7 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="parameter/FMA accounting and structure stats")
     p.add_argument("graph")
-    p.add_argument("--input", default=None, help="override the recorded input shape")
+    p.add_argument("--input", default=None,
+                   help="HxWxC in place of the extents the Input node declares")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("export-dot", help="render a graph document as DOT")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .ir import Graph, GraphNode, OpKind, PrimOp, Tags, UnknownInput
+from .ir import ArityMismatch, Graph, GraphNode, OpKind, PrimOp, Tags, UnknownInput
 
 FORMAT_VERSION = "1"
 
@@ -78,7 +78,7 @@ def _parse_node(record: Any, position: int) -> GraphNode:
     try:
         return GraphNode(record["id"], PrimOp(OpKind(record["kind"]), dict(attrs)),
                          tuple(inputs), tags)
-    except (ValueError, UnknownInput) as exc:
+    except (ValueError, UnknownInput, ArityMismatch) as exc:
         raise ParseError("node %d: %s" % (position, exc)) from None
 
 

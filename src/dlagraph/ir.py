@@ -3,9 +3,12 @@
 A ``Graph`` is an immutable directed acyclic multigraph of primitive tensor
 operations. Node ids are dense integers assigned in construction order, and
 every input id is below its node's id, so the id order is already a
-topological order; construction rejects any graph for which this fails.
-``GraphBuilder`` is the single-writer construction API; built graphs are
-safe to share between any number of readers.
+topological order. Every node takes as many inputs as its kind allows, so
+node 0 is an Input and every node is reachable from an Input. Construction
+rejects any graph for which this fails; ``validate`` checks only what it
+leaves open, that the graph declares an output. ``GraphBuilder`` is the
+single-writer construction API; built graphs are safe to share between any
+number of readers.
 
 What each op kind means statically is one ``OpDef`` entry in ``OPS``: its
 attribute schema, arity, shape rule, learnable-tensor shapes and DOT label.
@@ -353,7 +356,8 @@ class Tags:
 @dataclass(frozen=True)
 class GraphNode:
     """One op application; construction raises UnknownInput unless the id is
-    an int and every input id is an int in ``[0, id)``."""
+    an int and every input id is an int in ``[0, id)``, then ArityMismatch
+    unless the op's kind takes that many inputs."""
 
     id: NodeId
     op: PrimOp
@@ -365,6 +369,11 @@ class GraphNode:
                                                for i in self.inputs):
             raise UnknownInput("node %r: id must be an int and inputs %r earlier node ids"
                                % (self.id, self.inputs))
+        spec = OPS[self.op.kind]
+        if not spec.takes(len(self.inputs)):
+            bound = "exactly" if spec.min_inputs == spec.max_inputs else "at least"
+            raise ArityMismatch("%s takes %s %d inputs, got %d" % (
+                self.op.kind.value, bound, spec.min_inputs, len(self.inputs)))
 
 
 @dataclass(frozen=True)
@@ -448,11 +457,6 @@ class GraphBuilder:
         if tags is None:
             tags = Tags(stage=self._stage, block_id=self._block_id, agg_node_id=self._agg_id)
         node = GraphNode(nid, op, tuple(inputs), tags)
-        spec = OPS[op.kind]
-        if not spec.takes(len(node.inputs)):
-            bound = "exactly" if spec.min_inputs == spec.max_inputs else "at least"
-            raise ArityMismatch("%s takes %s %d inputs, got %d"
-                                % (op.kind.value, bound, spec.min_inputs, len(node.inputs)))
         shape = infer_node_shape(op, [self._shapes[i] for i in node.inputs])
         if op.kind == OpKind.INPUT:
             self._inputs.append(nid)
@@ -533,22 +537,12 @@ class Violation:
 
 
 def validate(graph: Graph) -> list[Violation]:
-    """Check what construction leaves open: op arity, declared outputs and
-    reachability from the graph inputs; returns a report, empty means valid.
+    """Check what construction leaves open, that the graph declares an
+    output; returns a report, empty means valid. Ids, edges, arity and
+    reachability from an Input hold by construction.
 
     Pure: never raises for graph defects, never mutates.
     """
-    report: list[Violation] = []
-    reachable = set(graph.inputs)
-    for node in graph.nodes:  # inputs precede consumers, so one pass settles reachability
-        if not OPS[node.op.kind].takes(len(node.inputs)):
-            report.append(Violation("ArityViolation", node.id,
-                                    "%s with %d inputs" % (node.op.kind.value, len(node.inputs))))
-        if node.inputs and all(i in reachable for i in node.inputs):
-            reachable.add(node.id)
-        elif node.id not in reachable:
-            report.append(Violation("OrphanNode", node.id,
-                                    "not reachable from any graph input"))
     if not graph.outputs:
-        report.append(Violation("NoOutput", None, "graph declares no outputs"))
-    return report
+        return [Violation("NoOutput", None, "graph declares no outputs")]
+    return []

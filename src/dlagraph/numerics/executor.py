@@ -365,14 +365,14 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     the perturbed parameter and reads every other activation from the
     first forward's tape, which gives the same bits as a full forward.
     Raises ValueError for ``sample < 1``, an ``epsilon`` that is not finite
-    and positive, a NaN ``tolerance``, or parameters with no learnable
-    entry."""
+    and positive, a negative or NaN ``tolerance``, or parameters with no
+    learnable entry."""
     if sample < 1:
         raise ValueError("sample must be >= 1, got %d" % sample)
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and > 0, got %r" % epsilon)
-    if math.isnan(tolerance):
-        raise ValueError("tolerance must not be NaN")
+    if not tolerance >= 0.0:
+        raise ValueError("tolerance must be >= 0, got %r" % tolerance)
     flat = list(params.learnable_entries())
     ends = list(itertools.accumulate(arr.size for _, _, arr in flat))  # flat index ends
     if not ends or ends[-1] == 0:

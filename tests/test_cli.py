@@ -157,6 +157,8 @@ def test_gradcheck_unknown_architecture_exits_2(capsys):
     pytest.param("--epsilon", "0", id="--epsilon-0"),
     pytest.param("--epsilon", "nan", id="--epsilon-nan"),
     pytest.param("--tol", "nan", id="--tol-nan"),
+    pytest.param("--tol", "-1", id="--tol-negative"),
+    pytest.param("--seed", "-1", id="--seed"),
 ])
 def test_gradcheck_zero_count_exits_2_naming_the_flag(capsys, flag, value):
     code, _, err = run(capsys, "gradcheck", "DLA-34", flag, value)
@@ -260,9 +262,23 @@ def _set_doc(key, value):
     return mutate
 
 
-def _widen_add(doc):
-    add = _first(doc, "Add")
-    add["inputs"].append(add["inputs"][0])
+def _set_inputs(kind, pick):
+    def mutate(doc):
+        node = _first(doc, kind)
+        node["inputs"] = pick(node["inputs"])
+    return mutate
+
+
+def _relu_becomes_input(doc):
+    relu = _first(doc, "ReLU")
+    relu["kind"] = "Input"
+    relu["attrs"] = dict(doc["nodes"][0]["attrs"])  # keeps its one input
+
+
+def _set_metadata_input_shape(value):
+    def mutate(doc):
+        doc["metadata"]["input_shape"] = value
+    return mutate
 
 
 def _bool_input_id(doc):
@@ -281,8 +297,16 @@ MUTATIONS = {
     "metadata-not-object": ("DLA-34", _set_doc("metadata", 3), (4, 4, 4)),
     "stage-list": ("decoder", _set_tag("stage", [3]), (4, 4, 4)),
     "agg-node-id-str": ("DLA-34", _set_tag("agg_node_id", "0"), (4, 4, 4)),
-    "outputs-empty": ("decoder", _set_doc("outputs", []), (1, 4, 0)),
-    "add-three-inputs": ("DLA-34", _widen_add, (1, 4, 0)),
+    "outputs-empty": ("decoder", _set_doc("outputs", []), (1, 0, 0)),
+    "add-three-inputs": ("DLA-34", _set_inputs("Add", lambda ids: ids + ids[:1]), (4, 4, 4)),
+    "add-one-input": ("decoder", _set_inputs("Add", lambda ids: ids[:1]), (4, 4, 4)),
+    "relu-no-inputs": ("DLA-34", _set_inputs("ReLU", lambda ids: []), (4, 4, 4)),
+    "relu-two-inputs": ("decoder", _set_inputs("ReLU", lambda ids: ids * 2), (4, 4, 4)),
+    "concat-one-input": ("DLA-34", _set_inputs("Concat", lambda ids: ids[:1]), (4, 4, 4)),
+    "output-no-inputs": ("decoder", _set_inputs("Output", lambda ids: []), (4, 4, 4)),
+    "input-with-input": ("DLA-34", _relu_becomes_input, (4, 4, 4)),
+    "metadata-input-shape-disagrees": ("DLA-34", _set_metadata_input_shape("3x3x3"), (0, 0, 0)),
+    "metadata-input-shape-malformed": ("decoder", _set_metadata_input_shape(224), (0, 0, 0)),
     "input-id-bool": ("DLA-34", _bool_input_id, (4, 4, 4)),
     "output-id-bool": ("decoder", _set_doc("outputs", [True]), (4, 4, 4)),
 }
@@ -298,9 +322,12 @@ def test_mutated_document_gets_documented_exit_code(capsys, catalog_docs, case):
     path.write_text(json.dumps(doc))
     codes = []
     for command in ("check", "report", "export-dot"):
-        code, _, err = run(capsys, command, str(path))
+        code, out, err = run(capsys, command, str(path))
         assert "Traceback" not in err
         codes.append(code)
+        if command == "report" and code == 0:  # the Input node's extents, never metadata
+            extents = doc["nodes"][0]["attrs"]
+            assert json.loads(out)["input_shape"] == "%(height)dx%(width)dx%(channels)d" % extents
     assert tuple(codes) == expected
 
 

@@ -1,0 +1,162 @@
+"""Seeded mutation fuzzing of graph documents through the CLI.
+
+Each mutant of a catalog document goes through ``check``, ``report`` and
+``export-dot`` in-process. Whatever the mutation, no command may raise or
+print a traceback, every exit code is a documented one, a document that
+``check`` accepts is one that the other commands handle, and a document
+that fails to parse fails to parse for every command.
+"""
+
+import copy
+import json
+import random
+import traceback
+
+import pytest
+
+from dlagraph.cli import main
+
+MUTANTS_PER_DOCUMENT = 60
+DOCUMENTS = {"DLA-34": ("classify", "10"), "decoder": ("dense", "19")}
+COMMANDS = ("check", "report", "export-dot")
+
+# Replacement values of every JSON type, in and out of the usual ranges.
+VALUES = (0, 1, 2, 3, 7, -1, 10 ** 6, 0.5, 1e-5, float("inf"), True, False, None,
+          "", "3", "Conv", "fixed_bilinear", [], [1], {}, {"a": 1})
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    docs = {}
+    for name, (head, classes) in DOCUMENTS.items():
+        path = root / ("%s.json" % name)
+        assert main(["build", "DLA-34", "--input", "32x32x3", "--classes", classes,
+                     "--head", head, "-o", str(path)]) == 0
+        docs[name] = json.loads(path.read_text())
+    return root, docs
+
+
+def _mutate_attrs(rng, doc):
+    node = rng.choice([n for n in doc["nodes"] if n["attrs"]])
+    attrs = node["attrs"]
+    key = rng.choice(sorted(attrs))
+    action = rng.randrange(4)
+    if action == 0:
+        del attrs[key]
+        return "drop attr %r of node %d" % (key, node["id"])
+    if action == 1:
+        attrs[rng.choice((key + "_", "extra"))] = rng.choice(VALUES)
+        return "add an attr to node %d" % node["id"]
+    if action == 2 and type(attrs[key]) is int:
+        attrs[key] += rng.choice((-2, -1, 1, 2))
+        return "nudge attr %r of node %d to %r" % (key, node["id"], attrs[key])
+    attrs[key] = rng.choice(VALUES)
+    return "set attr %r of node %d to %r" % (key, node["id"], attrs[key])
+
+
+def _mutate_kind(rng, doc):
+    node = rng.choice(doc["nodes"])
+    node["kind"] = rng.choice(("Conv", "ReLU", "Add", "Concat", "Input", "Output",
+                               "Softmax", "Upsample", "Relu", 3, None))
+    return "set kind of node %d to %r" % (node["id"], node["kind"])
+
+
+def _mutate_id(rng, doc):
+    nodes = doc["nodes"]
+    i = rng.randrange(len(nodes))
+    if rng.randrange(3) == 0:
+        j = rng.randrange(len(nodes))
+        nodes[i], nodes[j] = nodes[j], nodes[i]
+        return "swap nodes %d and %d" % (i, j)
+    nodes[i]["id"] = rng.choice((i + 1, i - 1, len(nodes), -1, str(i), float(i),
+                                 bool(i), None))
+    return "set id of node %d to %r" % (i, nodes[i]["id"])
+
+
+def _mutate_inputs(rng, doc):
+    node = rng.choice(doc["nodes"])
+    ids = node["inputs"]
+    action = rng.randrange(5)
+    if action == 0 and ids:
+        del ids[rng.randrange(len(ids))]
+        return "drop an input of node %d" % node["id"]
+    if action == 1 and ids:
+        ids.insert(rng.randrange(len(ids) + 1), rng.choice(ids))
+        return "duplicate an input of node %d" % node["id"]
+    if action == 2 and node["id"] > 0:
+        ids.append(rng.randrange(node["id"]))
+        return "append an earlier id to node %d" % node["id"]
+    if action == 3:
+        ids.append(rng.choice((node["id"], node["id"] + 1, len(doc["nodes"]), -1)))
+        return "append an out-of-range id to node %d" % node["id"]
+    node["inputs"] = rng.choice(VALUES)
+    return "set inputs of node %d to %r" % (node["id"], node["inputs"])
+
+
+def _mutate_tags(rng, doc):
+    node = rng.choice(doc["nodes"])
+    tags = node["tags"]
+    key = rng.choice(("stage", "block_id", "agg_node_id", "color"))
+    if key in tags and rng.randrange(3) == 0:
+        del tags[key]
+        return "drop tag %r of node %d" % (key, node["id"])
+    tags[key] = rng.choice(VALUES + ("head", "decoder"))
+    return "set tag %r of node %d to %r" % (key, node["id"], tags[key])
+
+
+def _mutate_top_level(rng, doc):
+    key = rng.choice(("format_version", "metadata", "inputs", "outputs", "nodes", "extra"))
+    action = rng.randrange(3)
+    if action == 0 and key in doc:
+        del doc[key]
+        return "drop top-level %r" % key
+    if action == 1 and key in ("inputs", "outputs", "nodes"):
+        n = len(doc["nodes"])
+        doc[key] = rng.choice(([], [0], [n - 1], [n - 1, n - 1], [n], [0, n - 1],
+                               doc["nodes"][:rng.randrange(1, n)] if key == "nodes" else []))
+        return "set top-level %r to a list of %d" % (key, len(doc[key]))
+    if key == "metadata" and action == 1:
+        doc[key]["input_shape"] = rng.choice(VALUES + ("3x3x3", "64x64x3"))
+        return "set metadata input_shape to %r" % doc[key]["input_shape"]
+    doc[key] = rng.choice(VALUES)
+    return "set top-level %r to %r" % (key, doc[key])
+
+
+MUTATORS = (_mutate_attrs, _mutate_kind, _mutate_id, _mutate_inputs, _mutate_tags,
+            _mutate_top_level)
+
+
+def _run(capsys, argv):
+    try:
+        code = main(argv)
+    except Exception:  # reported with its mutant, so the loop goes on
+        capsys.readouterr()
+        return "raised", traceback.format_exc()
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_mutated_documents_keep_exit_codes_consistent(capsys, documents, name):
+    root, docs = documents
+    rng = random.Random("dlagraph-fuzz-%s" % name)
+    path = root / ("%s-mutant.json" % name)
+    failures = []
+    for k in range(MUTANTS_PER_DOCUMENT):
+        doc = copy.deepcopy(docs[name])
+        what = rng.choice(MUTATORS)(rng, doc)
+        path.write_text(json.dumps(doc))
+        codes = {}
+        for command in COMMANDS:
+            code, err = _run(capsys, [command, str(path)])
+            if "Traceback" in err:
+                failures.append("%d %s: %s %s a traceback:\n%s"
+                                % (k, what, command, code, err))
+            codes[command] = code
+        if any(code not in (0, 1, 2, 3, 4) for code in codes.values()):
+            failures.append("%d %s: codes %r" % (k, what, codes))
+        elif codes["check"] == 0 and (codes["report"], codes["export-dot"]) != (0, 0):
+            failures.append("%d %s: check accepts, yet codes %r" % (k, what, codes))
+        elif codes["export-dot"] == 4 and (codes["check"], codes["report"]) != (4, 4):
+            failures.append("%d %s: does not parse, yet codes %r" % (k, what, codes))
+    assert not failures, "\n".join(failures)

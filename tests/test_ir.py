@@ -68,9 +68,14 @@ def test_graph_construction_rejects_malformed_structure():
     x = GraphNode(0, ir.input_op(4, 8, 8), ())
     y = GraphNode(1, PrimOp(OpKind.RELU), (0,))
     assert Graph((x, y), (0,), (1,)).outputs == (1,)
-    for inputs in ((True,), (0, 1), (-1,)):
+    for inputs in ((True,), (0, 1), (-1,)):  # ids are checked before arity
         with pytest.raises(UnknownInput):
             GraphNode(1, PrimOp(OpKind.ADD), inputs)
+    for op, inputs in ((ir.add(), (0,)), (ir.add(), (0, 0, 0)),
+                       (ir.relu(), ()), (ir.relu(), (0, 0)), (ir.output_op(), ()),
+                       (ir.input_op(4, 8, 8), (0,))):
+        with pytest.raises(ArityMismatch):
+            GraphNode(1, op, inputs)
     with pytest.raises(UnknownInput):  # shuffled ids
         Graph((y, x), (0,), (1,))
     for declared in ((), (1,), (0, 0), (False,)):
@@ -90,23 +95,13 @@ def test_validate_builder_graph_is_clean():
 
 
 def test_validate_reports_concat_arity_violation():
-    nodes = (
-        GraphNode(0, ir.input_op(4, 8, 8), ()),
-        GraphNode(1, ir.concat(), (0,)),
-    )
-    report = validate(Graph(nodes, (0,), (1,)))
-    assert any(v.kind == "ArityViolation" for v in report)
-
-
-def test_validate_reports_orphan_node():
-    nodes = (
-        GraphNode(0, ir.input_op(4, 8, 8), ()),
-        GraphNode(1, PrimOp(OpKind.RELU), (0,)),
-        GraphNode(2, PrimOp(OpKind.RELU), ()),
-        GraphNode(3, PrimOp(OpKind.ADD), (1, 2)),
-    )
-    report = validate(Graph(nodes, (0,), (1,)))
-    assert [v.node_id for v in report if v.kind == "OrphanNode"] == [2, 3]
+    # A one-input Concat never reaches validate: GraphNode construction
+    # rejects it, so a graph that validate sees has no arity violation.
+    x = GraphNode(0, ir.input_op(4, 8, 8), ())
+    with pytest.raises(ArityMismatch, match="Concat"):
+        GraphNode(1, ir.concat(), (0,))
+    cat = GraphNode(1, ir.concat(), (0, 0))
+    assert validate(Graph((x, cat), (0,), (1,))) == []
 
 
 def test_replay_in_topo_order_reproduces_graph():

@@ -284,7 +284,7 @@ def test_grad_check_rejects_empty_sample():
 
 @pytest.mark.parametrize("kwargs", [{"epsilon": 0.0}, {"epsilon": -1e-5},
                                     {"epsilon": float("nan")}, {"epsilon": float("inf")},
-                                    {"tolerance": float("nan")}])
+                                    {"tolerance": float("nan")}, {"tolerance": -1e-4}])
 def test_grad_check_rejects_bad_epsilon_or_tolerance(kwargs):
     g = simple_net()
     xval = np.random.default_rng(2).standard_normal((2, 4, 8, 8))
