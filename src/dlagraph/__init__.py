@@ -16,8 +16,7 @@ from .architectures import (ArchSpec, DenseHeadSpec, arch_spec, build_classifier
                             build_dense_decoder, build_toy_classifier,
                             build_toy_dense_decoder, catalog_names, list_architectures,
                             toy_spec)
-from .blocks import (BlockKind, BlockSpec, build_basic_block, build_block,
-                     build_bottleneck_block, build_split_block)
+from .blocks import BlockKind, BlockSpec, build_block
 from .graphdoc import parse, serialize, to_dot
 from .ir import (Graph, GraphBuilder, GraphNode, NodeId, OpKind, PrimOp, Tags,
                  TensorShape, UpsampleMode, topo_order, validate)
@@ -31,8 +30,7 @@ __all__ = [
     "ArchSpec", "DenseHeadSpec", "arch_spec", "build_classifier", "build_dense_decoder",
     "build_toy_classifier", "build_toy_dense_decoder", "catalog_names",
     "list_architectures", "toy_spec",
-    "BlockKind", "BlockSpec", "build_basic_block", "build_block",
-    "build_bottleneck_block", "build_split_block",
+    "BlockKind", "BlockSpec", "build_block",
     "parse", "serialize", "to_dot",
     "Graph", "GraphBuilder", "GraphNode", "NodeId", "OpKind", "PrimOp", "Tags",
     "TensorShape", "UpsampleMode", "topo_order", "validate",

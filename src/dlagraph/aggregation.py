@@ -15,16 +15,12 @@ back into the backbone and whose same-depth nodes are merged, giving
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from . import ir
 from .blocks import BlockSpec, build_block
-from .ir import ChannelMismatch, GraphBuilder, NodeId
-
-
-class SpatialMismatch(ir.GraphError):
-    """Aggregation inputs do not share one spatial extent."""
+from .ir import GraphBuilder, NodeId
 
 
 class ResidualChannelMismatch(ir.GraphError):
@@ -41,16 +37,16 @@ class DepthOutOfRange(ir.GraphError):
 
 @dataclass(frozen=True)
 class AggNodeSpec:
-    """One aggregation node: per-input channel widths, output width,
-    convolution kernel (1 for classification heads, 3 in the dense
-    decoder), and the optional residual connection.
+    """One aggregation node: output width, convolution kernel (1 for
+    classification heads, 3 in the dense decoder), and the optional
+    residual connection. The convolution's input width is that of the
+    concatenated inputs.
 
     ``residual_index`` selects which input the identity path attaches to;
     by default the last one. Tree roots that receive appended cross-stage
     inputs keep the residual on the last backbone feature instead.
     """
 
-    input_channels: tuple[int, ...]
     out_channels: int
     kernel: int = 1
     residual: bool = False
@@ -61,17 +57,16 @@ class AggNodeSpec:
 class HdaSpec:
     """A depth-n aggregation tree over one kind of convolutional block.
 
-    ``block`` is the template for every block in the tree: the first block
-    built consumes the tree input at ``block.in_channels`` (and the
-    template stride); every later block runs at ``out_channels`` with
-    stride 1. ``extra_root_inputs`` are appended to the root node's
+    ``block`` is the template for every block in the tree, and its
+    ``out_channels`` is the tree's width: the first block built consumes
+    the tree input, every later one the previous block's output or an
+    aggregation. ``extra_root_inputs`` are appended to the root node's
     argument list after the backbone features. Its aggregation nodes
     convolve 1x1.
     """
 
     depth: int
     block: BlockSpec
-    out_channels: int
     extra_root_inputs: tuple[NodeId, ...] = ()
     residual_nodes: bool = False
 
@@ -80,23 +75,11 @@ def build_aggregation_node(b: GraphBuilder, inputs: Sequence[NodeId],
                            spec: AggNodeSpec) -> NodeId:
     """Concat -> Conv kxk -> BN (-> Add residual) -> ReLU over ``inputs``,
     preserving their order. Returns the ReLU id; the whole subgraph is
-    tagged with a fresh aggregation-node id."""
+    tagged with a fresh aggregation-node id. Inputs of different spatial
+    extents raise ShapeConflict from the Concat before any node is added."""
     inputs = list(inputs)
     if len(inputs) < 2:
         raise ir.ArityMismatch("aggregation nodes take at least 2 inputs, got %d" % len(inputs))
-    if len(inputs) != len(spec.input_channels):
-        raise ChannelMismatch("spec lists %d input widths for %d inputs"
-                              % (len(spec.input_channels), len(inputs)))
-    shapes = [b.shape(i) for i in inputs]
-    for got, want in zip(shapes, spec.input_channels):
-        if got.channels != want:
-            raise ChannelMismatch("aggregation input has %d channels, spec says %d"
-                                  % (got.channels, want))
-    spatial = shapes[0].spatial
-    for s in shapes[1:]:
-        if s.spatial != spatial:
-            raise SpatialMismatch("aggregation inputs mix extents %s and %s"
-                                  % (spatial, s.spatial))
     residual_src: NodeId | None = None
     if spec.residual:
         idx = len(inputs) - 1 if spec.residual_index is None else spec.residual_index
@@ -107,48 +90,30 @@ def build_aggregation_node(b: GraphBuilder, inputs: Sequence[NodeId],
     with b.agg_node():
         cat = b.add(ir.concat(), inputs)
         conv = b.add(ir.conv(spec.kernel, 1, spec.kernel // 2,
-                             sum(spec.input_channels), spec.out_channels), [cat])
+                             b.channels(cat), spec.out_channels), [cat])
         y = b.add(ir.batch_norm(spec.out_channels), [conv])
         if residual_src is not None:
             y = b.add(ir.add(), [y, residual_src])
         return b.add(ir.relu(), [y])
 
 
-def build_ida(b: GraphBuilder, features: Sequence[NodeId],
-              node_spec_fn: Callable[[int, int, int], AggNodeSpec]) -> NodeId:
+def build_ida(b: GraphBuilder, features: Sequence[NodeId], spec: AggNodeSpec) -> NodeId:
     """Left-fold binary aggregation over features ordered shallow to deep.
 
     A single feature is returned unchanged and adds no nodes; k features
-    produce exactly k-1 aggregation nodes. ``node_spec_fn(step, left_ch,
-    right_ch)`` supplies the spec for each fold step.
+    produce exactly k-1 aggregation nodes, each built from ``spec``.
     """
     if not features:
         raise EmptyInput("iterative aggregation over an empty feature list")
     acc = features[0]
-    for step, feat in enumerate(features[1:]):
-        spec = node_spec_fn(step, b.channels(acc), b.channels(feat))
+    for feat in features[1:]:
         acc = build_aggregation_node(b, [acc, feat], spec)
     return acc
 
 
-def _block_chain(b: GraphBuilder, x: NodeId, spec: HdaSpec) -> Callable[[NodeId], NodeId]:
-    """Check a tree's depth and input width, and return the builder of its
-    backbone: the first block follows the template, every later one runs at
-    ``out_channels`` with stride 1."""
-    if not 1 <= spec.depth <= 6:
-        raise DepthOutOfRange("depth must be within 1..6, got %d" % spec.depth)
-    if b.channels(x) != spec.block.in_channels:
-        raise ChannelMismatch("tree input has %d channels, block template expects %d"
-                              % (b.channels(x), spec.block.in_channels))
-    continuation = replace(spec.block, in_channels=spec.out_channels,
-                           out_channels=spec.out_channels, stride=1)
-    pending_first = [replace(spec.block, out_channels=spec.out_channels)]
-
-    def make_block(src: NodeId) -> NodeId:
-        bs = pending_first.pop() if pending_first else continuation
-        return build_block(b, src, bs)
-
-    return make_block
+def _check_depth(depth: int) -> None:
+    if not 1 <= depth <= 6:
+        raise DepthOutOfRange("depth must be within 1..6, got %d" % depth)
 
 
 def build_hda(b: GraphBuilder, x: NodeId, spec: HdaSpec) -> NodeId:
@@ -159,7 +124,7 @@ def build_hda(b: GraphBuilder, x: NodeId, spec: HdaSpec) -> NodeId:
     Each sub-tree below the root consumes the output of the previous one,
     so every earlier aggregation feeds the later backbone.
     """
-    make_block = _block_chain(b, x, spec)
+    _check_depth(spec.depth)
 
     def tree(depth: int, src: NodeId, top: bool) -> NodeId:
         rerouted: list[NodeId] = []
@@ -167,15 +132,14 @@ def build_hda(b: GraphBuilder, x: NodeId, spec: HdaSpec) -> NodeId:
         for sub_depth in range(depth - 1, 0, -1):
             cur = tree(sub_depth, cur, False)
             rerouted.append(cur)
-        first = make_block(cur)
-        second = make_block(first)
+        first = build_block(b, cur, spec.block)
+        second = build_block(b, first, spec.block)
         node_inputs = [*rerouted, first, second]
         residual_index = len(node_inputs) - 1
         if top:
             node_inputs.extend(spec.extra_root_inputs)
         agg = AggNodeSpec(
-            input_channels=tuple(b.channels(i) for i in node_inputs),
-            out_channels=spec.out_channels,
+            out_channels=spec.block.out_channels,
             residual=spec.residual_nodes,
             residual_index=residual_index if spec.residual_nodes else None,
         )
@@ -189,22 +153,18 @@ def build_unmerged_hda(b: GraphBuilder, x: NodeId, spec: HdaSpec) -> NodeId:
     backbone and a complete binary tree of 2^depth - 1 binary nodes
     aggregates them. Kept as a structural baseline for comparison; the
     catalog never builds it."""
-    make_block = _block_chain(b, x, spec)
-
-    def node(left: NodeId, right: NodeId) -> NodeId:
-        agg = AggNodeSpec((b.channels(left), b.channels(right)), spec.out_channels,
-                          residual=spec.residual_nodes)
-        return build_aggregation_node(b, [left, right], agg)
+    _check_depth(spec.depth)
+    agg = AggNodeSpec(spec.block.out_channels, residual=spec.residual_nodes)
 
     def tree(depth: int, src: NodeId) -> tuple[NodeId, NodeId]:
         # returns (backbone continuation, aggregation output)
         if depth == 1:
-            first = make_block(src)
-            second = make_block(first)
-            return second, node(first, second)
+            first = build_block(b, src, spec.block)
+            second = build_block(b, first, spec.block)
+            return second, build_aggregation_node(b, [first, second], agg)
         back, agg_left = tree(depth - 1, src)
         back, agg_right = tree(depth - 1, back)
-        return back, node(agg_left, agg_right)
+        return back, build_aggregation_node(b, [agg_left, agg_right], agg)
 
     _, root = tree(spec.depth, x)
     return root
@@ -223,8 +183,7 @@ def structure_of_hda(depth: int) -> HdaStructure:
     aggregation nodes, root fan-in n+1, and at most n aggregation nodes on
     the path from any block output to the root. The fan-in equals
     floor(log2(blocks)) + 1, logarithmic in the block count."""
-    if not 1 <= depth <= 6:
-        raise DepthOutOfRange("depth must be within 1..6, got %d" % depth)
+    _check_depth(depth)
     blocks = 2 ** depth
     assert depth + 1 == int(math.log2(blocks)) + 1
     return HdaStructure(blocks=blocks, agg_nodes=2 ** (depth - 1),

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from . import ir
 from .ir import (Graph, GraphNode, NodeId, OpKind, TensorShape, infer_node_shape,
-                 param_shapes, successors, topo_order)
+                 param_shapes, topo_order)
 
 ShapeMap = dict[NodeId, TensorShape]
 
@@ -115,27 +115,19 @@ def _block_output_nodes(graph: Graph) -> dict[int, NodeId]:
 
 def _agg_hops_to_output(graph: Graph) -> dict[NodeId, int]:
     """Minimum number of aggregation nodes entered on any path from each
-    node to a graph output; unreachable nodes are absent."""
-    succ = successors(graph)
-    inf = math.inf
-    dist: dict[NodeId, float] = {}
-    outputs = set(graph.outputs)
-    for nid in reversed(topo_order(graph)):
-        node = graph.node(nid)
-        if nid in outputs:
-            dist[nid] = 0
+    node to a graph output; unreachable nodes are absent. Every input id is
+    below its node's id, so walking ids downward settles each node before
+    its inputs."""
+    dist = dict.fromkeys(graph.outputs, 0)
+    for node in reversed(graph.nodes):
+        d = dist.get(node.id)
+        if d is None:
             continue
-        best = inf
-        for consumer in succ[nid]:
-            d = dist.get(consumer, inf)
-            if d is inf:
-                continue
-            ctag = graph.node(consumer).tags.agg_node_id
-            step = 1 if ctag is not None and ctag != node.tags.agg_node_id else 0
-            best = min(best, d + step)
-        if best is not inf:
-            dist[nid] = int(best)
-    return {k: int(v) for k, v in dist.items()}
+        tag = node.tags.agg_node_id
+        for i in node.inputs:
+            step = 1 if tag is not None and tag != graph.node(i).tags.agg_node_id else 0
+            dist[i] = min(dist.get(i, d + step), d + step)
+    return dist
 
 
 def _stage_groups(graph: Graph) -> dict[int | str | None, list]:

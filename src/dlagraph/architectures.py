@@ -117,9 +117,8 @@ def _check_input(shape: TensorShape, strict: bool) -> None:
         raise IndivisibleInput("input extents must at least be even")
 
 
-def _conv_level(b: GraphBuilder, x: NodeId, kernel: int, stride: int,
-                in_ch: int, out_ch: int) -> NodeId:
-    y = b.add(ir.conv(kernel, stride, kernel // 2, in_ch, out_ch), [x])
+def _conv_level(b: GraphBuilder, x: NodeId, kernel: int, stride: int, out_ch: int) -> NodeId:
+    y = b.add(ir.conv(kernel, stride, kernel // 2, b.channels(x), out_ch), [x])
     y = b.add(ir.batch_norm(out_ch), [y])
     return b.add(ir.relu(), [y])
 
@@ -127,12 +126,6 @@ def _conv_level(b: GraphBuilder, x: NodeId, kernel: int, stride: int,
 def _project(b: GraphBuilder, x: NodeId, out_ch: int) -> NodeId:
     y = b.add(ir.conv(1, 1, 0, b.channels(x), out_ch), [x])
     return b.add(ir.batch_norm(out_ch), [y])
-
-
-def _block_template(spec: ArchSpec, in_ch: int, out_ch: int) -> BlockSpec:
-    return BlockSpec(spec.block_kind, in_channels=in_ch, out_channels=out_ch,
-                     stride=1, cardinality=spec.cardinality,
-                     mid_ratio=MID_RATIO[spec.block_kind])
 
 
 def _build_backbone(b: GraphBuilder, spec: ArchSpec,
@@ -143,25 +136,23 @@ def _build_backbone(b: GraphBuilder, spec: ArchSpec,
 
     with b.stage(1):
         x = b.add_input(input_shape)
-        y = _conv_level(b, x, 7, 1, b.channels(x), c[0])
-        y = _conv_level(b, y, 3, 1, c[0], c[0])
+        y = _conv_level(b, x, 7, 1, c[0])
+        y = _conv_level(b, y, 3, 1, c[0])
     stage_outputs.append(y)
 
     with b.stage(2):
-        y = _conv_level(b, y, 3, 2, c[0], c[1])
+        y = _conv_level(b, y, 3, 2, c[1])
     stage_outputs.append(y)
 
     for stage_index in range(3, 7):
-        depth = spec.stage_depths[stage_index - 3]
-        in_ch = c[stage_index - 2]
         out_ch = c[stage_index - 1]
         with b.stage(stage_index):
             pooled = b.add(ir.max_pool(2, 2, ceil_mode=True), [y])
-            extra = pooled if in_ch == out_ch else _project(b, pooled, out_ch)
+            extra = pooled if b.channels(pooled) == out_ch else _project(b, pooled, out_ch)
             y = build_hda(b, pooled, HdaSpec(
-                depth=depth,
-                block=_block_template(spec, in_ch, out_ch),
-                out_channels=out_ch,
+                depth=spec.stage_depths[stage_index - 3],
+                block=BlockSpec(spec.block_kind, out_ch, cardinality=spec.cardinality,
+                                mid_ratio=MID_RATIO[spec.block_kind]),
                 extra_root_inputs=(extra,),
                 residual_nodes=spec.residual_nodes,
             ))
@@ -181,7 +172,7 @@ def build_classifier(spec: ArchSpec, num_classes: int, input_shape: TensorShape,
     stages = _build_backbone(b, spec, input_shape)
     with b.stage("head"):
         y = b.add(ir.global_avg_pool(), [stages[-1]])
-        y = b.add(ir.linear(spec.stage_channels[-1], num_classes, has_bias=True), [y])
+        y = b.add(ir.linear(b.channels(y), num_classes, has_bias=True), [y])
         y = b.add(ir.softmax(), [y])
         b.mark_output(y)
     return b.build()
@@ -206,8 +197,7 @@ def build_dense_decoder(spec: ArchSpec, head: DenseHeadSpec,
                 y = b.add(ir.upsample(factor, UpsampleMode.LEARNED_TRANSPOSED_CONV,
                                       width), [y])
             fused.append(y)
-        y = build_ida(b, fused, lambda step, lc, rc: AggNodeSpec(
-            (lc, rc), width, kernel=3))
+        y = build_ida(b, fused, AggNodeSpec(width, kernel=3))
         y = b.add(ir.conv(1, 1, 0, width, head.num_classes, has_bias=True), [y])
         y = b.add(ir.softmax(), [y])
         b.mark_output(y)

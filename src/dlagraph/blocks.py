@@ -1,8 +1,9 @@
 """Residual convolutional blocks: basic, bottleneck, and split (grouped).
 
 Every block is a subgraph ending in Add(main, skip) -> ReLU. The skip path
-is the identity when channels and resolution are preserved, otherwise a
-1x1 convolution with batch norm. Convolutions never carry a bias here
+is the identity when the block keeps its input's channels, otherwise a
+1x1 convolution with batch norm. Blocks keep their input's resolution:
+the stages downsample by max pool. Convolutions never carry a bias here
 because each one is followed by batch norm. All nodes of a block share a
 fresh block id tag.
 """
@@ -13,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from . import ir
-from .ir import ChannelMismatch, GraphBuilder, NodeId
+from .ir import GraphBuilder, NodeId
 
 
 class IndivisibleWidth(ir.GraphError):
@@ -32,7 +33,8 @@ class BlockKind(enum.Enum):
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """Channel plan for one residual block.
+    """Channel plan for one residual block; its input width is that of the
+    feature it is built on.
 
     ``mid_ratio`` divides out_channels to give the intermediate width of
     bottleneck and split blocks; ``cardinality`` is the group count of the
@@ -40,15 +42,9 @@ class BlockSpec:
     """
 
     kind: BlockKind
-    in_channels: int
     out_channels: int
-    stride: int = 1
     cardinality: int = 32
     mid_ratio: int = 2
-
-    def __post_init__(self) -> None:
-        if self.stride not in (1, 2):
-            raise ValueError("block stride must be 1 or 2, got %d" % self.stride)
 
     @property
     def mid_channels(self) -> int:
@@ -58,72 +54,30 @@ class BlockSpec:
         return self.out_channels // self.mid_ratio
 
 
-def _conv_bn(b: GraphBuilder, x: NodeId, kernel: int, stride: int,
-             in_ch: int, out_ch: int, groups: int = 1) -> NodeId:
-    c = b.add(ir.conv(kernel, stride, kernel // 2, in_ch, out_ch, groups=groups), [x])
+def _conv_bn(b: GraphBuilder, x: NodeId, kernel: int, out_ch: int, groups: int = 1) -> NodeId:
+    c = b.add(ir.conv(kernel, 1, kernel // 2, b.channels(x), out_ch, groups=groups), [x])
     return b.add(ir.batch_norm(out_ch), [c])
 
 
-def _skip_path(b: GraphBuilder, x: NodeId, spec: BlockSpec) -> NodeId:
-    if spec.in_channels == spec.out_channels and spec.stride == 1:
-        return x
-    return _conv_bn(b, x, 1, spec.stride, spec.in_channels, spec.out_channels)
-
-
-def _check_input(b: GraphBuilder, x: NodeId, spec: BlockSpec, kind: BlockKind) -> None:
-    if spec.kind != kind:
-        raise ValueError("spec kind is %s, expected %s" % (spec.kind.value, kind.value))
-    if b.channels(x) != spec.in_channels:
-        raise ChannelMismatch("block expects %d input channels, got %d"
-                              % (spec.in_channels, b.channels(x)))
-
-
-def build_basic_block(b: GraphBuilder, x: NodeId, spec: BlockSpec) -> NodeId:
-    """Two 3x3 convolutions with an identity (or projected) skip connection."""
-    _check_input(b, x, spec, BlockKind.BASIC)
-    with b.block():
-        y = _conv_bn(b, x, 3, spec.stride, spec.in_channels, spec.out_channels)
-        y = b.add(ir.relu(), [y])
-        y = _conv_bn(b, y, 3, 1, spec.out_channels, spec.out_channels)
-        skip = _skip_path(b, x, spec)
-        joined = b.add(ir.add(), [y, skip])
-        return b.add(ir.relu(), [joined])
-
-
-def _build_narrowed_block(b: GraphBuilder, x: NodeId, spec: BlockSpec, groups: int) -> NodeId:
-    mid = spec.mid_channels
-    if mid % groups:
-        raise IndivisibleGroups("mid width %d not divisible by cardinality %d" % (mid, groups))
-    with b.block():
-        y = _conv_bn(b, x, 1, 1, spec.in_channels, mid)
-        y = b.add(ir.relu(), [y])
-        y = _conv_bn(b, y, 3, spec.stride, mid, mid, groups=groups)
-        y = b.add(ir.relu(), [y])
-        y = _conv_bn(b, y, 1, 1, mid, spec.out_channels)
-        skip = _skip_path(b, x, spec)
-        joined = b.add(ir.add(), [y, skip])
-        return b.add(ir.relu(), [joined])
-
-
-def build_bottleneck_block(b: GraphBuilder, x: NodeId, spec: BlockSpec) -> NodeId:
-    """1x1 reduce, 3x3 at the narrowed width, 1x1 expand, residual join."""
-    _check_input(b, x, spec, BlockKind.BOTTLENECK)
-    return _build_narrowed_block(b, x, spec, groups=1)
-
-
-def build_split_block(b: GraphBuilder, x: NodeId, spec: BlockSpec) -> NodeId:
-    """Bottleneck variant whose 3x3 convolution is grouped into
-    ``cardinality`` separate paths."""
-    _check_input(b, x, spec, BlockKind.SPLIT)
-    return _build_narrowed_block(b, x, spec, groups=spec.cardinality)
-
-
-_BUILDERS = {
-    BlockKind.BASIC: build_basic_block,
-    BlockKind.BOTTLENECK: build_bottleneck_block,
-    BlockKind.SPLIT: build_split_block,
-}
-
-
 def build_block(b: GraphBuilder, x: NodeId, spec: BlockSpec) -> NodeId:
-    return _BUILDERS[spec.kind](b, x, spec)
+    """One residual block on ``x``. Basic: two 3x3 convolutions. Bottleneck:
+    1x1 reduce, 3x3 at the narrowed width, 1x1 expand. Split: a bottleneck
+    whose 3x3 convolution is grouped into ``cardinality`` separate paths."""
+    out = spec.out_channels
+    if spec.kind == BlockKind.BASIC:
+        layers = [(3, out, 1), (3, out, 1)]
+    else:
+        mid = spec.mid_channels
+        groups = spec.cardinality if spec.kind == BlockKind.SPLIT else 1
+        if mid % groups:
+            raise IndivisibleGroups("mid width %d not divisible by cardinality %d"
+                                    % (mid, groups))
+        layers = [(1, mid, 1), (3, mid, groups), (1, out, 1)]
+    with b.block():
+        y = _conv_bn(b, x, *layers[0])
+        for kernel, width, groups in layers[1:]:
+            y = b.add(ir.relu(), [y])
+            y = _conv_bn(b, y, kernel, width, groups)
+        skip = x if b.channels(x) == out else _conv_bn(b, x, 1, out)
+        joined = b.add(ir.add(), [y, skip])
+        return b.add(ir.relu(), [joined])

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 check or gradient failure, 2 bad argument (an
-unwritable output path included), 3 bad input shape, 4 parse error, 141
-stdout closed by its reader (the status of a process that SIGPIPE ends).
+unwritable output path included), 3 bad input shape, 4 parse error (a
+document whose own shapes conflict included), 141 stdout closed by its
+reader (the status of a process that SIGPIPE ends).
 Machine-readable output goes to stdout, diagnostics to stderr. Output
 files are written atomically.
 """
@@ -15,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import Any, Callable
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .architectures import (DenseHeadSpec, IndivisibleInput, UnknownArchitecture
                             arch_spec, build_classifier, build_dense_decoder,
                             build_toy_classifier, build_toy_dense_decoder, catalog_names)
 from .graphdoc import ParseError, parse, serialize, to_dot
-from .ir import Graph, GraphError, ShapeConflict, TensorShape, infer_node_shape, validate
+from .ir import Graph, GraphError, TensorShape, infer_node_shape, validate
 from .numerics import grad_check, init_params
 
 FMA_CONVENTION = ("fused multiply-adds of convolution, linear, and learned "
@@ -81,6 +83,21 @@ def _input_shape(graph: Graph, override: str | None) -> TensorShape:
     return infer_node_shape(graph.node(graph.inputs[0]).op, [])
 
 
+def _analyze(graph: Graph, override: str | None,
+             analysis: Callable[[Graph, TensorShape], Any]) -> tuple[TensorShape, Any]:
+    """The input shape and ``analysis(graph, shape)``. A graph that the
+    analysis rejects is a parse error (exit 4), or a bad input shape
+    (exit 3) when the shape came from ``--input``."""
+    shape = _input_shape(graph, override)
+    try:
+        return shape, analysis(graph, shape)
+    except GraphError as exc:
+        if override is not None:
+            raise IndivisibleInput("--input %s does not fit the document: %s"
+                                   % (override, exc)) from None
+        raise ParseError("document is not analyzable: %s" % exc) from None
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     spec = arch_spec(args.arch)
     shape = _parse_hwc(args.input)
@@ -102,14 +119,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     graph = _read_document(args.graph)
-    shape = _input_shape(graph, args.input)
-    try:
-        costs = cost_report(graph, shape)
-    except GraphError as exc:
-        if args.input is not None:
-            raise IndivisibleInput("--input %s does not fit the document: %s"
-                                   % (args.input, exc)) from None
-        raise ParseError("document is not analyzable: %s" % exc) from None
+    shape, costs = _analyze(graph, args.input, cost_report)
     payload = {
         "params": costs.params,
         "fmas": costs.fmas,
@@ -142,13 +152,10 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     graph = _read_document(args.graph)
+    _analyze(graph, None, infer_shapes)
     problems = [str(v) for v in validate(graph)]
     if not problems:
-        try:
-            infer_shapes(graph, _input_shape(graph, None))
-        except ShapeConflict as exc:
-            problems.append("ShapeConflict: %s" % exc)
-        problems.extend(structural_violations(graph))
+        problems = structural_violations(graph)
     for line in problems:
         print(line)
     if problems:

@@ -44,10 +44,6 @@ class ShapeConflict(GraphError):
     """Operand shapes are inconsistent with the op's attributes."""
 
 
-class ChannelMismatch(GraphError):
-    """A builder was handed a feature with the wrong channel count."""
-
-
 @dataclass(frozen=True)
 class TensorShape:
     """Extents of a dense NCHW tensor; every extent is at least 1."""
@@ -446,9 +442,6 @@ class GraphBuilder:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def shape(self, nid: NodeId) -> TensorShape:
-        return self._shapes[nid]
-
     def channels(self, nid: NodeId) -> int:
         return self._shapes[nid].channels
 
@@ -528,12 +521,10 @@ def topo_order(graph: Graph) -> list[NodeId]:
 @dataclass(frozen=True)
 class Violation:
     kind: str
-    node_id: NodeId | None
     message: str
 
     def __str__(self) -> str:
-        where = "" if self.node_id is None else " at node %d" % self.node_id
-        return "%s%s: %s" % (self.kind, where, self.message)
+        return "%s: %s" % (self.kind, self.message)
 
 
 def validate(graph: Graph) -> list[Violation]:
@@ -544,5 +535,5 @@ def validate(graph: Graph) -> list[Violation]:
     Pure: never raises for graph defects, never mutates.
     """
     if not graph.outputs:
-        return [Violation("NoOutput", None, "graph declares no outputs")]
+        return [Violation("NoOutput", "graph declares no outputs")]
     return []

@@ -80,7 +80,7 @@ def _standalone_tree(depth, extra=0):
     b = GraphBuilder()
     x = b.add_input(TensorShape(1, 8, 8, 8))
     extras = [b.add(ir.relu(), [x]) for _ in range(extra)]
-    root = build_hda(b, x, HdaSpec(depth, BlockSpec(BlockKind.BASIC, 8, 8), 8,
+    root = build_hda(b, x, HdaSpec(depth, BlockSpec(BlockKind.BASIC, 8),
                                    extra_root_inputs=tuple(extras)))
     b.mark_output(root)
     return b.build()
@@ -114,7 +114,7 @@ def test_criterion_merge_refinement():
         merged = _standalone_tree(depth)
         b = GraphBuilder()
         x = b.add_input(TensorShape(1, 8, 8, 8))
-        root = build_unmerged_hda(b, x, HdaSpec(depth, BlockSpec(BlockKind.BASIC, 8, 8), 8))
+        root = build_unmerged_hda(b, x, HdaSpec(depth, BlockSpec(BlockKind.BASIC, 8)))
         b.mark_output(root)
         unmerged = b.build()
         sm, su = structure_stats(merged), structure_stats(unmerged)

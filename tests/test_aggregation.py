@@ -3,13 +3,13 @@ import pytest
 
 from dlagraph import ir
 from dlagraph.aggregation import (AggNodeSpec, DepthOutOfRange, EmptyInput, HdaSpec,
-                                  ResidualChannelMismatch, SpatialMismatch,
-                                  build_aggregation_node, build_hda, build_ida,
+                                  ResidualChannelMismatch, build_aggregation_node,
+                                  build_hda, build_ida,
                                   build_unmerged_hda, structure_of_hda)
 from dlagraph.analysis import count_params, structure_stats
 from dlagraph.blocks import BlockKind, BlockSpec
 from dlagraph.graphdoc import serialize
-from dlagraph.ir import ChannelMismatch, GraphBuilder, OpKind, TensorShape
+from dlagraph.ir import GraphBuilder, OpKind, ShapeConflict, TensorShape
 from dlagraph.numerics import Mode, backward, forward, init_params
 
 
@@ -21,7 +21,7 @@ def fresh(channels=64, hw=8, count=1):
 
 def test_node_parameter_count_two_inputs():
     b, (x1, x2) = fresh(64, count=2)
-    out = build_aggregation_node(b, [x1, x2], AggNodeSpec((64, 64), 64, kernel=1))
+    out = build_aggregation_node(b, [x1, x2], AggNodeSpec(64, kernel=1))
     b.mark_output(out)
     # 1x1 conv over the 128-channel concat plus one batch norm over 64
     assert count_params(b.build()) == 1 * 1 * 128 * 64 + 2 * 64
@@ -30,7 +30,7 @@ def test_node_parameter_count_two_inputs():
 def test_residual_node_adds_the_last_input():
     b, (x1, x2, x3) = fresh(256, count=3)
     out = build_aggregation_node(b, [x1, x2, x3],
-                                 AggNodeSpec((256, 256, 256), 256, residual=True))
+                                 AggNodeSpec(256, residual=True))
     g = b.build()
     adds = [n for n in g.nodes if n.op.kind == OpKind.ADD]
     assert len(adds) == 1
@@ -40,37 +40,32 @@ def test_residual_node_adds_the_last_input():
 def test_residual_channel_mismatch():
     b, (x1, x2) = fresh(128, count=2)
     with pytest.raises(ResidualChannelMismatch):
-        build_aggregation_node(b, [x1, x2], AggNodeSpec((128, 128), 256, residual=True))
+        build_aggregation_node(b, [x1, x2], AggNodeSpec(256, residual=True))
 
 
 def test_spatial_mismatch():
     b = GraphBuilder()
     x1 = b.add_input(TensorShape(1, 64, 8, 8))
     x2 = b.add_input(TensorShape(1, 64, 4, 4))
-    with pytest.raises(SpatialMismatch):
-        build_aggregation_node(b, [x1, x2], AggNodeSpec((64, 64), 64))
+    before = len(b)
+    with pytest.raises(ShapeConflict):
+        build_aggregation_node(b, [x1, x2], AggNodeSpec(64))
+    assert len(b) == before
 
 
-def test_declared_channels_must_match():
-    b, (x1, x2) = fresh(64, count=2)
-    with pytest.raises(ChannelMismatch):
-        build_aggregation_node(b, [x1, x2], AggNodeSpec((64, 32), 64))
-
-
-def binary_spec(step, left, right):
-    return AggNodeSpec((left, right), left, kernel=1)
+BINARY_SPEC = AggNodeSpec(64, kernel=1)
 
 
 def test_ida_single_feature_is_identity():
     b, (x1,) = fresh()
     before = len(b)
-    assert build_ida(b, [x1], binary_spec) == x1
+    assert build_ida(b, [x1], BINARY_SPEC) == x1
     assert len(b) == before
 
 
 def test_ida_three_features_folds_left():
     b, (x1, x2, x3) = fresh(count=3)
-    out = build_ida(b, [x1, x2, x3], binary_spec)
+    out = build_ida(b, [x1, x2, x3], BINARY_SPEC)
     b.mark_output(out)
     g = b.build()
     concats = [n for n in g.nodes if n.op.kind == OpKind.CONCAT]
@@ -83,7 +78,7 @@ def test_ida_three_features_folds_left():
 def test_ida_empty_input():
     b, _ = fresh()
     with pytest.raises(EmptyInput):
-        build_ida(b, [], binary_spec)
+        build_ida(b, [], BINARY_SPEC)
 
 
 def hda_graph(depth, channels=8, residual=False, extra=0, hw=8):
@@ -92,8 +87,7 @@ def hda_graph(depth, channels=8, residual=False, extra=0, hw=8):
     extras = [b.add(ir.relu(), [x]) for _ in range(extra)]
     root = build_hda(b, x, HdaSpec(
         depth=depth,
-        block=BlockSpec(BlockKind.BASIC, channels, channels),
-        out_channels=channels,
+        block=BlockSpec(BlockKind.BASIC, channels),
         extra_root_inputs=tuple(extras),
         residual_nodes=residual,
     ))
@@ -146,20 +140,14 @@ def test_structure_of_hda_rejects_bad_depths():
 def test_build_hda_rejects_bad_depth():
     b, (x,) = fresh(8)
     with pytest.raises(DepthOutOfRange):
-        build_hda(b, x, HdaSpec(0, BlockSpec(BlockKind.BASIC, 8, 8), 8))
-
-
-def test_build_hda_checks_template_channels():
-    b, (x,) = fresh(8)
-    with pytest.raises(ChannelMismatch):
-        build_hda(b, x, HdaSpec(1, BlockSpec(BlockKind.BASIC, 16, 16), 16))
+        build_hda(b, x, HdaSpec(0, BlockSpec(BlockKind.BASIC, 8)))
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_unmerged_tree_has_one_node_per_pair(depth):
     b = GraphBuilder()
     x = b.add_input(TensorShape(1, 8, 8, 8))
-    root = build_unmerged_hda(b, x, HdaSpec(depth, BlockSpec(BlockKind.BASIC, 8, 8), 8))
+    root = build_unmerged_hda(b, x, HdaSpec(depth, BlockSpec(BlockKind.BASIC, 8)))
     b.mark_output(root)
     stats = structure_stats(b.build())
     assert stats.blocks == 2 ** depth
@@ -170,7 +158,7 @@ def test_merged_and_unmerged_trees_share_block_structure():
     merged = hda_graph(3)
     b = GraphBuilder()
     x = b.add_input(TensorShape(1, 8, 8, 8))
-    root = build_unmerged_hda(b, x, HdaSpec(3, BlockSpec(BlockKind.BASIC, 8, 8), 8))
+    root = build_unmerged_hda(b, x, HdaSpec(3, BlockSpec(BlockKind.BASIC, 8)))
     b.mark_output(root)
     unmerged = b.build()
 
@@ -187,10 +175,10 @@ def test_merged_and_unmerged_trees_share_block_structure():
 
 def test_root_argument_order_is_structural():
     b1, (x1, y1) = fresh(16, count=2)
-    out = build_aggregation_node(b1, [x1, y1], AggNodeSpec((16, 16), 16))
+    out = build_aggregation_node(b1, [x1, y1], AggNodeSpec(16))
     b1.mark_output(out)
     b2, (x2, y2) = fresh(16, count=2)
-    out = build_aggregation_node(b2, [y2, x2], AggNodeSpec((16, 16), 16))
+    out = build_aggregation_node(b2, [y2, x2], AggNodeSpec(16))
     b2.mark_output(out)
     assert serialize(b1.build()) != serialize(b2.build())
 

@@ -89,7 +89,7 @@ def test_cost_report_stage_breakdown_sums_to_totals():
 def test_structure_stats_standalone_tree_matches_prediction():
     b = GraphBuilder()
     x = b.add_input(TensorShape(1, 8, 8, 8))
-    root = build_hda(b, x, HdaSpec(3, BlockSpec(BlockKind.BASIC, 8, 8), 8))
+    root = build_hda(b, x, HdaSpec(3, BlockSpec(BlockKind.BASIC, 8)))
     b.mark_output(root)
     stats = structure_stats(b.build())
     assert stats.blocks == 8

@@ -17,17 +17,10 @@ def _load_workloads(monkeypatch):
     return workloads
 
 
-@pytest.mark.parametrize("name", ["toy-train", "toy-gradcheck"])
-def test_toy_workloads_reproduce_the_benchmark_references(name, tmp_path, monkeypatch):
-    # The benchmark counts an op whose float64 bits differ from refs.json as
-    # failed; replaying one op per case keeps an inexact kernel rewrite from
-    # reaching the benchmark unnoticed.
-    workloads = _load_workloads(monkeypatch)
+def _mismatched_cases(workloads, name, scratch):
+    """Cases whose first op observes differently from refs.json."""
     stored = json.loads((BENCH / "refs.json").read_text())
-    here = workloads.host()
-    if here != stored["host"]:
-        pytest.skip("refs.json was recorded on %s, this host is %s" % (stored["host"], here))
-    wl = workloads.make(name, str(tmp_path))
+    wl = workloads.make(name, scratch)
     state = wl.setup()
     try:
         mismatched = []
@@ -38,4 +31,24 @@ def test_toy_workloads_reproduce_the_benchmark_references(name, tmp_path, monkey
                 mismatched.append(case)
     finally:
         wl.close(state)
-    assert mismatched == []
+    return mismatched
+
+
+def test_static_catalog_reproduces_the_benchmark_references(tmp_path, monkeypatch):
+    # Documents, DOT, check and report output hold no floats, so they are
+    # the same on every host: every catalog document must stay byte-identical.
+    workloads = _load_workloads(monkeypatch)
+    assert _mismatched_cases(workloads, "static-catalog", str(tmp_path)) == []
+
+
+@pytest.mark.parametrize("name", ["toy-train", "toy-gradcheck"])
+def test_toy_workloads_reproduce_the_benchmark_references(name, tmp_path, monkeypatch):
+    # The benchmark counts an op whose float64 bits differ from refs.json as
+    # failed; replaying one op per case keeps an inexact kernel rewrite from
+    # reaching the benchmark unnoticed.
+    workloads = _load_workloads(monkeypatch)
+    stored = json.loads((BENCH / "refs.json").read_text())
+    here = workloads.host()
+    if here != stored["host"]:
+        pytest.skip("refs.json was recorded on %s, this host is %s" % (stored["host"], here))
+    assert _mismatched_cases(workloads, name, str(tmp_path)) == []

@@ -2,15 +2,13 @@ import pytest
 
 from dlagraph.analysis import count_params, infer_shapes
 from dlagraph.blocks import (BlockKind, BlockSpec, IndivisibleGroups, IndivisibleWidth,
-                             build_basic_block, build_block, build_bottleneck_block,
-                             build_split_block)
-from dlagraph.ir import ChannelMismatch, GraphBuilder, OpKind, TensorShape
+                             build_block)
+from dlagraph.ir import GraphBuilder, OpKind, TensorShape
 
 
-def build_lone_block(spec, in_shape=None):
+def build_lone_block(spec, in_channels):
     b = GraphBuilder()
-    shape = in_shape or TensorShape(1, spec.in_channels, 16, 16)
-    x = b.add_input(shape)
+    x = b.add_input(TensorShape(1, in_channels, 16, 16))
     out = build_block(b, x, spec)
     b.mark_output(out)
     return b.build(), out
@@ -22,58 +20,36 @@ def block_param_count(graph):
 
 
 def test_basic_block_identity_skip_parameter_count():
-    g, _ = build_lone_block(BlockSpec(BlockKind.BASIC, 64, 64, stride=1))
+    g, _ = build_lone_block(BlockSpec(BlockKind.BASIC, 64), 64)
     # two 3x3 convs and two batch norms: 2*(3*3*64*64) + 2*(2*64)
     assert block_param_count(g) == 73_984
     assert sum(1 for n in g.nodes if n.op.kind == OpKind.CONV) == 2
 
 
-def test_basic_block_strided_projection_halves_extent():
-    spec = BlockSpec(BlockKind.BASIC, 64, 128, stride=2)
-    g, out = build_lone_block(spec)
-    shapes = infer_shapes(g, TensorShape(1, 64, 16, 16))
-    assert shapes[out] == TensorShape(1, 128, 8, 8)
-    assert sum(1 for n in g.nodes if n.op.kind == OpKind.CONV) == 3  # projection skip
-
-
 def test_basic_block_channel_change_forces_projection():
-    g, _ = build_lone_block(BlockSpec(BlockKind.BASIC, 16, 32, stride=1))
+    g, _ = build_lone_block(BlockSpec(BlockKind.BASIC, 32), 16)
     assert sum(1 for n in g.nodes if n.op.kind == OpKind.CONV) == 3
 
 
-def test_block_rejects_wrong_input_channels():
-    b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 32, 8, 8))
-    with pytest.raises(ChannelMismatch):
-        build_basic_block(b, x, BlockSpec(BlockKind.BASIC, 64, 64))
-
-
 def test_bottleneck_mid_width_is_half_by_default():
-    spec = BlockSpec(BlockKind.BOTTLENECK, 128, 128)
+    spec = BlockSpec(BlockKind.BOTTLENECK, 128)
     assert spec.mid_channels == 64
-    g, _ = build_lone_block(spec)
+    g, _ = build_lone_block(spec, 128)
     mids = [n.op.attrs["out_channels"] for n in g.nodes
             if n.op.kind == OpKind.CONV and n.op.attrs["kernel"] == 3]
     assert mids == [64]
-
-
-def test_bottleneck_strided_projection():
-    spec = BlockSpec(BlockKind.BOTTLENECK, 64, 256, stride=2)
-    g, out = build_lone_block(spec)
-    shapes = infer_shapes(g, TensorShape(1, 64, 16, 16))
-    assert shapes[out] == TensorShape(1, 256, 8, 8)
 
 
 def test_bottleneck_indivisible_width():
     b = GraphBuilder()
     x = b.add_input(TensorShape(1, 64, 8, 8))
     with pytest.raises(IndivisibleWidth):
-        build_bottleneck_block(b, x, BlockSpec(BlockKind.BOTTLENECK, 64, 130, mid_ratio=4))
+        build_block(b, x, BlockSpec(BlockKind.BOTTLENECK, 130, mid_ratio=4))
 
 
 def test_split_block_grouped_conv_parameters():
-    spec = BlockSpec(BlockKind.SPLIT, 128, 128, cardinality=32, mid_ratio=2)
-    g, _ = build_lone_block(spec)
+    spec = BlockSpec(BlockKind.SPLIT, 128, cardinality=32, mid_ratio=2)
+    g, _ = build_lone_block(spec, 128)
     grouped = [n for n in g.nodes
                if n.op.kind == OpKind.CONV and n.op.attrs["groups"] == 32]
     assert len(grouped) == 1
@@ -85,46 +61,39 @@ def test_split_block_indivisible_groups():
     b = GraphBuilder()
     x = b.add_input(TensorShape(1, 96, 8, 8))
     with pytest.raises(IndivisibleGroups):
-        build_split_block(b, x, BlockSpec(BlockKind.SPLIT, 96, 96, cardinality=32))
+        build_block(b, x, BlockSpec(BlockKind.SPLIT, 96, cardinality=32))
 
 
 def test_split_with_cardinality_one_matches_bottleneck_parameters():
-    split, _ = build_lone_block(BlockSpec(BlockKind.SPLIT, 64, 128, cardinality=1))
-    bottleneck, _ = build_lone_block(BlockSpec(BlockKind.BOTTLENECK, 64, 128))
+    split, _ = build_lone_block(BlockSpec(BlockKind.SPLIT, 128, cardinality=1), 64)
+    bottleneck, _ = build_lone_block(BlockSpec(BlockKind.BOTTLENECK, 128), 64)
     assert block_param_count(split) == block_param_count(bottleneck)
 
 
 def test_split_cheaper_than_bottleneck_at_same_mid_ratio():
-    split, _ = build_lone_block(BlockSpec(BlockKind.SPLIT, 64, 128, cardinality=32,
-                                          mid_ratio=2))
-    bottleneck, _ = build_lone_block(BlockSpec(BlockKind.BOTTLENECK, 64, 128, mid_ratio=2))
+    split, _ = build_lone_block(BlockSpec(BlockKind.SPLIT, 128, cardinality=32, mid_ratio=2),
+                                64)
+    bottleneck, _ = build_lone_block(BlockSpec(BlockKind.BOTTLENECK, 128, mid_ratio=2), 64)
     assert block_param_count(split) < block_param_count(bottleneck)
 
 
-@pytest.mark.parametrize("spec", [
-    BlockSpec(BlockKind.BASIC, 16, 32, stride=2),
-    BlockSpec(BlockKind.BOTTLENECK, 16, 32),
-    BlockSpec(BlockKind.SPLIT, 32, 32, cardinality=8, mid_ratio=2),
-])
-def test_every_block_has_one_residual_add_with_matching_shapes(spec):
-    g, _ = build_lone_block(spec)
-    shapes = infer_shapes(g, TensorShape(1, spec.in_channels, 16, 16))
+@pytest.mark.parametrize("in_channels,spec", [
+    (16, BlockSpec(BlockKind.BASIC, 32)),
+    (16, BlockSpec(BlockKind.BOTTLENECK, 32)),
+    (32, BlockSpec(BlockKind.SPLIT, 32, cardinality=8, mid_ratio=2)),
+], ids=["spec0", "spec1", "spec2"])
+def test_every_block_has_one_residual_add_with_matching_shapes(in_channels, spec):
+    g, out = build_lone_block(spec, in_channels)
+    shapes = infer_shapes(g, TensorShape(1, in_channels, 16, 16))
     adds = [n for n in g.nodes if n.op.kind == OpKind.ADD]
     assert len(adds) == 1
     a, b = adds[0].inputs
     assert shapes[a] == shapes[b]
-
-
-@pytest.mark.parametrize("stride", [1, 2])
-def test_block_output_extent_follows_stride(stride):
-    spec = BlockSpec(BlockKind.BOTTLENECK, 32, 32, stride=stride)
-    g, out = build_lone_block(spec)
-    shapes = infer_shapes(g, TensorShape(1, 32, 16, 16))
-    assert shapes[out].spatial == (16 // stride, 16 // stride)
+    assert shapes[out] == TensorShape(1, spec.out_channels, 16, 16)
 
 
 def test_block_nodes_share_one_block_tag():
-    g, _ = build_lone_block(BlockSpec(BlockKind.BASIC, 16, 16))
+    g, _ = build_lone_block(BlockSpec(BlockKind.BASIC, 16), 16)
     tagged = {n.tags.block_id for n in g.nodes if n.tags.block_id is not None}
     assert len(tagged) == 1
     untagged_kinds = {n.op.kind for n in g.nodes if n.tags.block_id is None}

@@ -102,9 +102,10 @@ def test_check_flags_edited_channel_attribute(capsys, doc_path, tmp_path):
     conv["attrs"]["out_channels"] += 1
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "check", str(edited))
-    assert code == 1
-    assert "ShapeConflict" in out
+    code, out, err = run(capsys, "check", str(edited))
+    assert code == 4
+    assert out == ""
+    assert "not analyzable" in err
 
 
 def test_check_flags_edited_structure_tag(capsys, doc_path, tmp_path):
@@ -285,6 +286,13 @@ def _bool_input_id(doc):
     doc["nodes"][1]["inputs"] = [False]
 
 
+def _all(*mutations):
+    def mutate(doc):
+        for m in mutations:
+            m(doc)
+    return mutate
+
+
 # (document, mutation, exit codes of check, report and export-dot)
 MUTATIONS = {
     "conv-groups-0": ("DLA-34", _set_attr("Conv", "groups", 0), (4, 4, 4)),
@@ -309,6 +317,10 @@ MUTATIONS = {
     "metadata-input-shape-malformed": ("decoder", _set_metadata_input_shape(224), (0, 0, 0)),
     "input-id-bool": ("DLA-34", _bool_input_id, (4, 4, 4)),
     "output-id-bool": ("decoder", _set_doc("outputs", [True]), (4, 4, 4)),
+    "batchnorm-channels-257": ("DLA-34", _set_attr("BatchNorm", "channels", 257), (4, 4, 0)),
+    "outputs-empty-batchnorm-channels-257": (
+        "decoder", _all(_set_doc("outputs", []), _set_attr("BatchNorm", "channels", 257)),
+        (4, 4, 0)),
 }
 
 

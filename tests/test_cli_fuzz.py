@@ -3,8 +3,9 @@
 Each mutant of a catalog document goes through ``check``, ``report`` and
 ``export-dot`` in-process. Whatever the mutation, no command may raise or
 print a traceback, every exit code is a documented one, a document that
-``check`` accepts is one that the other commands handle, and a document
-that fails to parse fails to parse for every command.
+``check`` accepts is one that the other commands handle, a document that
+fails to parse fails to parse for every command, and ``check`` and
+``report`` agree on whether a document can be analyzed.
 """
 
 import copy
@@ -159,4 +160,7 @@ def test_mutated_documents_keep_exit_codes_consistent(capsys, documents, name):
             failures.append("%d %s: check accepts, yet codes %r" % (k, what, codes))
         elif codes["export-dot"] == 4 and (codes["check"], codes["report"]) != (4, 4):
             failures.append("%d %s: does not parse, yet codes %r" % (k, what, codes))
+        elif (codes["check"] == 4) != (codes["report"] == 4):
+            failures.append("%d %s: analyzable to one command only, codes %r"
+                            % (k, what, codes))
     assert not failures, "\n".join(failures)

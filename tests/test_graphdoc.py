@@ -119,7 +119,7 @@ def test_dot_export_full_graph_is_well_formed():
 def test_dot_collapsed_hda_has_expected_vertices():
     b = GraphBuilder()
     x = b.add_input(TensorShape(1, 8, 8, 8))
-    root = build_hda(b, x, HdaSpec(2, BlockSpec(BlockKind.BASIC, 8, 8), 8))
+    root = build_hda(b, x, HdaSpec(2, BlockSpec(BlockKind.BASIC, 8)))
     b.mark_output(root)
     text = to_dot(b.build(), collapse="blocks")
     assert_valid_dot(text)

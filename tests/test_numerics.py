@@ -216,7 +216,7 @@ def test_zeroed_residual_node_is_identity_in_eval_mode():
     b = GraphBuilder()
     x1 = b.add_input(TensorShape(1, 4, 4, 4))
     x2 = b.add_input(TensorShape(1, 4, 4, 4))
-    out = build_aggregation_node(b, [x1, x2], AggNodeSpec((4, 4), 4, residual=True))
+    out = build_aggregation_node(b, [x1, x2], AggNodeSpec(4, residual=True))
     b.mark_output(out)
     g = b.build()
     params = init_params(g, 0)
