@@ -14,7 +14,6 @@ back into the backbone and whose same-depth nodes are merged, giving
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -184,7 +183,5 @@ def structure_of_hda(depth: int) -> HdaStructure:
     the path from any block output to the root. The fan-in equals
     floor(log2(blocks)) + 1, logarithmic in the block count."""
     _check_depth(depth)
-    blocks = 2 ** depth
-    assert depth + 1 == int(math.log2(blocks)) + 1
-    return HdaStructure(blocks=blocks, agg_nodes=2 ** (depth - 1),
+    return HdaStructure(blocks=2 ** depth, agg_nodes=2 ** (depth - 1),
                         root_fanin=depth + 1, max_path_blocks=depth)

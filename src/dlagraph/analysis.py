@@ -3,7 +3,7 @@ fused-multiply-add accounting, and structural statistics.
 
 Cost conventions: parameters count learnable scalars only (batch-norm
 running statistics are excluded); FMAs count convolution, linear, and
-learned-upsampling arithmetic at batch size 1, while normalization,
+learned-upsampling arithmetic for one sample, while normalization,
 activations, pooling, and concatenation contribute zero.
 """
 
@@ -27,8 +27,8 @@ class MissingTags(ir.GraphError):
 def infer_shapes(graph: Graph, input_shape: TensorShape) -> ShapeMap:
     """Shape of every node given the single graph input's shape.
 
-    Raises ShapeConflict when an operand combination is inconsistent,
-    which signals a builder bug or a hand-edited document.
+    Every graph fits the extents its Input node declares; raises
+    ShapeConflict when ``input_shape`` is other extents that do not fit.
     """
     if len(graph.inputs) != 1:
         raise ir.ShapeConflict("expected exactly one graph input, found %d"
@@ -53,7 +53,7 @@ def count_params(graph: Graph) -> int:
 
 
 def node_fmas(node: GraphNode, out_shape: TensorShape) -> int:
-    """Fused multiply-adds of one node at batch size 1: its weight is
+    """Fused multiply-adds of one node for one sample: its weight is
     applied once per output pixel."""
     weight = param_shapes(node.op).get("weight")
     return 0 if weight is None else out_shape.height * out_shape.width * math.prod(weight)

@@ -210,7 +210,7 @@ def list_architectures(num_classes: int = 1000,
     """All catalog entries in table order with their learnable-parameter
     counts for ``num_classes``-way classification."""
     if input_shape is None:
-        input_shape = TensorShape(1, 3, 224, 224)
+        input_shape = TensorShape(3, 224, 224)
     out = []
     for spec in _CATALOG:
         graph = build_classifier(spec, num_classes, input_shape)
@@ -253,7 +253,7 @@ def build_toy_classifier(name: str, width_cap: int, input_hw: int,
     pixel, so a 16x16 input is enough to exercise all six stages.
     """
     spec = toy_spec(arch_spec(name), width_cap)
-    shape = TensorShape(1, 3, input_hw, input_hw)
+    shape = TensorShape(3, input_hw, input_hw)
     return build_classifier(spec, num_classes, shape, _strict_input=False)
 
 
@@ -264,5 +264,5 @@ def build_toy_dense_decoder(name: str, width_cap: int, input_hw: int,
     spec = toy_spec(arch_spec(name), width_cap)
     head = DenseHeadSpec(num_classes=num_classes,
                          project_channels=min(32, width_cap))
-    shape = TensorShape(1, 3, input_hw, input_hw)
+    shape = TensorShape(3, input_hw, input_hw)
     return build_dense_decoder(spec, head, shape)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 1 check or gradient failure, 2 bad argument (an
 unwritable output path included), 3 bad input shape, 4 parse error (a
-document whose own shapes conflict included), 141 stdout closed by its
-reader (the status of a process that SIGPIPE ends).
+document whose own shapes conflict, or that holds more than one Input node,
+included), 141 stdout closed by its reader (the status of a process that
+SIGPIPE ends).
 Machine-readable output goes to stdout, diagnostics to stderr. Output
 files are written atomically.
 """
@@ -16,18 +17,16 @@ import math
 import os
 import sys
 import tempfile
-from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
-from .analysis import (MissingTags, cost_report, infer_shapes, structural_violations,
-                       structure_stats)
+from .analysis import MissingTags, cost_report, structural_violations, structure_stats
 from .architectures import (DenseHeadSpec, IndivisibleInput, UnknownArchitecture,
                             arch_spec, build_classifier, build_dense_decoder,
                             build_toy_classifier, build_toy_dense_decoder, catalog_names)
 from .graphdoc import ParseError, parse, serialize, to_dot
-from .ir import Graph, GraphError, TensorShape, infer_node_shape, validate
+from .ir import Graph, ShapeConflict, TensorShape, infer_node_shape, validate
 from .numerics import grad_check, init_params
 
 FMA_CONVENTION = ("fused multiply-adds of convolution, linear, and learned "
@@ -44,7 +43,7 @@ def _parse_hwc(text: str) -> TensorShape:
     if len(parts) != 3:
         raise ValueError("expected HxWxC, got %r" % text)
     h, w, c = (int(p) for p in parts)
-    return TensorShape(1, c, h, w)
+    return TensorShape(c, h, w)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -75,29 +74,6 @@ def _read_document(path: str) -> Graph:
     return parse(text)[0]
 
 
-def _input_shape(graph: Graph, override: str | None) -> TensorShape:
-    """The --input override, else the extents the graph's Input node
-    declares; the document's metadata is not consulted."""
-    if override is not None:
-        return _parse_hwc(override)
-    return infer_node_shape(graph.node(graph.inputs[0]).op, [])
-
-
-def _analyze(graph: Graph, override: str | None,
-             analysis: Callable[[Graph, TensorShape], Any]) -> tuple[TensorShape, Any]:
-    """The input shape and ``analysis(graph, shape)``. A graph that the
-    analysis rejects is a parse error (exit 4), or a bad input shape
-    (exit 3) when the shape came from ``--input``."""
-    shape = _input_shape(graph, override)
-    try:
-        return shape, analysis(graph, shape)
-    except GraphError as exc:
-        if override is not None:
-            raise IndivisibleInput("--input %s does not fit the document: %s"
-                                   % (override, exc)) from None
-        raise ParseError("document is not analyzable: %s" % exc) from None
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     spec = arch_spec(args.arch)
     shape = _parse_hwc(args.input)
@@ -119,7 +95,14 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     graph = _read_document(args.graph)
-    shape, costs = _analyze(graph, args.input, cost_report)
+    # the --input override, else the Input node's extents, never the metadata
+    shape = (infer_node_shape(graph.node(graph.inputs[0]).op, []) if args.input is None
+             else _parse_hwc(args.input))
+    try:
+        costs = cost_report(graph, shape)
+    except ShapeConflict as exc:  # a parsed document fits its declared extents
+        raise IndivisibleInput("--input %s does not fit the document: %s"
+                               % (args.input, exc)) from None
     payload = {
         "params": costs.params,
         "fmas": costs.fmas,
@@ -152,10 +135,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     graph = _read_document(args.graph)
-    _analyze(graph, None, infer_shapes)
-    problems = [str(v) for v in validate(graph)]
-    if not problems:
-        problems = structural_violations(graph)
+    problems = validate(graph) or structural_violations(graph)
     for line in problems:
         print(line)
     if problems:

@@ -2,7 +2,9 @@
 
 Documents are canonical JSON: keys sorted, two-space indent, nodes listed
 by ascending id. Serializing a graph twice yields identical bytes, and
-parse followed by serialize is byte-idempotent.
+parse followed by serialize is byte-idempotent. A document holds exactly one
+Input node, and, being a ``Graph``, is shape-consistent at the extents that
+node declares, so every document that parses can be analyzed.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .ir import ArityMismatch, Graph, GraphNode, OpKind, PrimOp, Tags, UnknownInput
+from .ir import Graph, GraphError, GraphNode, OpKind, PrimOp, Tags
 
 FORMAT_VERSION = "1"
 
@@ -78,7 +80,7 @@ def _parse_node(record: Any, position: int) -> GraphNode:
     try:
         return GraphNode(record["id"], PrimOp(OpKind(record["kind"]), dict(attrs)),
                          tuple(inputs), tags)
-    except (ValueError, UnknownInput, ArityMismatch) as exc:
+    except (ValueError, GraphError) as exc:
         raise ParseError("node %d: %s" % (position, exc)) from None
 
 
@@ -100,8 +102,9 @@ def parse(text: str) -> tuple[Graph, dict[str, Any]]:
         _expect(isinstance(doc[key], list), "%s list is not a list of node ids" % key)
     try:
         graph = Graph(nodes, tuple(doc["inputs"]), tuple(doc["outputs"]))
-    except UnknownInput as exc:
+    except GraphError as exc:
         raise ParseError(str(exc)) from None
+    _expect(len(graph.inputs) == 1, "document has %d Input nodes, not one" % len(graph.inputs))
     return graph, dict(doc["metadata"])
 
 

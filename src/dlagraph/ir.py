@@ -4,11 +4,13 @@ A ``Graph`` is an immutable directed acyclic multigraph of primitive tensor
 operations. Node ids are dense integers assigned in construction order, and
 every input id is below its node's id, so the id order is already a
 topological order. Every node takes as many inputs as its kind allows, so
-node 0 is an Input and every node is reachable from an Input. Construction
-rejects any graph for which this fails; ``validate`` checks only what it
-leaves open, that the graph declares an output. ``GraphBuilder`` is the
-single-writer construction API; built graphs are safe to share between any
-number of readers.
+node 0 is an Input and every node is reachable from an Input, and every
+node's shape rule holds from the extents its graph's Input nodes declare.
+Construction rejects any graph for which this fails; ``validate`` checks
+only what it leaves open, that the graph declares an output. Static shapes
+are one sample's CHW extents; the batch extent is the executor's. The
+``GraphBuilder`` is the single-writer construction API; built graphs are
+safe to share between any number of readers.
 
 What each op kind means statically is one ``OpDef`` entry in ``OPS``: its
 attribute schema, arity, shape rule, learnable-tensor shapes and DOT label.
@@ -46,15 +48,15 @@ class ShapeConflict(GraphError):
 
 @dataclass(frozen=True)
 class TensorShape:
-    """Extents of a dense NCHW tensor; every extent is at least 1."""
+    """Extents of one sample of a dense NCHW tensor, its CHW; every extent
+    is at least 1. No op changes the batch extent, so shapes omit it."""
 
-    batch: int
     channels: int
     height: int
     width: int
 
     def __post_init__(self) -> None:
-        for name in ("batch", "channels", "height", "width"):
+        for name in ("channels", "height", "width"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1, got %d" % (name, getattr(self, name)))
 
@@ -108,14 +110,14 @@ def _conv_shape(a: dict[str, Any], s: TensorShape) -> TensorShape:
     oh, ow = window_out_hw(s.height, s.width, a["kernel"], a["stride"], a["padding"])
     if oh < 1 or ow < 1:
         raise ShapeConflict("conv output collapses to zero extent")
-    return TensorShape(s.batch, a["out_channels"], oh, ow)
+    return TensorShape(a["out_channels"], oh, ow)
 
 
 def _max_pool_shape(a: dict[str, Any], s: TensorShape) -> TensorShape:
     oh, ow = window_out_hw(s.height, s.width, a["kernel"], a["stride"], 0, a["ceil_mode"])
     if oh < 1 or ow < 1:
         raise ShapeConflict("pool output collapses to zero extent")
-    return TensorShape(s.batch, s.channels, oh, ow)
+    return TensorShape(s.channels, oh, ow)
 
 
 def _linear_shape(a: dict[str, Any], s: TensorShape) -> TensorShape:
@@ -124,15 +126,14 @@ def _linear_shape(a: dict[str, Any], s: TensorShape) -> TensorShape:
     if s.channels != a["in_features"]:
         raise ShapeConflict("linear expects %d features, got %d"
                             % (a["in_features"], s.channels))
-    return TensorShape(s.batch, a["out_features"], 1, 1)
+    return TensorShape(a["out_features"], 1, 1)
 
 
 def _concat_shape(a: dict[str, Any], *shapes: TensorShape) -> TensorShape:
     first = shapes[0]
-    for s in shapes[1:]:
-        if (s.batch, s.height, s.width) != (first.batch, first.height, first.width):
-            raise ShapeConflict("concat operands disagree outside the channel axis")
-    return TensorShape(first.batch, sum(s.channels for s in shapes), first.height, first.width)
+    if any(s.spatial != first.spatial for s in shapes[1:]):
+        raise ShapeConflict("concat operands disagree outside the channel axis")
+    return TensorShape(sum(s.channels for s in shapes), first.height, first.width)
 
 
 def _add_shape(a: dict[str, Any], left: TensorShape, right: TensorShape) -> TensorShape:
@@ -144,7 +145,7 @@ def _add_shape(a: dict[str, Any], left: TensorShape, right: TensorShape) -> Tens
 def _upsample_shape(a: dict[str, Any], s: TensorShape) -> TensorShape:
     _expect_channels("upsample", a["channels"], s)
     f = a["factor"]
-    return TensorShape(s.batch, s.channels, s.height * f, s.width * f)
+    return TensorShape(s.channels, s.height * f, s.width * f)
 
 
 # Learnable-tensor rules: attrs -> {name: shape}. A "weight" is applied
@@ -214,7 +215,7 @@ OPS: dict[OpKind, OpDef] = {
         shape=_max_pool_shape,
         label=lambda a: "MaxPool %dx%d s%d" % (a["kernel"], a["kernel"], a["stride"])),
     OpKind.GLOBAL_AVG_POOL: OpDef(
-        attrs={}, shape=lambda a, s: TensorShape(s.batch, s.channels, 1, 1)),
+        attrs={}, shape=lambda a, s: TensorShape(s.channels, 1, 1)),
     OpKind.LINEAR: OpDef(
         attrs={"in_features": _COUNT, "out_features": _COUNT, "has_bias": _FLAG},
         shape=_linear_shape,
@@ -231,7 +232,7 @@ OPS: dict[OpKind, OpDef] = {
     OpKind.SOFTMAX: OpDef(attrs={"axis": _CHANNEL_AXIS}),
     OpKind.INPUT: OpDef(
         attrs={"channels": _COUNT, "height": _COUNT, "width": _COUNT},
-        shape=lambda a: TensorShape(1, a["channels"], a["height"], a["width"]),
+        shape=lambda a: TensorShape(a["channels"], a["height"], a["width"]),
         label=lambda a: "Input %dx%dx%d" % (a["channels"], a["height"], a["width"]),
         min_inputs=0, max_inputs=0),
     OpKind.OUTPUT: OpDef(attrs={}),
@@ -376,7 +377,9 @@ class GraphNode:
 class Graph:
     """Immutable multigraph; input argument order is preserved verbatim.
     Construction raises UnknownInput unless ``nodes[i].id == i``, ``inputs``
-    lists the Input node ids in id order, and every output id names a node."""
+    lists the Input node ids in id order, and every output id names a node,
+    then ShapeConflict unless every node's shape rule holds in id order from
+    the extents each Input node declares."""
 
     nodes: tuple[GraphNode, ...]
     inputs: tuple[NodeId, ...]
@@ -392,6 +395,12 @@ class Graph:
                                % (self.inputs, input_ids))
         if not all(type(o) is int and 0 <= o < len(self.nodes) for o in self.outputs):
             raise UnknownInput("output ids %r do not all name a node" % (self.outputs,))
+        shapes: list[TensorShape] = []
+        for node in self.nodes:
+            try:
+                shapes.append(infer_node_shape(node.op, [shapes[i] for i in node.inputs]))
+            except ShapeConflict as exc:
+                raise ShapeConflict("node %d: %s" % (node.id, exc)) from None
 
     def node(self, nid: NodeId) -> GraphNode:
         return self.nodes[nid]
@@ -413,9 +422,9 @@ def successors(graph: Graph) -> dict[NodeId, list[NodeId]]:
 
 
 def infer_node_shape(op: PrimOp, input_shapes: Sequence[TensorShape]) -> TensorShape:
-    """Single-op shape rule shared by the builder and the shape analysis;
-    Conv and MaxPool windows follow ``window_out_hw``, and an Input gives
-    its declared extents at batch 1. Raises ShapeConflict when operands are
+    """Single-op shape rule shared by graph construction, the builder and the
+    shape analysis; Conv and MaxPool windows follow ``window_out_hw``, and an
+    Input gives its declared extents. Raises ShapeConflict when operands are
     inconsistent."""
     return OPS[op.kind].shape(op.attrs, *input_shapes)
 
@@ -458,10 +467,7 @@ class GraphBuilder:
         return nid
 
     def add_input(self, shape: TensorShape) -> NodeId:
-        nid = self.add(input_op(shape.channels, shape.height, shape.width))
-        # add() defaults the batch extent to 1; honor the caller's batch.
-        self._shapes[nid] = shape
-        return nid
+        return self.add(input_op(shape.channels, shape.height, shape.width))
 
     def mark_output(self, nid: NodeId) -> NodeId:
         out = self.add(output_op(), [nid])
@@ -518,22 +524,14 @@ def topo_order(graph: Graph) -> list[NodeId]:
     return order
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    message: str
-
-    def __str__(self) -> str:
-        return "%s: %s" % (self.kind, self.message)
-
-
-def validate(graph: Graph) -> list[Violation]:
+def validate(graph: Graph) -> list[str]:
     """Check what construction leaves open, that the graph declares an
-    output; returns a report, empty means valid. Ids, edges, arity and
-    reachability from an Input hold by construction.
+    output; returns ``"Kind: message"`` lines, empty means valid. Ids,
+    edges, arity, reachability from an Input and shapes hold by
+    construction.
 
     Pure: never raises for graph defects, never mutates.
     """
     if not graph.outputs:
-        return [Violation("NoOutput", "graph declares no outputs")]
+        return ["NoOutput: graph declares no outputs"]
     return []

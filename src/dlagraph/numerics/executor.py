@@ -185,12 +185,6 @@ def _concat_grad(a, p, gy, xs, *_):
     return [gy[:, end - x.shape[1]:end] for x, end in zip(xs, ends)], {}
 
 
-def _add(a, p, xs, *_):
-    if xs[0].shape != xs[1].shape:
-        raise ShapeMismatch("add operands differ: %s vs %s" % (xs[0].shape, xs[1].shape))
-    return xs[0] + xs[1], None
-
-
 def _upsample_weight(a, p):  # a learned upsampling owns its kernel
     return p["weight"] if p else ops.bilinear_upsample_weight(a["channels"], a["factor"])
 
@@ -228,7 +222,8 @@ KERNELS: dict[OpKind, Kernels] = {
         _linear_grad),
     OpKind.CONCAT: Kernels(lambda a, p, xs, *_: (np.concatenate(xs, axis=1), None),
                            _concat_grad),
-    OpKind.ADD: Kernels(_add, lambda a, p, gy, *_: ([gy, gy], {})),
+    OpKind.ADD: Kernels(lambda a, p, xs, *_: (xs[0] + xs[1], None),
+                        lambda a, p, gy, *_: ([gy, gy], {})),
     OpKind.UPSAMPLE: Kernels(_upsample, _upsample_grad),
     OpKind.SOFTMAX: Kernels(
         lambda a, p, xs, *_: (ops.softmax_channels(xs[0]), None),

@@ -22,8 +22,8 @@ from dlagraph.ir import GraphBuilder, OpKind, TensorShape
 from dlagraph.numerics import (Mode, backward, cross_entropy, forward, grad_check,
                                init_params, ops, sgd_step)
 
-SHAPE224 = TensorShape(1, 3, 224, 224)
-SHAPE864 = TensorShape(1, 3, 864, 864)
+SHAPE224 = TensorShape(3, 224, 224)
+SHAPE864 = TensorShape(3, 864, 864)
 
 COMPACT_PARAMS = {"DLA-46-C": 1.3e6, "DLA-X-46-C": 1.1e6, "DLA-X-60-C": 1.3e6}
 COMPACT_FMAS = {"DLA-46-C": 0.58e9, "DLA-X-46-C": 0.53e9, "DLA-X-60-C": 0.59e9}
@@ -78,7 +78,7 @@ def test_criterion_fma_counts():
 
 def _standalone_tree(depth, extra=0):
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 8, 8, 8))
+    x = b.add_input(TensorShape(8, 8, 8))
     extras = [b.add(ir.relu(), [x]) for _ in range(extra)]
     root = build_hda(b, x, HdaSpec(depth, BlockSpec(BlockKind.BASIC, 8),
                                    extra_root_inputs=tuple(extras)))
@@ -113,7 +113,7 @@ def test_criterion_merge_refinement():
     for depth in (1, 2, 3, 4, 5):
         merged = _standalone_tree(depth)
         b = GraphBuilder()
-        x = b.add_input(TensorShape(1, 8, 8, 8))
+        x = b.add_input(TensorShape(8, 8, 8))
         root = build_unmerged_hda(b, x, HdaSpec(depth, BlockSpec(BlockKind.BASIC, 8)))
         b.mark_output(root)
         unmerged = b.build()

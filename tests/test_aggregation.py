@@ -15,7 +15,7 @@ from dlagraph.numerics import Mode, backward, forward, init_params
 
 def fresh(channels=64, hw=8, count=1):
     b = GraphBuilder()
-    ids = [b.add_input(TensorShape(1, channels, hw, hw)) for _ in range(count)]
+    ids = [b.add_input(TensorShape(channels, hw, hw)) for _ in range(count)]
     return b, ids
 
 
@@ -45,8 +45,8 @@ def test_residual_channel_mismatch():
 
 def test_spatial_mismatch():
     b = GraphBuilder()
-    x1 = b.add_input(TensorShape(1, 64, 8, 8))
-    x2 = b.add_input(TensorShape(1, 64, 4, 4))
+    x1 = b.add_input(TensorShape(64, 8, 8))
+    x2 = b.add_input(TensorShape(64, 4, 4))
     before = len(b)
     with pytest.raises(ShapeConflict):
         build_aggregation_node(b, [x1, x2], AggNodeSpec(64))
@@ -83,7 +83,7 @@ def test_ida_empty_input():
 
 def hda_graph(depth, channels=8, residual=False, extra=0, hw=8):
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, channels, hw, hw))
+    x = b.add_input(TensorShape(channels, hw, hw))
     extras = [b.add(ir.relu(), [x]) for _ in range(extra)]
     root = build_hda(b, x, HdaSpec(
         depth=depth,
@@ -146,7 +146,7 @@ def test_build_hda_rejects_bad_depth():
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_unmerged_tree_has_one_node_per_pair(depth):
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 8, 8, 8))
+    x = b.add_input(TensorShape(8, 8, 8))
     root = build_unmerged_hda(b, x, HdaSpec(depth, BlockSpec(BlockKind.BASIC, 8)))
     b.mark_output(root)
     stats = structure_stats(b.build())
@@ -157,7 +157,7 @@ def test_unmerged_tree_has_one_node_per_pair(depth):
 def test_merged_and_unmerged_trees_share_block_structure():
     merged = hda_graph(3)
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 8, 8, 8))
+    x = b.add_input(TensorShape(8, 8, 8))
     root = build_unmerged_hda(b, x, HdaSpec(3, BlockSpec(BlockKind.BASIC, 8)))
     b.mark_output(root)
     unmerged = b.build()
@@ -187,8 +187,8 @@ def test_residual_node_jacobian_is_identity_at_zero_weights():
     # concat -> conv(W=0) -> bn -> add(x_n): the pre-activation's gradient
     # with respect to x_n must be exactly the incoming gradient.
     b = GraphBuilder()
-    x1 = b.add_input(TensorShape(1, 4, 4, 4))
-    x2 = b.add_input(TensorShape(1, 4, 4, 4))
+    x1 = b.add_input(TensorShape(4, 4, 4))
+    x2 = b.add_input(TensorShape(4, 4, 4))
     cat = b.add(ir.concat(), [x1, x2])
     conv = b.add(ir.conv(1, 1, 0, 8, 4), [cat])
     bn = b.add(ir.batch_norm(4), [conv])

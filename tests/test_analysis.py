@@ -9,7 +9,7 @@ from dlagraph.aggregation import HdaSpec, build_hda
 from dlagraph.graphdoc import graph_to_document
 from dlagraph.ir import GraphBuilder, ShapeConflict, TensorShape
 
-SHAPE224 = TensorShape(1, 3, 224, 224)
+SHAPE224 = TensorShape(3, 224, 224)
 
 
 def lone_op(op, in_shape):
@@ -25,27 +25,27 @@ def test_infer_shapes_covers_every_node():
     shapes = infer_shapes(g, SHAPE224)
     assert set(shapes) == {n.id for n in g.nodes}
     s6 = max(n.id for n in g.nodes if n.tags.stage == 6)
-    assert shapes[s6] == TensorShape(1, 512, 7, 7)
+    assert shapes[s6] == TensorShape(512, 7, 7)
 
 
 def test_infer_shapes_conv_padding_rule():
-    g = lone_op(ir.conv(3, 1, 1, 8, 8), TensorShape(1, 8, 16, 16))
-    shapes = infer_shapes(g, TensorShape(1, 8, 16, 16))
+    g = lone_op(ir.conv(3, 1, 1, 8, 8), TensorShape(8, 16, 16))
+    shapes = infer_shapes(g, TensorShape(8, 16, 16))
     assert shapes[1].spatial == (16, 16)
 
 
 def test_infer_shapes_add_conflict():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 64, 8, 8))
+    x = b.add_input(TensorShape(64, 8, 8))
     narrow = b.add(ir.conv(1, 1, 0, 64, 32), [x])
     with pytest.raises(ShapeConflict):
         b.add(ir.add(), [x, narrow])
 
 
 def test_count_params_primitives():
-    assert count_params(lone_op(ir.conv(3, 1, 1, 8, 16), TensorShape(1, 8, 4, 4))) == 1_152
-    assert count_params(lone_op(ir.batch_norm(16), TensorShape(1, 16, 4, 4))) == 32
-    assert count_params(lone_op(ir.linear(16, 10), TensorShape(1, 16, 1, 1))) == 170
+    assert count_params(lone_op(ir.conv(3, 1, 1, 8, 16), TensorShape(8, 4, 4))) == 1_152
+    assert count_params(lone_op(ir.batch_norm(16), TensorShape(16, 4, 4))) == 32
+    assert count_params(lone_op(ir.linear(16, 10), TensorShape(16, 1, 1))) == 170
 
 
 def test_count_params_additivity_over_serialized_records():
@@ -56,9 +56,9 @@ def test_count_params_additivity_over_serialized_records():
 
 
 def test_count_fmas_hand_value():
-    g = lone_op(ir.conv(3, 1, 1, 8, 8), TensorShape(1, 8, 16, 16))
+    g = lone_op(ir.conv(3, 1, 1, 8, 8), TensorShape(8, 16, 16))
     # 16 * 16 * 8 * 8 * 3 * 3
-    assert count_fmas(g, TensorShape(1, 8, 16, 16)) == 147_456
+    assert count_fmas(g, TensorShape(8, 16, 16)) == 147_456
 
 
 def test_count_fmas_scale_quadratically_for_all_conv_graphs():
@@ -71,8 +71,8 @@ def test_count_fmas_scale_quadratically_for_all_conv_graphs():
         b.mark_output(y)
         return b.build()
 
-    small = TensorShape(1, 4, 16, 16)
-    large = TensorShape(1, 4, 32, 32)
+    small = TensorShape(4, 16, 16)
+    large = TensorShape(4, 32, 32)
     assert count_fmas(conv_stack(large), large) == 4 * count_fmas(conv_stack(small), small)
 
 
@@ -88,7 +88,7 @@ def test_cost_report_stage_breakdown_sums_to_totals():
 
 def test_structure_stats_standalone_tree_matches_prediction():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 8, 8, 8))
+    x = b.add_input(TensorShape(8, 8, 8))
     root = build_hda(b, x, HdaSpec(3, BlockSpec(BlockKind.BASIC, 8)))
     b.mark_output(root)
     stats = structure_stats(b.build())
@@ -103,18 +103,18 @@ def test_structure_stats_classifier_per_stage_depths():
 
 
 def test_structure_stats_requires_tags():
-    g = lone_op(ir.relu(), TensorShape(1, 4, 4, 4))
+    g = lone_op(ir.relu(), TensorShape(4, 4, 4))
     with pytest.raises(MissingTags):
         structure_stats(g)
 
 
 def test_upsample_accounting():
     op = ir.upsample(2, ir.UpsampleMode.LEARNED_TRANSPOSED_CONV, 32)
-    g = lone_op(op, TensorShape(1, 32, 8, 8))
+    g = lone_op(op, TensorShape(32, 8, 8))
     # per-channel 4x4 kernels, counted at the 16x16 output
     assert count_params(g) == 32 * 16
-    assert count_fmas(g, TensorShape(1, 32, 8, 8)) == 16 * 16 * 32 * 16
+    assert count_fmas(g, TensorShape(32, 8, 8)) == 16 * 16 * 32 * 16
     fixed = lone_op(ir.upsample(2, ir.UpsampleMode.FIXED_BILINEAR, 32),
-                    TensorShape(1, 32, 8, 8))
+                    TensorShape(32, 8, 8))
     assert count_params(fixed) == 0
-    assert count_fmas(fixed, TensorShape(1, 32, 8, 8)) == 0
+    assert count_fmas(fixed, TensorShape(32, 8, 8)) == 0

@@ -9,7 +9,7 @@ from dlagraph.blocks import BlockKind
 from dlagraph.graphdoc import graph_to_document
 from dlagraph.ir import OpKind, TensorShape
 
-SHAPE224 = TensorShape(1, 3, 224, 224)
+SHAPE224 = TensorShape(3, 224, 224)
 
 TABLE = {
     "DLA-34": (BlockKind.BASIC, (16, 32, 64, 128, 256, 512), (1, 2, 2, 1), False),
@@ -66,18 +66,18 @@ def test_classifier_stage6_feature_shapes():
     g = build_classifier(arch_spec("DLA-46-C"), 1000, SHAPE224)
     shapes = infer_shapes(g, SHAPE224)
     s6 = max(n.id for n in g.nodes if n.tags.stage == 6)
-    assert shapes[s6] == TensorShape(1, 256, 7, 7)
+    assert shapes[s6] == TensorShape(256, 7, 7)
     g = build_classifier(arch_spec("DLA-34"), 1000, SHAPE224)
     shapes = infer_shapes(g, SHAPE224)
     s6 = max(n.id for n in g.nodes if n.tags.stage == 6)
-    assert shapes[s6] == TensorShape(1, 512, 7, 7)
+    assert shapes[s6] == TensorShape(512, 7, 7)
 
 
 def test_classifier_rejects_bad_inputs():
     with pytest.raises(IndivisibleInput):
-        build_classifier(arch_spec("DLA-34"), 1000, TensorShape(1, 3, 225, 224))
+        build_classifier(arch_spec("DLA-34"), 1000, TensorShape(3, 225, 224))
     with pytest.raises(IndivisibleInput):
-        build_classifier(arch_spec("DLA-34"), 1000, TensorShape(1, 4, 224, 224))
+        build_classifier(arch_spec("DLA-34"), 1000, TensorShape(4, 224, 224))
 
 
 def test_stage_roots_receive_one_cross_stage_input():
@@ -118,11 +118,11 @@ def test_residual_nodes_only_in_deep_catalog_entries():
 def test_dense_decoder_output_geometry():
     spec = arch_spec("DLA-34")
     head = DenseHeadSpec(num_classes=19)
-    shape = TensorShape(1, 3, 864, 864)
+    shape = TensorShape(3, 864, 864)
     graph = build_dense_decoder(spec, head, shape)
     shapes = infer_shapes(graph, shape)
     out = shapes[graph.outputs[0]]
-    assert out == TensorShape(1, 19, 432, 432)
+    assert out == TensorShape(19, 432, 432)
 
 
 def test_dense_decoder_adds_four_fusion_nodes():
@@ -168,9 +168,9 @@ def test_toy_spec_caps_widths_and_cardinality():
 
 def test_toy_classifier_accepts_small_inputs():
     graph = build_toy_classifier("DLA-46-C", 16, 16, num_classes=10)
-    shapes = infer_shapes(graph, TensorShape(1, 3, 16, 16))
+    shapes = infer_shapes(graph, TensorShape(3, 16, 16))
     out = shapes[graph.outputs[0]]
-    assert out == TensorShape(1, 10, 1, 1)
+    assert out == TensorShape(10, 1, 1)
 
 
 def test_arch_spec_validates_invariants():

@@ -8,7 +8,7 @@ from dlagraph.ir import GraphBuilder, OpKind, TensorShape
 
 def build_lone_block(spec, in_channels):
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, in_channels, 16, 16))
+    x = b.add_input(TensorShape(in_channels, 16, 16))
     out = build_block(b, x, spec)
     b.mark_output(out)
     return b.build(), out
@@ -42,7 +42,7 @@ def test_bottleneck_mid_width_is_half_by_default():
 
 def test_bottleneck_indivisible_width():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 64, 8, 8))
+    x = b.add_input(TensorShape(64, 8, 8))
     with pytest.raises(IndivisibleWidth):
         build_block(b, x, BlockSpec(BlockKind.BOTTLENECK, 130, mid_ratio=4))
 
@@ -59,7 +59,7 @@ def test_split_block_grouped_conv_parameters():
 
 def test_split_block_indivisible_groups():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 96, 8, 8))
+    x = b.add_input(TensorShape(96, 8, 8))
     with pytest.raises(IndivisibleGroups):
         build_block(b, x, BlockSpec(BlockKind.SPLIT, 96, cardinality=32))
 
@@ -84,12 +84,12 @@ def test_split_cheaper_than_bottleneck_at_same_mid_ratio():
 ], ids=["spec0", "spec1", "spec2"])
 def test_every_block_has_one_residual_add_with_matching_shapes(in_channels, spec):
     g, out = build_lone_block(spec, in_channels)
-    shapes = infer_shapes(g, TensorShape(1, in_channels, 16, 16))
+    shapes = infer_shapes(g, TensorShape(in_channels, 16, 16))
     adds = [n for n in g.nodes if n.op.kind == OpKind.ADD]
     assert len(adds) == 1
     a, b = adds[0].inputs
     assert shapes[a] == shapes[b]
-    assert shapes[out] == TensorShape(1, spec.out_channels, 16, 16)
+    assert shapes[out] == TensorShape(spec.out_channels, 16, 16)
 
 
 def test_block_nodes_share_one_block_tag():

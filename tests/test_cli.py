@@ -105,7 +105,7 @@ def test_check_flags_edited_channel_attribute(capsys, doc_path, tmp_path):
     code, out, err = run(capsys, "check", str(edited))
     assert code == 4
     assert out == ""
-    assert "not analyzable" in err
+    assert "node 2: batchnorm expects 16 channels, got 17" in err
 
 
 def test_check_flags_edited_structure_tag(capsys, doc_path, tmp_path):
@@ -282,6 +282,12 @@ def _set_metadata_input_shape(value):
     return mutate
 
 
+def _second_input_node(doc):
+    nid = len(doc["nodes"])
+    doc["nodes"].append(dict(doc["nodes"][0], id=nid))
+    doc["inputs"].append(nid)
+
+
 def _bool_input_id(doc):
     doc["nodes"][1]["inputs"] = [False]
 
@@ -317,10 +323,11 @@ MUTATIONS = {
     "metadata-input-shape-malformed": ("decoder", _set_metadata_input_shape(224), (0, 0, 0)),
     "input-id-bool": ("DLA-34", _bool_input_id, (4, 4, 4)),
     "output-id-bool": ("decoder", _set_doc("outputs", [True]), (4, 4, 4)),
-    "batchnorm-channels-257": ("DLA-34", _set_attr("BatchNorm", "channels", 257), (4, 4, 0)),
+    "batchnorm-channels-257": ("DLA-34", _set_attr("BatchNorm", "channels", 257), (4, 4, 4)),
     "outputs-empty-batchnorm-channels-257": (
         "decoder", _all(_set_doc("outputs", []), _set_attr("BatchNorm", "channels", 257)),
-        (4, 4, 0)),
+        (4, 4, 4)),
+    "second-input-node": ("DLA-34", _second_input_node, (4, 4, 4)),
 }
 
 

@@ -5,7 +5,10 @@ Each mutant of a catalog document goes through ``check``, ``report`` and
 print a traceback, every exit code is a documented one, a document that
 ``check`` accepts is one that the other commands handle, a document that
 fails to parse fails to parse for every command, and ``check`` and
-``report`` agree on whether a document can be analyzed.
+``report`` agree on whether a document can be analyzed. Besides mutations
+that break a document, some keep every shape intact (a rewired input, a
+moved structure tag, a nudged epsilon, a toggled bias), so that mutants
+also reach the commands past the parser.
 """
 
 import copy
@@ -15,7 +18,10 @@ import traceback
 
 import pytest
 
+from dlagraph.analysis import infer_shapes
 from dlagraph.cli import main
+from dlagraph.graphdoc import parse
+from dlagraph.ir import infer_node_shape
 
 MUTANTS_PER_DOCUMENT = 60
 DOCUMENTS = {"DLA-34": ("classify", "10"), "decoder": ("dense", "19")}
@@ -124,8 +130,42 @@ def _mutate_top_level(rng, doc):
     return "set top-level %r to %r" % (key, doc[key])
 
 
+def _rewire_input(rng, doc):
+    graph, _ = parse(json.dumps(doc))
+    shapes = infer_shapes(graph, infer_node_shape(graph.node(graph.inputs[0]).op, []))
+    slots = [(n.id, k) for n in graph.nodes for k, src in enumerate(n.inputs)
+             if any(shapes[i] == shapes[src] for i in range(n.id) if i != src)]
+    nid, k = rng.choice(slots)
+    ids = doc["nodes"][nid]["inputs"]
+    src = ids[k]
+    ids[k] = rng.choice([i for i in range(nid) if i != src and shapes[i] == shapes[src]])
+    return "rewire input %d of node %d from %d to %d" % (k, nid, src, ids[k])
+
+
+def _move_structure_tag(rng, doc):
+    key = rng.choice(("block_id", "agg_node_id"))
+    node = rng.choice([n for n in doc["nodes"] if key in n["tags"]])
+    others = sorted({n["tags"][key] for n in doc["nodes"] if key in n["tags"]}
+                    - {node["tags"][key]})
+    node["tags"][key] = rng.choice(others)
+    return "move node %d to %s %d" % (node["id"], key, node["tags"][key])
+
+
+def _nudge_epsilon(rng, doc):
+    node = rng.choice([n for n in doc["nodes"] if n["kind"] == "BatchNorm"])
+    node["attrs"]["epsilon"] *= rng.choice((0.1, 10.0))
+    return "set epsilon of node %d to %r" % (node["id"], node["attrs"]["epsilon"])
+
+
+def _toggle_bias(rng, doc):
+    node = rng.choice([n for n in doc["nodes"] if n["kind"] == "Conv"])
+    node["attrs"]["has_bias"] = not node["attrs"]["has_bias"]
+    return "toggle the bias of node %d" % node["id"]
+
+
 MUTATORS = (_mutate_attrs, _mutate_kind, _mutate_id, _mutate_inputs, _mutate_tags,
-            _mutate_top_level)
+            _mutate_top_level, _rewire_input, _move_structure_tag, _nudge_epsilon,
+            _toggle_bias)
 
 
 def _run(capsys, argv):
@@ -143,6 +183,7 @@ def test_mutated_documents_keep_exit_codes_consistent(capsys, documents, name):
     rng = random.Random("dlagraph-fuzz-%s" % name)
     path = root / ("%s-mutant.json" % name)
     failures = []
+    parsed = 0
     for k in range(MUTANTS_PER_DOCUMENT):
         doc = copy.deepcopy(docs[name])
         what = rng.choice(MUTATORS)(rng, doc)
@@ -154,6 +195,7 @@ def test_mutated_documents_keep_exit_codes_consistent(capsys, documents, name):
                 failures.append("%d %s: %s %s a traceback:\n%s"
                                 % (k, what, command, code, err))
             codes[command] = code
+        parsed += codes["export-dot"] != 4
         if any(code not in (0, 1, 2, 3, 4) for code in codes.values()):
             failures.append("%d %s: codes %r" % (k, what, codes))
         elif codes["check"] == 0 and (codes["report"], codes["export-dot"]) != (0, 0):
@@ -164,3 +206,5 @@ def test_mutated_documents_keep_exit_codes_consistent(capsys, documents, name):
             failures.append("%d %s: analyzable to one command only, codes %r"
                             % (k, what, codes))
     assert not failures, "\n".join(failures)
+    # mutants that only reach the parser would leave the other commands unfuzzed
+    assert parsed >= MUTANTS_PER_DOCUMENT // 4, "only %d mutants parse" % parsed

@@ -11,12 +11,12 @@ from dlagraph.blocks import BlockKind, BlockSpec
 from dlagraph.graphdoc import ParseError, graph_to_document, parse, serialize, to_dot
 from dlagraph.ir import GraphBuilder, TensorShape
 
-SHAPE224 = TensorShape(1, 3, 224, 224)
+SHAPE224 = TensorShape(3, 224, 224)
 
 
 def small_graph():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 4, 8, 8))
+    x = b.add_input(TensorShape(4, 8, 8))
     y = b.add(ir.conv(3, 2, 1, 4, 8), [x])
     y = b.add(ir.batch_norm(8), [y])
     y = b.add(ir.relu(), [y])
@@ -118,7 +118,7 @@ def test_dot_export_full_graph_is_well_formed():
 
 def test_dot_collapsed_hda_has_expected_vertices():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 8, 8, 8))
+    x = b.add_input(TensorShape(8, 8, 8))
     root = build_hda(b, x, HdaSpec(2, BlockSpec(BlockKind.BASIC, 8)))
     b.mark_output(root)
     text = to_dot(b.build(), collapse="blocks")

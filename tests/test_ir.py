@@ -8,14 +8,14 @@ from dlagraph.ir import (ArityMismatch, Graph, GraphBuilder, GraphNode,
 
 def test_tensor_shape_rejects_nonpositive_extents():
     with pytest.raises(ValueError):
-        TensorShape(1, 0, 8, 8)
+        TensorShape(0, 8, 8)
     with pytest.raises(ValueError):
-        TensorShape(1, 3, 8, -1)
+        TensorShape(3, 8, -1)
 
 
 def test_add_node_ids_are_dense_and_sequential():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 4, 8, 8))
+    x = b.add_input(TensorShape(4, 8, 8))
     assert x == 0
     y = b.add(ir.relu(), [x])
     assert y == 1
@@ -24,7 +24,7 @@ def test_add_node_ids_are_dense_and_sequential():
 
 def test_add_node_arity_mismatch():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 4, 8, 8))
+    x = b.add_input(TensorShape(4, 8, 8))
     with pytest.raises(ArityMismatch):
         b.add(ir.add(), [x])
     with pytest.raises(ArityMismatch):
@@ -35,14 +35,14 @@ def test_add_node_arity_mismatch():
 
 def test_add_node_unknown_input():
     b = GraphBuilder()
-    b.add_input(TensorShape(1, 4, 8, 8))
+    b.add_input(TensorShape(4, 8, 8))
     with pytest.raises(UnknownInput):
         b.add(ir.relu(), [5])
 
 
 def test_topo_order_linear_chain():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 4, 8, 8))
+    x = b.add_input(TensorShape(4, 8, 8))
     y = b.add(ir.relu(), [x])
     b.mark_output(y)
     assert topo_order(b.build()) == [0, 1, 2]
@@ -50,7 +50,7 @@ def test_topo_order_linear_chain():
 
 def test_topo_order_diamond_places_concat_last():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 4, 8, 8))
+    x = b.add_input(TensorShape(4, 8, 8))
     left = b.add(ir.relu(), [x])
     right = b.add(ir.relu(), [x])
     cat = b.add(ir.concat(), [left, right])
@@ -84,11 +84,18 @@ def test_graph_construction_rejects_malformed_structure():
     for outputs in ((2,), (-1,), (True,)):
         with pytest.raises(UnknownInput):
             Graph((x, y), (0,), outputs)
+    # operands that disagree: by width into an Add, by extent into an Add or a Concat
+    widened = GraphNode(1, ir.conv(1, 1, 0, 4, 8), (0,))
+    pooled = GraphNode(1, ir.max_pool(2, 2), (0,))
+    for operand, join in ((widened, ir.add()), (pooled, ir.add()), (pooled, ir.concat())):
+        with pytest.raises(ShapeConflict, match="node 2"):
+            Graph((x, operand, GraphNode(2, join, (0, 1))), (0,), (2,))
+    assert len(Graph((x, widened, GraphNode(2, ir.concat(), (0, 1))), (0,), (2,))) == 3
 
 
 def test_validate_builder_graph_is_clean():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 4, 8, 8))
+    x = b.add_input(TensorShape(4, 8, 8))
     y = b.add(ir.relu(), [x])
     b.mark_output(y)
     assert validate(b.build()) == []
@@ -106,7 +113,7 @@ def test_validate_reports_concat_arity_violation():
 
 def test_replay_in_topo_order_reproduces_graph():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 4, 8, 8))
+    x = b.add_input(TensorShape(4, 8, 8))
     left = b.add(ir.conv(3, 1, 1, 4, 4), [x])
     right = b.add(ir.relu(), [x])
     cat = b.add(ir.concat(), [left, right])
@@ -124,23 +131,23 @@ def test_replay_in_topo_order_reproduces_graph():
 
 
 def test_shape_rule_conv_padding_preserves_extent():
-    out = infer_node_shape(ir.conv(3, 1, 1, 8, 8), [TensorShape(1, 8, 16, 16)])
-    assert out == TensorShape(1, 8, 16, 16)
+    out = infer_node_shape(ir.conv(3, 1, 1, 8, 8), [TensorShape(8, 16, 16)])
+    assert out == TensorShape(8, 16, 16)
 
 
 def test_shape_rule_add_operand_mismatch():
     with pytest.raises(ShapeConflict):
-        infer_node_shape(ir.add(), [TensorShape(1, 64, 8, 8), TensorShape(1, 32, 8, 8)])
+        infer_node_shape(ir.add(), [TensorShape(64, 8, 8), TensorShape(32, 8, 8)])
 
 
 def test_shape_rule_maxpool_floor_and_ceil():
     floor_pool = ir.max_pool(2, 2)
     ceil_pool = ir.max_pool(2, 2, ceil_mode=True)
-    assert infer_node_shape(floor_pool, [TensorShape(1, 8, 7, 7)]).spatial == (3, 3)
-    assert infer_node_shape(ceil_pool, [TensorShape(1, 8, 7, 7)]).spatial == (4, 4)
-    assert infer_node_shape(ceil_pool, [TensorShape(1, 8, 1, 1)]).spatial == (1, 1)
+    assert infer_node_shape(floor_pool, [TensorShape(8, 7, 7)]).spatial == (3, 3)
+    assert infer_node_shape(ceil_pool, [TensorShape(8, 7, 7)]).spatial == (4, 4)
+    assert infer_node_shape(ceil_pool, [TensorShape(8, 1, 1)]).spatial == (1, 1)
     with pytest.raises(ShapeConflict):
-        infer_node_shape(floor_pool, [TensorShape(1, 8, 1, 1)])
+        infer_node_shape(floor_pool, [TensorShape(8, 1, 1)])
 
 
 def test_conv_rejects_indivisible_groups():
@@ -150,7 +157,7 @@ def test_conv_rejects_indivisible_groups():
 
 def test_tags_follow_builder_context():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 4, 8, 8))
+    x = b.add_input(TensorShape(4, 8, 8))
     with b.stage(3):
         with b.block() as bid:
             y = b.add(ir.relu(), [x])

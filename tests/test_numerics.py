@@ -15,7 +15,7 @@ from dlagraph.numerics import ops
 
 def simple_net(channels=4, hw=8, classes=3):
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, channels, hw, hw))
+    x = b.add_input(TensorShape(channels, hw, hw))
     y = b.add(ir.conv(3, 1, 1, channels, channels), [x])
     y = b.add(ir.batch_norm(channels), [y])
     y = b.add(ir.relu(), [y])
@@ -186,7 +186,7 @@ def test_backward_rejects_foreign_tape():
 
 def test_relu_gradient_is_zero_at_negative_preactivations():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 2, 2, 2))
+    x = b.add_input(TensorShape(2, 2, 2))
     y = b.add(ir.relu(), [x])
     b.mark_output(y)
     g = b.build()
@@ -198,8 +198,8 @@ def test_relu_gradient_is_zero_at_negative_preactivations():
 
 def test_concat_routes_gradient_slices():
     b = GraphBuilder()
-    x1 = b.add_input(TensorShape(1, 2, 2, 2))
-    x2 = b.add_input(TensorShape(1, 3, 2, 2))
+    x1 = b.add_input(TensorShape(2, 2, 2))
+    x2 = b.add_input(TensorShape(3, 2, 2))
     cat = b.add(ir.concat(), [x1, x2])
     b.mark_output(cat)
     g = b.build()
@@ -214,8 +214,8 @@ def test_concat_routes_gradient_slices():
 
 def test_zeroed_residual_node_is_identity_in_eval_mode():
     b = GraphBuilder()
-    x1 = b.add_input(TensorShape(1, 4, 4, 4))
-    x2 = b.add_input(TensorShape(1, 4, 4, 4))
+    x1 = b.add_input(TensorShape(4, 4, 4))
+    x2 = b.add_input(TensorShape(4, 4, 4))
     out = build_aggregation_node(b, [x1, x2], AggNodeSpec(4, residual=True))
     b.mark_output(out)
     g = b.build()
@@ -239,7 +239,7 @@ def test_maxpool_ceil_window_clipping():
 
 def test_grad_check_single_layer_tight_tolerance():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 4, 8, 8))
+    x = b.add_input(TensorShape(4, 8, 8))
     y = b.add(ir.conv(3, 1, 1, 4, 4), [x])
     y = b.add(ir.batch_norm(4), [y])
     y = b.add(ir.relu(), [y])
@@ -276,7 +276,7 @@ def test_grad_check_rejects_empty_sample():
         grad_check(g, init_params(g, 5), xval, sample=0)
     # a graph without learnable tensors leaves nothing to sample
     b = GraphBuilder()
-    b.mark_output(b.add(ir.relu(), [b.add_input(TensorShape(1, 4, 8, 8))]))
+    b.mark_output(b.add(ir.relu(), [b.add_input(TensorShape(4, 8, 8))]))
     bare = b.build()
     with pytest.raises(ValueError, match="no learnable parameters"):
         grad_check(bare, init_params(bare, 5), xval, sample=3)
@@ -296,7 +296,7 @@ def two_output_net():
     """A shared trunk feeding two heads: each head's parameters reach only
     its own output."""
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 3, 6, 6))
+    x = b.add_input(TensorShape(3, 6, 6))
     trunk = b.add(ir.conv(3, 1, 1, 3, 2), [x])
     trunk = b.add(ir.batch_norm(2), [trunk])
     trunk = b.add(ir.relu(), [trunk])
@@ -382,7 +382,7 @@ def test_conv_adjoint_identity_holds():
 
 def test_transposed_conv_weight_gradient_matches_finite_difference():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 3, 4, 4))
+    x = b.add_input(TensorShape(3, 4, 4))
     y = b.add(ir.upsample(2, UpsampleMode.LEARNED_TRANSPOSED_CONV, 3), [x])
     b.mark_output(y)
     g = b.build()

@@ -18,7 +18,7 @@ def test_every_op_kind_but_input_has_forward_and_backward_kernels():
 
 def every_kind_graph():
     b = GraphBuilder()
-    x = b.add_input(TensorShape(1, 4, 8, 8))
+    x = b.add_input(TensorShape(4, 8, 8))
     y = b.add(ir.conv(3, 1, 1, 4, 4, groups=2), [x])
     y = b.add(ir.batch_norm(4), [y])
     y = b.add(ir.relu(), [y])

@@ -1,0 +1,56 @@
+"""Source hygiene of the package, checked through its syntax trees: no
+module outside ``__init__.py`` imports a name it never uses, no line is
+longer than 98 characters, and no line holds two statements."""
+
+import ast
+import pathlib
+
+import pytest
+
+import dlagraph
+
+MAX_LINE = 98
+ROOT = pathlib.Path(dlagraph.__file__).parent
+SOURCES = sorted(ROOT.rglob("*.py"))
+
+
+def _each(paths):
+    return [pytest.param(p, id=str(p.relative_to(ROOT))) for p in paths]
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported(tree):
+    """Name bound by each import, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", _each(p for p in SOURCES if p.name != "__init__.py"))
+def test_no_unused_import(path):
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = ["%s (line %d)" % (name, line) for name, line in _imported(tree)
+              if name not in used]
+    assert not unused, "imported but unused: %s" % ", ".join(unused)
+
+
+@pytest.mark.parametrize("path", _each(SOURCES))
+def test_no_long_line(path):
+    long_lines = [i for i, line in enumerate(path.read_text().splitlines(), 1)
+                  if len(line) > MAX_LINE]
+    assert not long_lines, "lines over %d characters: %s" % (MAX_LINE, long_lines)
+
+
+@pytest.mark.parametrize("path", _each(SOURCES))
+def test_one_statement_per_line(path):
+    starts = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.stmt)]
+    shared = sorted({line for line in starts if starts.count(line) > 1})
+    assert not shared, "lines holding two statements: %s" % shared
