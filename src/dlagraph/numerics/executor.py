@@ -8,6 +8,12 @@ bit-identical results across runs.
 ``KERNELS`` holds each op kind's forward and backward next to each other;
 ``forward``, ``backward`` and ``grad_check`` dispatch every node through it.
 Shapes, attributes and learnable-tensor shapes come from ``ir.OPS``.
+
+``backward`` differentiates only what its ``wrt`` nodes sit at or upstream
+of. ``grad_check`` runs each +/-epsilon pair as two probe lanes stacked on
+the batch axis. Only batch norm (per-lane statistics) and linear (one
+product per lane) see the lanes; every other kernel treats each sample
+alone, so a lane's bits equal those of a run at the plain batch.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,10 +138,16 @@ def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
 class Kernels(NamedTuple):
     """The numerics of one op kind. Both take the node's attrs ``a`` and its
     learnable tensors ``p`` (None if it owns none) first, and look ``ops``
-    functions up when they run, so a wrapper put on the module takes effect."""
+    functions up when they run, so a wrapper put on the module takes effect.
 
-    forward: Callable  # (a, p, xs, mode, update_running) -> (value, kept or None)
-    backward: Callable  # (a, p, gy, xs, y, kept) -> ([grad per input], {tensor: grad})
+    ``forward`` gets the number of probe lanes stacked on the batch axis
+    (see ``grad_check``). ``backward`` gets whether the first input's
+    gradient and the tensors' gradients are wanted; a kernel may skip what
+    is not, and returns None or {} for it."""
+
+    forward: Callable  # (a, p, xs, mode, update_running, lanes) -> (value, kept or None)
+    backward: Callable  # (a, p, gy, xs, y, kept, want_x, want_p)
+    #                     -> ([grad per input], {tensor: grad})
 
 
 def _conv(a, p, xs, *_):
@@ -143,21 +155,24 @@ def _conv(a, p, xs, *_):
                           a["groups"]), None
 
 
-def _conv_grad(a, p, gy, xs, *_):
-    gx = ops.conv_apply_adjoint(gy, p["weight"], a["stride"], a["padding"], a["groups"],
-                                xs[0].shape[2:])
-    named = {"weight": ops.conv_weight_grad(gy, xs[0], a["kernel"], a["stride"],
-                                            a["padding"], a["groups"])}
-    if a["has_bias"]:
-        named["bias"] = gy.sum(axis=(0, 2, 3))
+def _conv_grad(a, p, gy, xs, y, kept, want_x, want_p):
+    gx = named = None
+    if want_x:
+        gx = ops.conv_apply_adjoint(gy, p["weight"], a["stride"], a["padding"],
+                                    a["groups"], xs[0].shape[2:])
+    if want_p:
+        named = {"weight": ops.conv_weight_grad(gy, xs[0], a["kernel"], a["stride"],
+                                                a["padding"], a["groups"])}
+        if a["has_bias"]:
+            named["bias"] = gy.sum(axis=(0, 2, 3))
     return [gx], named
 
 
-def _batch_norm(a, p, xs, mode, update_running):
+def _batch_norm(a, p, xs, mode, update_running, lanes):
     if mode != Mode.TRAIN:
         return ops.batchnorm_eval(xs[0], p["scale"], p["shift"], p["running_mean"],
                                   p["running_var"], a["epsilon"]), None
-    y, kept = ops.batchnorm_train(xs[0], p["scale"], p["shift"], a["epsilon"])
+    y, kept = ops.batchnorm_train(xs[0], p["scale"], p["shift"], a["epsilon"], lanes)
     if update_running:
         _, _, mean, var = kept
         for name, batch_stat in (("running_mean", mean), ("running_var", var)):
@@ -166,18 +181,28 @@ def _batch_norm(a, p, xs, mode, update_running):
     return y, kept
 
 
-def _batch_norm_grad(a, p, gy, xs, y, kept):
-    gx, gscale, gshift = ops.batchnorm_train_grads(gy, xs[0], kept, p["scale"])
-    return [gx], {"scale": gscale, "shift": gshift}
+def _batch_norm_grad(a, p, gy, xs, y, kept, want_x, want_p):
+    gx = ops.batchnorm_train_grads(gy, xs[0], kept, p["scale"]) if want_x else None
+    named = None
+    if want_p:
+        named = {"scale": np.sum(gy * kept[0], axis=(0, 2, 3)),
+                 "shift": gy.sum(axis=(0, 2, 3))}
+    return [gx], named
 
 
-def _max_pool_grad(a, p, gy, xs, y, winner):
+def _max_pool_grad(a, p, gy, xs, y, winner, *_):
     return [ops.maxpool_grad(gy, winner, xs[0].shape, a["kernel"], a["stride"])], {}
 
 
-def _linear_grad(a, p, gy, xs, *_):
-    gx, gw, gb = ops.linear_grads(gy, xs[0], p["weight"], a["has_bias"])
-    return [gx], ({"weight": gw} if gb is None else {"weight": gw, "bias": gb})
+def _linear_grad(a, p, gy, xs, y, kept, want_x, want_p):
+    gx = ops.linear_grads(gy, xs[0], p["weight"]) if want_x else None
+    named = None
+    if want_p:
+        g2 = gy.reshape(gy.shape[0], -1)
+        named = {"weight": g2.T @ xs[0].reshape(gy.shape[0], -1)}
+        if a["has_bias"]:
+            named["bias"] = g2.sum(axis=0)
+    return [gx], named
 
 
 def _concat_grad(a, p, gy, xs, *_):
@@ -197,13 +222,16 @@ def _upsample(a, p, xs, *_):
                                   a["channels"], out_hw), None
 
 
-def _upsample_grad(a, p, gy, xs, *_):
+def _upsample_grad(a, p, gy, xs, y, kept, want_x, want_p):
     kernel, stride, padding = upsample_kernel_geometry(a["factor"])
-    gx = ops.conv_apply(gy, _upsample_weight(a, p), None, stride, padding, a["channels"])
-    if not p:  # a fixed upsampling learns nothing
-        return [gx], {}
-    gw = ops.conv_weight_grad(xs[0], gy, kernel, stride, padding, a["channels"])
-    return [gx], {"weight": gw}
+    gx = named = None
+    if want_x:
+        gx = ops.conv_apply(gy, _upsample_weight(a, p), None, stride, padding,
+                            a["channels"])
+    if want_p and p:  # a fixed upsampling learns nothing
+        named = {"weight": ops.conv_weight_grad(xs[0], gy, kernel, stride, padding,
+                                                a["channels"])}
+    return [gx], named
 
 
 KERNELS: dict[OpKind, Kernels] = {
@@ -218,7 +246,8 @@ KERNELS: dict[OpKind, Kernels] = {
         lambda a, p, xs, *_: (ops.global_avg_pool(xs[0]), None),
         lambda a, p, gy, xs, *_: ([ops.global_avg_pool_grad(gy, xs[0].shape)], {})),
     OpKind.LINEAR: Kernels(
-        lambda a, p, xs, *_: (ops.linear_apply(xs[0], p["weight"], p.get("bias")), None),
+        lambda a, p, xs, mode, update_running, lanes: (
+            ops.linear_apply(xs[0], p["weight"], p.get("bias"), lanes), None),
         _linear_grad),
     OpKind.CONCAT: Kernels(lambda a, p, xs, *_: (np.concatenate(xs, axis=1), None),
                            _concat_grad),
@@ -227,7 +256,7 @@ KERNELS: dict[OpKind, Kernels] = {
     OpKind.UPSAMPLE: Kernels(_upsample, _upsample_grad),
     OpKind.SOFTMAX: Kernels(
         lambda a, p, xs, *_: (ops.softmax_channels(xs[0]), None),
-        lambda a, p, gy, xs, y, _: ([ops.softmax_channels_grad(gy, y)], {})),
+        lambda a, p, gy, xs, y, *_: ([ops.softmax_channels_grad(gy, y)], {})),
     OpKind.OUTPUT: Kernels(lambda a, p, xs, *_: (xs[0], None),
                            lambda a, p, gy, *_: ([gy], {})),
 }
@@ -235,7 +264,7 @@ KERNELS: dict[OpKind, Kernels] = {
 
 def _evaluate(graph: Graph, params: ParamStore, order: Sequence[NodeId],
               values: dict[NodeId, np.ndarray], aux: dict[NodeId, object],
-              mode: Mode, update_running: bool) -> None:
+              mode: Mode, update_running: bool, lanes: int = 1) -> None:
     """Evaluate the nodes named by ``order``, in that order, into ``values``
     and ``aux``. Each node's inputs must already be in ``values``; Input
     nodes keep the tensor the caller put there."""
@@ -245,22 +274,36 @@ def _evaluate(graph: Graph, params: ParamStore, order: Sequence[NodeId],
             continue
         values[nid], kept = KERNELS[node.op.kind].forward(
             node.op.attrs, params.tensors.get(nid), [values[i] for i in node.inputs],
-            mode, update_running)
+            mode, update_running, lanes)
         if kept is not None:
             aux[nid] = kept
 
 
 def backward(graph: Graph, params: ParamStore, tape: Tape,
-             output_gradients: Sequence[np.ndarray]
-             ) -> tuple[GradStore, list[np.ndarray]]:
+             output_gradients: Sequence[np.ndarray],
+             wrt: Collection[NodeId] | None = None
+             ) -> tuple[GradStore, dict[NodeId, np.ndarray]]:
     """Exact reverse-mode gradients of sum_o <output_gradients[o],
-    outputs[o]> with respect to every learnable parameter and every graph
-    input."""
+    outputs[o]> with respect to the learnable tensors of the nodes in
+    ``wrt`` (by default every node that owns some) and to the graph inputs
+    listed there.
+
+    Only what some ``wrt`` node sits at or upstream of is differentiated:
+    other nodes are skipped, and no input gradient flows into them. Raises
+    ValueError if ``wrt`` names a node the graph does not have."""
     if tape.graph is not graph or tape.mode != Mode.TRAIN:
         raise StaleTape("backward requires the Train-mode tape of this graph")
     if len(output_gradients) != len(graph.outputs):
         raise ShapeMismatch("expected %d output gradients, got %d"
                             % (len(graph.outputs), len(output_gradients)))
+    wrt = {nid for nid, _, _ in params.learnable_entries()} if wrt is None else set(wrt)
+    if not wrt.issubset(range(len(graph))):
+        raise ValueError("wrt names nodes the graph does not have: %s"
+                         % sorted(wrt.difference(range(len(graph)))))
+    # ids ascend along every edge, so one pass marks all downstream of wrt
+    active = [False] * len(graph.nodes)
+    for node in graph.nodes:
+        active[node.id] = node.id in wrt or any(active[i] for i in node.inputs)
 
     grads: dict[NodeId, np.ndarray] = {}
 
@@ -274,7 +317,8 @@ def backward(graph: Graph, params: ParamStore, tape: Tape,
         if np.shape(g) != tape.values[out_id].shape:
             raise ShapeMismatch("output gradient shape %s does not match output %s"
                                 % (np.shape(g), tape.values[out_id].shape))
-        accumulate(out_id, np.asarray(g, dtype=np.float64))
+        if active[out_id]:
+            accumulate(out_id, np.asarray(g, dtype=np.float64))
 
     pgrads: GradStore = {}
     for nid in reversed(topo_order(graph)):
@@ -283,13 +327,16 @@ def backward(graph: Graph, params: ParamStore, tape: Tape,
             continue
         gxs, named = KERNELS[node.op.kind].backward(
             node.op.attrs, params.tensors.get(nid), grads[nid],
-            [tape.values[i] for i in node.inputs], tape.values[nid], tape.aux.get(nid))
+            [tape.values[i] for i in node.inputs], tape.values[nid], tape.aux.get(nid),
+            active[node.inputs[0]], nid in wrt)
         for src, g in zip(node.inputs, gxs):
-            accumulate(src, g)
+            if active[src]:
+                accumulate(src, g)
         if named:  # each node is visited once, so its tensors' gradients are complete
             pgrads[nid] = named
 
-    input_grads = [grads.get(i, np.zeros_like(tape.values[i])) for i in graph.inputs]
+    input_grads = {i: grads.get(i, np.zeros_like(tape.values[i]))
+                   for i in graph.inputs if i in wrt}
     return pgrads, input_grads
 
 
@@ -347,6 +394,29 @@ def _downstream_cone(graph: Graph, root: NodeId) -> list[NodeId]:
     return sorted(inside)
 
 
+def _probe_pair(graph: Graph, params: ParamStore, tape: Tape, cone: list[NodeId],
+                outside: dict[NodeId, np.ndarray], arr: np.ndarray, offset: int,
+                epsilon: float) -> dict[NodeId, np.ndarray]:
+    """The cone's values with ``arr.flat[offset]`` moved by +epsilon and by
+    -epsilon, as two lanes stacked on the batch axis. The cone root runs once
+    per value at batch N, every later cone node once at 2N. ``outside``
+    holds each input from outside the cone, its tape value repeated for
+    both lanes."""
+    root = graph.node(cone[0])
+    xs = [tape.values[i] for i in root.inputs]
+    original = arr.flat[offset]
+    ys = []
+    for value in (original + epsilon, original - epsilon):
+        arr.flat[offset] = value
+        ys.append(KERNELS[root.op.kind].forward(
+            root.op.attrs, params.tensors[root.id], xs, Mode.TRAIN, False, 1)[0])
+    arr.flat[offset] = original
+    values = dict(outside)
+    values[root.id] = np.concatenate(ys)
+    _evaluate(graph, params, cone[1:], values, {}, Mode.TRAIN, False, lanes=2)
+    return values
+
+
 def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
                epsilon: float = 1e-5, tolerance: float = 1e-4,
                sample: int = 200, seed: int = 0,
@@ -356,9 +426,11 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     learnable parameters. ``corrupt_backward`` flips the sign of the
     largest sampled analytic gradient to prove the check can fail.
 
-    Each probe re-evaluates only the downstream cone of the node that owns
-    the perturbed parameter and reads every other activation from the
-    first forward's tape, which gives the same bits as a full forward.
+    Each +/-epsilon pair re-evaluates only the downstream cone of the node
+    that owns the perturbed parameter, as two lanes of one pass (see
+    ``_probe_pair``), and reads every other activation from the first
+    forward's tape; that gives the same bits as two full forwards. The
+    backward pass differentiates only with respect to the sampled nodes.
     Raises ValueError for ``sample < 1``, an ``epsilon`` that is not finite
     and positive, a negative or NaN ``tolerance``, or parameters with no
     learnable entry."""
@@ -381,29 +453,30 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     contraction = [rng.standard_normal(o.shape) for o in outputs]
     norm = np.sqrt(sum(float(np.vdot(c, c)) for c in contraction))
     contraction = [c * (0.01 / norm) for c in contraction]
-    pgrads, _ = backward(graph, params, tape, contraction)
-
-    def loss(cone: list[NodeId]) -> float:
-        values = dict(tape.values)
-        _evaluate(graph, params, cone, values, {}, Mode.TRAIN, update_running=False)
-        return float(sum(np.vdot(g, values[o]) for g, o in zip(contraction, graph.outputs)))
-
     picks = sorted(rng.choice(total, size=min(sample, total), replace=False).tolist())
-
-    entries: list[GradCheckEntry] = []
-    cone_root, cone = None, []
+    located = []  # (node, tensor name, tensor, flat offset) per pick
     for pick in picks:
         slot = bisect.bisect_right(ends, pick)
         nid, name, arr = flat[slot]
+        located.append((nid, name, arr, pick - (ends[slot] - arr.size)))
+    pgrads, _ = backward(graph, params, tape, contraction, wrt={nid for nid, *_ in located})
+    n = tape.values[graph.inputs[0]].shape[0]
+
+    def loss(values: dict[NodeId, np.ndarray], lane: int) -> float:
+        return float(sum(np.vdot(g, values[o][lane * n:(lane + 1) * n] if o in values
+                                 else tape.values[o])
+                         for g, o in zip(contraction, graph.outputs)))
+
+    entries: list[GradCheckEntry] = []
+    cone_root, cone, outside = None, [], {}
+    for nid, name, arr, offset in located:
         if nid != cone_root:  # picks are sorted, so one node's picks come in a row
             cone_root, cone = nid, _downstream_cone(graph, nid)
-        offset = pick - (ends[slot] - arr.size)
-        original = arr.flat[offset]
-        arr.flat[offset] = original + epsilon
-        lo_plus = loss(cone)
-        arr.flat[offset] = original - epsilon
-        lo_minus = loss(cone)
-        arr.flat[offset] = original
+            inside = set(cone)
+            outside = {i: np.concatenate((tape.values[i],) * 2) for c in cone[1:]
+                       for i in graph.node(c).inputs if i not in inside}
+        values = _probe_pair(graph, params, tape, cone, outside, arr, offset, epsilon)
+        lo_plus, lo_minus = loss(values, 0), loss(values, 1)
         numeric = (lo_plus - lo_minus) / (2.0 * epsilon)
         node_grads = pgrads.get(nid, {})
         analytic = float(node_grads[name].flat[offset]) if name in node_grads else 0.0

@@ -102,33 +102,38 @@ def conv_weight_grad(z: np.ndarray, x: np.ndarray, kernel: int, stride: int,
 
 
 def batchnorm_train(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
-                    eps: float) -> tuple[np.ndarray, tuple]:
-    """Normalize with biased batch statistics over (N, H, W) per channel."""
+                    eps: float, lanes: int = 1) -> tuple[np.ndarray, tuple]:
+    """Normalize with biased batch statistics over (N, H, W) per channel.
+    The batch axis holds ``lanes`` equal batches side by side, each with its
+    own statistics, shaped (lanes, C, 1, 1)."""
     # the reductions and divisions of x.mean and x.var, with the mean and
     # x - mean formed once; xhat is x - mean until it is scaled in place
-    m = x.shape[0] * x.shape[2] * x.shape[3]
-    mean = np.add.reduce(x, (0, 2, 3), keepdims=True) / m
-    xhat = x - mean
-    var = np.add.reduce(np.square(xhat), (0, 2, 3), keepdims=True) / m
+    n, c, h, w = x.shape
+    xl = x.reshape(lanes, n // lanes, c, h, w)
+    m = xl.shape[1] * h * w
+    mean = np.add.reduce(xl, (1, 3, 4), keepdims=True) / m
+    xhat = xl - mean
+    var = np.add.reduce(np.square(xhat), (1, 3, 4), keepdims=True) / m
     ivar = 1.0 / np.sqrt(var + eps)
     xhat *= ivar
+    xhat = xhat.reshape(x.shape)
     y = scale[None, :, None, None] * xhat + shift[None, :, None, None]
-    return y, (xhat, ivar, mean, var)
+    per_lane = (lanes, c, 1, 1)
+    return y, (xhat, ivar.reshape(per_lane), mean.reshape(per_lane), var.reshape(per_lane))
 
 
 def batchnorm_train_grads(gy: np.ndarray, x: np.ndarray, aux: tuple,
-                          scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xhat, ivar, mean, _ = aux
+                          scale: np.ndarray) -> np.ndarray:
+    """Gradient of the input of one lane; scale and shift take plain sums."""
+    _, ivar, mean, _ = aux
     m = x.shape[0] * x.shape[2] * x.shape[3]
     dxhat = gy * scale[None, :, None, None]
     xmu = x - mean
     dvar = np.sum(dxhat * xmu, axis=(0, 2, 3), keepdims=True) * (-0.5) * ivar ** 3
-    dmean = (np.sum(-dxhat * ivar, axis=(0, 2, 3), keepdims=True)
-             + dvar * np.sum(-2.0 * xmu, axis=(0, 2, 3), keepdims=True) / m)
-    gx = dxhat * ivar + dvar * 2.0 * xmu / m + dmean / m
-    gscale = np.sum(gy * xhat, axis=(0, 2, 3))
-    gshift = gy.sum(axis=(0, 2, 3))
-    return gx, gscale, gshift
+    dxhat *= ivar  # dxhat * ivar, formed once for the sum and for the result
+    dmean = (-np.sum(dxhat, axis=(0, 2, 3), keepdims=True)
+             + dvar * (-2.0 * np.sum(xmu, axis=(0, 2, 3), keepdims=True)) / m)
+    return dxhat + dvar * 2.0 * xmu / m + dmean / m
 
 
 def batchnorm_eval(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
@@ -183,23 +188,20 @@ def global_avg_pool_grad(gy: np.ndarray, x_shape: tuple) -> np.ndarray:
     return np.broadcast_to(gy / (h * w), x_shape).copy()
 
 
-def linear_apply(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+def linear_apply(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
+                 lanes: int = 1) -> np.ndarray:
+    """One (N, K) @ W.T product per lane of the batch axis: a single
+    product over all lanes' rows can round differently per row."""
     n = x.shape[0]
-    y = x.reshape(n, -1) @ w.T
+    y = x.reshape(lanes, n // lanes, -1) @ w.T
     if bias is not None:
-        y = y + bias[None, :]
+        y = y + bias
     return y.reshape(n, -1, 1, 1)
 
 
-def linear_grads(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
-                 with_bias: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    n = x.shape[0]
-    g2 = gy.reshape(n, -1)
-    x2 = x.reshape(n, -1)
-    gx = (g2 @ w).reshape(x.shape)
-    gw = g2.T @ x2
-    gb = g2.sum(axis=0) if with_bias else None
-    return gx, gw, gb
+def linear_grads(gy: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient of the input; weight and bias take a plain product and sum."""
+    return (gy.reshape(x.shape[0], -1) @ w).reshape(x.shape)
 
 
 def softmax_channels(x: np.ndarray) -> np.ndarray:

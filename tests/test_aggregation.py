@@ -202,6 +202,6 @@ def test_residual_node_jacobian_is_identity_at_zero_weights():
     c = rng.standard_normal((2, 4, 4, 4))
     outs, tape = forward(g, params, [a, c], Mode.TRAIN)
     seed_grad = rng.standard_normal(outs[0].shape)
-    _, input_grads = backward(g, params, tape, [seed_grad])
-    np.testing.assert_array_equal(input_grads[1], seed_grad)
-    np.testing.assert_array_equal(input_grads[0], np.zeros_like(a))
+    _, input_grads = backward(g, params, tape, [seed_grad], wrt=[x1, x2])
+    np.testing.assert_array_equal(input_grads[x2], seed_grad)
+    np.testing.assert_array_equal(input_grads[x1], np.zeros_like(a))

@@ -101,6 +101,62 @@ def test_batchnorm_train_matches_two_pass_statistics_bit_for_bit(shape, crop):
         assert np.array_equal(got, want)
 
 
+def _batchnorm_input_grad_reference(gy, x, aux, scale):
+    """The input gradient in its textbook form, kept as the reference:
+    -dxhat * ivar and -2 * xmu are summed as such, and dxhat * ivar is
+    formed twice."""
+    _, ivar, mean, _ = aux
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    dxhat = gy * scale[None, :, None, None]
+    xmu = x - mean
+    dvar = np.sum(dxhat * xmu, axis=(0, 2, 3), keepdims=True) * (-0.5) * ivar ** 3
+    dmean = (np.sum(-dxhat * ivar, axis=(0, 2, 3), keepdims=True)
+             + dvar * np.sum(-2.0 * xmu, axis=(0, 2, 3), keepdims=True) / m)
+    return dxhat * ivar + dvar * 2.0 * xmu / m + dmean / m
+
+
+def test_batchnorm_input_grad_matches_reference_formula_bit_for_bit():
+    # Negation and scaling by a power of two are exact, so taking them out
+    # of the sums keeps every bit.
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n, hw = int(rng.integers(2, 17)), int(rng.integers(1, 17))
+        x = 3.0 + 25.0 * rng.standard_normal((n, 16, hw, hw))
+        gy = rng.standard_normal(x.shape)
+        scale, shift = rng.standard_normal(16), rng.standard_normal(16)
+        _, aux = ops.batchnorm_train(x, scale, shift, 1e-5)
+        want = _batchnorm_input_grad_reference(gy, x, aux, scale)
+        got = ops.batchnorm_train_grads(gy, x, aux, scale)
+        assert got.tobytes() == want.tobytes(), (n, hw)
+
+
+@pytest.mark.parametrize("shape", [(2, 16, 1, 1), (2, 16, 4, 4), (3, 8, 5, 6),
+                                   (16, 16, 16, 16)])
+def test_batchnorm_lanes_match_separate_batches_bit_for_bit(shape):
+    rng = np.random.default_rng(5)
+    lanes = [3.0 + 25.0 * rng.standard_normal(shape) for _ in range(2)]
+    scale, shift = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+    y, (xhat, ivar, mean, var) = ops.batchnorm_train(np.concatenate(lanes), scale, shift,
+                                                     1e-5, lanes=2)
+    n = shape[0]
+    for k, x in enumerate(lanes):
+        want_y, (want_xhat, *want_stats) = ops.batchnorm_train(x, scale, shift, 1e-5)
+        assert y[k * n:(k + 1) * n].tobytes() == want_y.tobytes()
+        assert xhat[k * n:(k + 1) * n].tobytes() == want_xhat.tobytes()
+        for got, want in zip((ivar, mean, var), want_stats, strict=True):
+            assert got[k:k + 1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(1, 48), (2, 32), (2, 48), (3, 64)])
+def test_linear_lanes_match_separate_batches_bit_for_bit(n, k):
+    rng = np.random.default_rng(8)
+    lanes = [rng.standard_normal((n, k, 1, 1)) for _ in range(2)]
+    w, bias = rng.standard_normal((10, k)), rng.standard_normal(10)
+    y = ops.linear_apply(np.concatenate(lanes), w, bias, lanes=2)
+    for j, x in enumerate(lanes):
+        assert y[j * n:(j + 1) * n].tobytes() == ops.linear_apply(x, w, bias).tobytes()
+
+
 def test_init_params_is_bit_deterministic():
     g = simple_net()
     a = init_params(g, 7)
@@ -192,8 +248,8 @@ def test_relu_gradient_is_zero_at_negative_preactivations():
     g = b.build()
     xval = np.array([[[[1.0, -1.0], [2.0, -2.0]], [[-3.0, 3.0], [-4.0, 4.0]]]])
     outs, tape = forward(g, ParamStore(), [xval], Mode.TRAIN)
-    _, input_grads = backward(g, ParamStore(), tape, [np.ones_like(outs[0])])
-    np.testing.assert_array_equal(input_grads[0], (xval > 0).astype(float))
+    _, input_grads = backward(g, ParamStore(), tape, [np.ones_like(outs[0])], wrt=[x])
+    np.testing.assert_array_equal(input_grads[x], (xval > 0).astype(float))
 
 
 def test_concat_routes_gradient_slices():
@@ -207,9 +263,9 @@ def test_concat_routes_gradient_slices():
     c = np.ones((1, 3, 2, 2))
     outs, tape = forward(g, ParamStore(), [a, c], Mode.TRAIN)
     gy = np.random.default_rng(0).standard_normal(outs[0].shape)
-    _, input_grads = backward(g, ParamStore(), tape, [gy])
-    np.testing.assert_array_equal(input_grads[0], gy[:, :2])
-    np.testing.assert_array_equal(input_grads[1], gy[:, 2:])
+    _, input_grads = backward(g, ParamStore(), tape, [gy], wrt=[x1, x2])
+    np.testing.assert_array_equal(input_grads[x1], gy[:, :2])
+    np.testing.assert_array_equal(input_grads[x2], gy[:, 2:])
 
 
 def test_zeroed_residual_node_is_identity_in_eval_mode():
@@ -310,11 +366,27 @@ def two_output_net():
     return b.build()
 
 
+def wide_linear_net():
+    """A Linear over K = 48 features. At batch 2, one (2N, K) product over
+    both probe lanes rounds some rows apart from the (N, K) product."""
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(3, 4, 4))
+    y = b.add(ir.conv(3, 1, 1, 3, 48), [x])
+    y = b.add(ir.batch_norm(48), [y])
+    y = b.add(ir.relu(), [y])
+    y = b.add(ir.global_avg_pool(), [y])
+    y = b.add(ir.linear(48, 10), [y])
+    y = b.add(ir.softmax(), [y])
+    b.mark_output(y)
+    return b.build()
+
+
 @pytest.mark.parametrize("build, hw, sample", [
     (lambda: build_toy_classifier("DLA-34", 16, 16, num_classes=10), 16, 24),
     (lambda: build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5), 32, 12),
     (two_output_net, 6, 200),
-], ids=["DLA-34", "decoder", "two-output"])
+    (wide_linear_net, 4, 200),
+], ids=["DLA-34", "decoder", "two-output", "wide-linear"])
 def test_grad_check_matches_full_forward_differences_bit_for_bit(build, hw, sample):
     g = build()
     params = init_params(g, 7)
@@ -347,6 +419,59 @@ def test_grad_check_matches_full_forward_differences_bit_for_bit(build, hw, samp
         minus = loss()
         arr.flat[e.index] = original
         assert ((plus - minus) / (2.0 * eps)).hex() == e.numeric.hex(), e
+
+
+WRT_NETS = [
+    pytest.param(lambda: build_toy_classifier("DLA-34", 16, 16, num_classes=10), 16,
+                 id="DLA-34"),
+    pytest.param(lambda: build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5), 32,
+                 id="decoder"),
+    pytest.param(two_output_net, 6, id="two-output"),
+]
+
+
+def _taped(build, hw):
+    g = build()
+    params = init_params(g, 4)
+    rng = np.random.default_rng(6)
+    outs, tape = forward(g, params, [rng.standard_normal((2, 3, hw, hw))], Mode.TRAIN,
+                         update_running=False)
+    return g, params, tape, [rng.standard_normal(o.shape) for o in outs]
+
+
+def _bytes(store):
+    return {nid: {name: a.tobytes() for name, a in named.items()}
+            for nid, named in store.items()}
+
+
+@pytest.mark.parametrize("build, hw", WRT_NETS)
+def test_default_backward_matches_wrt_all_learnable_nodes_and_inputs(build, hw):
+    g, params, tape, gys = _taped(build, hw)
+    learnable = {nid for nid, _, _ in params.learnable_entries()}
+    pgrads, input_grads = backward(g, params, tape, gys)
+    full, full_inputs = backward(g, params, tape, gys, wrt=learnable | set(g.inputs))
+    assert set(pgrads) == learnable and input_grads == {}
+    assert _bytes(pgrads) == _bytes(full)
+    assert set(full_inputs) == set(g.inputs)
+
+
+@pytest.mark.parametrize("build, hw", WRT_NETS)
+def test_restricted_wrt_returns_the_full_gradients_of_its_nodes_only(build, hw):
+    g, params, tape, gys = _taped(build, hw)
+    learnable = {nid for nid, _, _ in params.learnable_entries()}
+    candidates = sorted(learnable | set(g.inputs))
+    full, full_inputs = backward(g, params, tape, gys, wrt=candidates)
+    rng = np.random.default_rng(2)
+    for size in (1, 2, len(candidates) // 3):
+        wrt = {int(i) for i in rng.choice(candidates, size=size, replace=False)}
+        pgrads, input_grads = backward(g, params, tape, gys, wrt=wrt)
+        assert set(pgrads) == wrt & learnable
+        assert set(input_grads) == wrt & set(g.inputs)
+        assert _bytes(pgrads) == {nid: _bytes(full)[nid] for nid in pgrads}
+        for nid, grad in input_grads.items():
+            assert grad.tobytes() == full_inputs[nid].tobytes()
+    with pytest.raises(ValueError):
+        backward(g, params, tape, gys, wrt=[len(g)])
 
 
 def test_grad_report_json_shape():
