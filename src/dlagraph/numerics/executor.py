@@ -10,10 +10,17 @@ bit-identical results across runs.
 Shapes, attributes and learnable-tensor shapes come from ``ir.OPS``.
 
 ``backward`` differentiates only what its ``wrt`` nodes sit at or upstream
-of. ``grad_check`` runs each +/-epsilon pair as two probe lanes stacked on
-the batch axis. Only batch norm (per-lane statistics) and linear (one
-product per lane) see the lanes; every other kernel treats each sample
-alone, so a lane's bits equal those of a run at the plain batch.
+of. ``grad_check`` probes its sampled entries in groups of consecutive
+picks, one pass per group over the union of their downstream cones. A node
+carries a +/-epsilon pair of lanes, stacked on the batch axis, for every
+pick whose cone holds it, and each value is dropped after its last
+consumer in the pass unless it is a graph output. Only batch norm
+(per-lane statistics) and linear (one product per lane) see the lanes;
+every other kernel treats each sample alone, so a lane's bits equal those
+of a run at the plain batch. Two bounds keep a pass's memory at or below
+that of one pass per pick: a group holds at most ``_PROBE_GROUP`` picks,
+and convolutions and upsamplings, whose im2col or col2im blocks grow with
+the batch, run one lane pair at a time.
 """
 
 from __future__ import annotations
@@ -130,7 +137,15 @@ def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
     if len(batches) > 1:
         raise ShapeMismatch("inputs disagree on batch size: %s" % sorted(batches))
     aux: dict[NodeId, object] = {}
-    _evaluate(graph, params, topo_order(graph), values, aux, mode, update_running)
+    for nid in topo_order(graph):
+        node = graph.node(nid)
+        if node.op.kind is OpKind.INPUT:
+            continue
+        values[nid], kept = KERNELS[node.op.kind].forward(
+            node.op.attrs, params.tensors.get(nid), [values[i] for i in node.inputs],
+            mode, update_running, 1)
+        if kept is not None:
+            aux[nid] = kept
     outputs = [values[o] for o in graph.outputs]
     return outputs, Tape(graph, mode, values, aux)
 
@@ -141,7 +156,8 @@ class Kernels(NamedTuple):
     functions up when they run, so a wrapper put on the module takes effect.
 
     ``forward`` gets the number of probe lanes stacked on the batch axis
-    (see ``grad_check``). ``backward`` gets whether the first input's
+    (see ``grad_check``); one that builds im2col or col2im blocks runs them
+    a lane pair at a time through ``_by_pairs``. ``backward`` gets whether the first input's
     gradient and the tensors' gradients are wanted; a kernel may skip what
     is not, and returns None or {} for it."""
 
@@ -150,9 +166,20 @@ class Kernels(NamedTuple):
     #                     -> ([grad per input], {tensor: grad})
 
 
-def _conv(a, p, xs, *_):
-    return ops.conv_apply(xs[0], p["weight"], p.get("bias"), a["stride"], a["padding"],
-                          a["groups"]), None
+def _by_pairs(apply, x: np.ndarray, lanes: int) -> np.ndarray:
+    """``apply`` over one +/- pair of probe lanes at a time, so a kernel that
+    builds an im2col or col2im block builds it for one pair only: a block
+    over many lanes outgrows the cache and the probe's heap peak."""
+    if lanes <= 2:
+        return apply(x)
+    step = 2 * len(x) // lanes
+    return np.concatenate([apply(x[i:i + step]) for i in range(0, len(x), step)])
+
+
+def _conv(a, p, xs, mode, update_running, lanes):
+    return _by_pairs(lambda x: ops.conv_apply(x, p["weight"], p.get("bias"), a["stride"],
+                                              a["padding"], a["groups"]),
+                     xs[0], lanes), None
 
 
 def _conv_grad(a, p, gy, xs, y, kept, want_x, want_p):
@@ -214,12 +241,13 @@ def _upsample_weight(a, p):  # a learned upsampling owns its kernel
     return p["weight"] if p else ops.bilinear_upsample_weight(a["channels"], a["factor"])
 
 
-def _upsample(a, p, xs, *_):
+def _upsample(a, p, xs, mode, update_running, lanes):
     f = a["factor"]
     _, stride, padding = upsample_kernel_geometry(f)
     out_hw = (xs[0].shape[2] * f, xs[0].shape[3] * f)
-    return ops.conv_apply_adjoint(xs[0], _upsample_weight(a, p), stride, padding,
-                                  a["channels"], out_hw), None
+    return _by_pairs(lambda x: ops.conv_apply_adjoint(x, _upsample_weight(a, p), stride,
+                                                      padding, a["channels"], out_hw),
+                     xs[0], lanes), None
 
 
 def _upsample_grad(a, p, gy, xs, y, kept, want_x, want_p):
@@ -260,23 +288,6 @@ KERNELS: dict[OpKind, Kernels] = {
     OpKind.OUTPUT: Kernels(lambda a, p, xs, *_: (xs[0], None),
                            lambda a, p, gy, *_: ([gy], {})),
 }
-
-
-def _evaluate(graph: Graph, params: ParamStore, order: Sequence[NodeId],
-              values: dict[NodeId, np.ndarray], aux: dict[NodeId, object],
-              mode: Mode, update_running: bool, lanes: int = 1) -> None:
-    """Evaluate the nodes named by ``order``, in that order, into ``values``
-    and ``aux``. Each node's inputs must already be in ``values``; Input
-    nodes keep the tensor the caller put there."""
-    for nid in order:
-        node = graph.node(nid)
-        if node.op.kind is OpKind.INPUT:
-            continue
-        values[nid], kept = KERNELS[node.op.kind].forward(
-            node.op.attrs, params.tensors.get(nid), [values[i] for i in node.inputs],
-            mode, update_running, lanes)
-        if kept is not None:
-            aux[nid] = kept
 
 
 def backward(graph: Graph, params: ParamStore, tape: Tape,
@@ -383,38 +394,72 @@ def _rel_error(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1e-8)
 
 
-def _downstream_cone(graph: Graph, root: NodeId) -> list[NodeId]:
-    """``root`` and every node that depends on it, in ascending id order.
-    One ascending pass finds them all because every input id is below its
-    node's id."""
-    inside = {root}
-    for node in graph.nodes[root + 1:]:
-        if not inside.isdisjoint(node.inputs):
-            inside.add(node.id)
-    return sorted(inside)
+_PROBE_GROUP = 6  # picks per probe pass: the widest that kept the heap peak down
 
 
-def _probe_pair(graph: Graph, params: ParamStore, tape: Tape, cone: list[NodeId],
-                outside: dict[NodeId, np.ndarray], arr: np.ndarray, offset: int,
-                epsilon: float) -> dict[NodeId, np.ndarray]:
-    """The cone's values with ``arr.flat[offset]`` moved by +epsilon and by
-    -epsilon, as two lanes stacked on the batch axis. The cone root runs once
-    per value at batch N, every later cone node once at 2N. ``outside``
-    holds each input from outside the cone, its tape value repeated for
-    both lanes."""
-    root = graph.node(cone[0])
-    xs = [tape.values[i] for i in root.inputs]
-    original = arr.flat[offset]
-    ys = []
-    for value in (original + epsilon, original - epsilon):
-        arr.flat[offset] = value
-        ys.append(KERNELS[root.op.kind].forward(
-            root.op.attrs, params.tensors[root.id], xs, Mode.TRAIN, False, 1)[0])
-    arr.flat[offset] = original
-    values = dict(outside)
-    values[root.id] = np.concatenate(ys)
-    _evaluate(graph, params, cone[1:], values, {}, Mode.TRAIN, False, lanes=2)
-    return values
+def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
+                 group: Sequence[tuple[NodeId, str, np.ndarray, int]], epsilon: float
+                 ) -> tuple[dict[NodeId, np.ndarray], dict[NodeId, tuple[int, ...]]]:
+    """The probe pass of ``group``, picks given as (node, tensor name, tensor,
+    flat offset) in pick order, so in ascending node order.
+
+    A pick's root runs twice at batch N with its entry moved, on tape
+    inputs. Each cone node's lanes of picks rooted upstream, which come
+    first, run once and unperturbed; an input gives its tape value in the
+    lanes of picks whose cone does not hold it. Returns the values still
+    held at the end, which are the graph outputs some cone holds, and the
+    picks whose lane pairs each cone node carries, in order."""
+    n = tape.values[graph.inputs[0]].shape[0]
+    rooted: dict[NodeId, list[int]] = {}
+    for k, (nid, *_) in enumerate(group):
+        rooted.setdefault(nid, []).append(k)
+    held: dict[NodeId, tuple[int, ...]] = {}
+    last: dict[NodeId, NodeId] = {}  # each cone value's last consumer in the pass
+    for node in graph.nodes[group[0][0]:]:  # ids ascend along every edge
+        picks = {k for i in node.inputs for k in held.get(i, ())}
+        picks.update(rooted.get(node.id, ()))
+        if picks:
+            held[node.id] = tuple(sorted(picks))
+            last.update((i, node.id) for i in (*node.inputs, node.id))
+
+    values: dict[NodeId, np.ndarray] = {}
+    outputs = set(graph.outputs)
+
+    def lanes_of(i: NodeId, picks: tuple[int, ...]) -> np.ndarray:
+        own = held.get(i, ())
+        if own == picks:
+            return values[i]
+        parts = []
+        for k in picks:
+            if k in own:
+                j = own.index(k)
+                parts.append(values[i][2 * j * n:2 * (j + 1) * n])
+            else:
+                parts += (tape.values[i],) * 2
+        return np.concatenate(parts)
+
+    for nid, picks in held.items():
+        node = graph.node(nid)
+        run, p = KERNELS[node.op.kind].forward, params.tensors.get(nid)
+        here = rooted.get(nid, ())
+        upstream = picks[:len(picks) - len(here)]
+        parts = []
+        if upstream:
+            parts.append(run(node.op.attrs, p, [lanes_of(i, upstream) for i in node.inputs],
+                             Mode.TRAIN, False, 2 * len(upstream))[0])
+        xs = [tape.values[i] for i in node.inputs]
+        for k in here:
+            _, _, arr, offset = group[k]
+            original = arr.flat[offset]
+            for value in (original + epsilon, original - epsilon):
+                arr.flat[offset] = value
+                parts.append(run(node.op.attrs, p, xs, Mode.TRAIN, False, 1)[0])
+            arr.flat[offset] = original
+        values[nid] = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for i in (*node.inputs, nid):
+            if last.get(i) == nid and i not in outputs:
+                values.pop(i, None)
+    return values, held
 
 
 def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
@@ -427,10 +472,11 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     largest sampled analytic gradient to prove the check can fail.
 
     Each +/-epsilon pair re-evaluates only the downstream cone of the node
-    that owns the perturbed parameter, as two lanes of one pass (see
-    ``_probe_pair``), and reads every other activation from the first
-    forward's tape; that gives the same bits as two full forwards. The
-    backward pass differentiates only with respect to the sampled nodes.
+    that owns the perturbed parameter, as two lanes of a pass shared by up
+    to ``_PROBE_GROUP`` consecutive picks (see ``_probe_group``), and reads
+    every other activation from the first forward's tape; that gives the
+    same bits as two full forwards. The backward pass differentiates only
+    with respect to the sampled nodes.
     Raises ValueError for ``sample < 1``, an ``epsilon`` that is not finite
     and positive, a negative or NaN ``tolerance``, or parameters with no
     learnable entry."""
@@ -462,26 +508,25 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     pgrads, _ = backward(graph, params, tape, contraction, wrt={nid for nid, *_ in located})
     n = tape.values[graph.inputs[0]].shape[0]
 
-    def loss(values: dict[NodeId, np.ndarray], lane: int) -> float:
-        return float(sum(np.vdot(g, values[o][lane * n:(lane + 1) * n] if o in values
-                                 else tape.values[o])
-                         for g, o in zip(contraction, graph.outputs)))
+    def loss(values: dict[NodeId, np.ndarray], held: dict[NodeId, tuple[int, ...]],
+             pick: int, lane: int) -> float:
+        def output(o: NodeId) -> np.ndarray:
+            if pick not in held.get(o, ()):
+                return tape.values[o]
+            j = 2 * held[o].index(pick) + lane
+            return values[o][j * n:(j + 1) * n]
+        return float(sum(np.vdot(g, output(o)) for g, o in zip(contraction, graph.outputs)))
 
     entries: list[GradCheckEntry] = []
-    cone_root, cone, outside = None, [], {}
-    for nid, name, arr, offset in located:
-        if nid != cone_root:  # picks are sorted, so one node's picks come in a row
-            cone_root, cone = nid, _downstream_cone(graph, nid)
-            inside = set(cone)
-            outside = {i: np.concatenate((tape.values[i],) * 2) for c in cone[1:]
-                       for i in graph.node(c).inputs if i not in inside}
-        values = _probe_pair(graph, params, tape, cone, outside, arr, offset, epsilon)
-        lo_plus, lo_minus = loss(values, 0), loss(values, 1)
-        numeric = (lo_plus - lo_minus) / (2.0 * epsilon)
-        node_grads = pgrads.get(nid, {})
-        analytic = float(node_grads[name].flat[offset]) if name in node_grads else 0.0
-        entries.append(GradCheckEntry(nid, name, int(offset), analytic, float(numeric),
-                                      _rel_error(analytic, numeric)))
+    for start in range(0, len(located), _PROBE_GROUP):
+        group = located[start:start + _PROBE_GROUP]
+        values, held = _probe_group(graph, params, tape, group, epsilon)
+        for k, (nid, name, arr, offset) in enumerate(group):
+            numeric = (loss(values, held, k, 0) - loss(values, held, k, 1)) / (2.0 * epsilon)
+            node_grads = pgrads.get(nid, {})
+            analytic = float(node_grads[name].flat[offset]) if name in node_grads else 0.0
+            entries.append(GradCheckEntry(nid, name, int(offset), analytic, float(numeric),
+                                          _rel_error(analytic, numeric)))
 
     if corrupt_backward:
         target = max(range(len(entries)), key=lambda i: abs(entries[i].analytic))

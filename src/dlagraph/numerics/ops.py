@@ -117,7 +117,8 @@ def batchnorm_train(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
     ivar = 1.0 / np.sqrt(var + eps)
     xhat *= ivar
     xhat = xhat.reshape(x.shape)
-    y = scale[None, :, None, None] * xhat + shift[None, :, None, None]
+    y = scale[None, :, None, None] * xhat
+    y += shift[None, :, None, None]  # in place: one full-size temporary fewer
     per_lane = (lanes, c, 1, 1)
     return y, (xhat, ivar.reshape(per_lane), mean.reshape(per_lane), var.reshape(per_lane))
 

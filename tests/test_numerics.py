@@ -10,7 +10,7 @@ from dlagraph.ir import GraphBuilder, OpKind, TensorShape, UpsampleMode
 from dlagraph.numerics import (Mode, ParamStore, ShapeMismatch, StaleTape, backward,
                                cross_entropy, forward, grad_check, init_params,
                                sgd_step)
-from dlagraph.numerics import ops
+from dlagraph.numerics import executor, ops
 
 
 def simple_net(channels=4, hw=8, classes=3):
@@ -134,27 +134,47 @@ def test_batchnorm_input_grad_matches_reference_formula_bit_for_bit():
                                    (16, 16, 16, 16)])
 def test_batchnorm_lanes_match_separate_batches_bit_for_bit(shape):
     rng = np.random.default_rng(5)
-    lanes = [3.0 + 25.0 * rng.standard_normal(shape) for _ in range(2)]
     scale, shift = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
-    y, (xhat, ivar, mean, var) = ops.batchnorm_train(np.concatenate(lanes), scale, shift,
-                                                     1e-5, lanes=2)
     n = shape[0]
-    for k, x in enumerate(lanes):
-        want_y, (want_xhat, *want_stats) = ops.batchnorm_train(x, scale, shift, 1e-5)
-        assert y[k * n:(k + 1) * n].tobytes() == want_y.tobytes()
-        assert xhat[k * n:(k + 1) * n].tobytes() == want_xhat.tobytes()
-        for got, want in zip((ivar, mean, var), want_stats, strict=True):
-            assert got[k:k + 1].tobytes() == want.tobytes()
+    for count in (2, 12):  # a probe pass stacks up to 12 lanes
+        lanes = [3.0 + 25.0 * rng.standard_normal(shape) for _ in range(count)]
+        y, (xhat, ivar, mean, var) = ops.batchnorm_train(np.concatenate(lanes), scale,
+                                                         shift, 1e-5, lanes=count)
+        for k, x in enumerate(lanes):
+            want_y, (want_xhat, *want_stats) = ops.batchnorm_train(x, scale, shift, 1e-5)
+            assert y[k * n:(k + 1) * n].tobytes() == want_y.tobytes(), (count, k)
+            assert xhat[k * n:(k + 1) * n].tobytes() == want_xhat.tobytes(), (count, k)
+            for got, want in zip((ivar, mean, var), want_stats, strict=True):
+                assert got[k:k + 1].tobytes() == want.tobytes(), (count, k)
 
 
 @pytest.mark.parametrize("n, k", [(1, 48), (2, 32), (2, 48), (3, 64)])
 def test_linear_lanes_match_separate_batches_bit_for_bit(n, k):
     rng = np.random.default_rng(8)
-    lanes = [rng.standard_normal((n, k, 1, 1)) for _ in range(2)]
     w, bias = rng.standard_normal((10, k)), rng.standard_normal(10)
-    y = ops.linear_apply(np.concatenate(lanes), w, bias, lanes=2)
-    for j, x in enumerate(lanes):
-        assert y[j * n:(j + 1) * n].tobytes() == ops.linear_apply(x, w, bias).tobytes()
+    for count in (2, 12):
+        lanes = [rng.standard_normal((n, k, 1, 1)) for _ in range(count)]
+        y = ops.linear_apply(np.concatenate(lanes), w, bias, lanes=count)
+        for j, x in enumerate(lanes):
+            want = ops.linear_apply(x, w, bias)
+            assert y[j * n:(j + 1) * n].tobytes() == want.tobytes(), (count, j)
+
+
+@pytest.mark.parametrize("op", [ir.conv(3, 2, 1, 4, 6, has_bias=True),
+                                ir.upsample(2, UpsampleMode.LEARNED_TRANSPOSED_CONV, 4)],
+                         ids=["conv", "upsample"])
+def test_im2col_kernels_at_12_lanes_match_their_per_pair_calls_bit_for_bit(op):
+    b = GraphBuilder()
+    node = b.add(op, [b.add_input(TensorShape(4, 6, 6))])
+    b.mark_output(node)
+    g = b.build()
+    params = init_params(g, 3).tensors[node]
+    x = np.random.default_rng(4).standard_normal((24, 4, 6, 6))  # 12 lanes at batch 2
+    run = executor.KERNELS[op.kind].forward
+    y, _ = run(op.attrs, params, [x], Mode.TRAIN, False, 12)
+    for i in range(0, 24, 4):
+        want, _ = run(op.attrs, params, [x[i:i + 4]], Mode.TRAIN, False, 2)
+        assert y[i:i + 4].tobytes() == want.tobytes(), i
 
 
 def test_init_params_is_bit_deterministic():
@@ -381,12 +401,32 @@ def wide_linear_net():
     return b.build()
 
 
+def join_net():
+    """Two branches of the input joined by an Add, then one more conv: a
+    probe pass over picks in both branches feeds the Add inputs that carry
+    different picks' lanes, one of them with tape values in the others'."""
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(3, 6, 6))
+    left = b.add(ir.conv(3, 1, 1, 3, 2), [x])
+    left = b.add(ir.batch_norm(2), [left])
+    right = b.add(ir.conv(1, 1, 0, 3, 2), [x])
+    y = b.add(ir.add(), [left, right])
+    y = b.add(ir.relu(), [y])
+    y = b.add(ir.conv(1, 1, 0, 2, 3, has_bias=True), [y])
+    b.mark_output(y)
+    return b.build()
+
+
 @pytest.mark.parametrize("build, hw, sample", [
     (lambda: build_toy_classifier("DLA-34", 16, 16, num_classes=10), 16, 24),
     (lambda: build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5), 32, 12),
     (two_output_net, 6, 200),
     (wide_linear_net, 4, 200),
-], ids=["DLA-34", "decoder", "two-output", "wide-linear"])
+    (lambda: build_toy_classifier("DLA-34", 16, 16, num_classes=10), 16, 7),
+    (lambda: build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5), 32, 13),
+    (join_net, 6, 200),
+], ids=["DLA-34", "decoder", "two-output", "wide-linear", "DLA-34-partial-group",
+        "decoder-partial-group", "join"])
 def test_grad_check_matches_full_forward_differences_bit_for_bit(build, hw, sample):
     g = build()
     params = init_params(g, 7)
@@ -419,6 +459,26 @@ def test_grad_check_matches_full_forward_differences_bit_for_bit(build, hw, samp
         minus = loss()
         arr.flat[e.index] = original
         assert ((plus - minus) / (2.0 * eps)).hex() == e.numeric.hex(), e
+
+
+def test_probe_pass_holds_only_the_graph_outputs_its_cones_reach():
+    """A probe pass drops each value after its last consumer in the pass,
+    so at its end it holds the graph outputs that some pick's cone holds,
+    each with a +/- lane pair per such pick, and nothing else."""
+    g = two_output_net()
+    params = init_params(g, 4)
+    xval = np.random.default_rng(6).standard_normal((2, 3, 6, 6))
+    _, tape = forward(g, params, [xval], Mode.TRAIN, update_running=False)
+    trunk, dense, _ = [n.id for n in g.nodes if n.op.kind is OpKind.CONV]
+
+    def picks(nid, *offsets):
+        return [(nid, "weight", params.tensors[nid]["weight"], o) for o in offsets]
+
+    values, _ = executor._probe_group(g, params, tape, picks(trunk, 0, 7), 1e-5)
+    assert set(values) == set(g.outputs)
+    assert all(v.shape[0] == 2 * 2 * 2 for v in values.values())
+    values, _ = executor._probe_group(g, params, tape, picks(dense, 3), 1e-5)
+    assert set(values) == {g.outputs[0]}
 
 
 WRT_NETS = [
