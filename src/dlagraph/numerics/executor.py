@@ -21,6 +21,14 @@ of a run at the plain batch. Two bounds keep a pass's memory at or below
 that of one pass per pick: a group holds at most ``_PROBE_GROUP`` picks,
 and convolutions and upsamplings, whose im2col or col2im blocks grow with
 the batch, run one lane pair at a time.
+
+Three rules bound the memory of a training step; none changes a bit.
+``backward`` drops each node's gradient once that node's kernel has used
+it, so it holds only the frontier and the graph inputs' gradients. Batch
+norm tapes only its per-lane statistics (ivar, mean, var), and its backward
+forms x - mean again. The backward convolutions build their im2col and
+col2im blocks a bounded slice of samples at a time (see ``ops``).
+``forward`` still keeps every value on the tape.
 """
 
 from __future__ import annotations
@@ -199,21 +207,23 @@ def _batch_norm(a, p, xs, mode, update_running, lanes):
     if mode != Mode.TRAIN:
         return ops.batchnorm_eval(xs[0], p["scale"], p["shift"], p["running_mean"],
                                   p["running_var"], a["epsilon"]), None
-    y, kept = ops.batchnorm_train(xs[0], p["scale"], p["shift"], a["epsilon"], lanes)
+    y, (_, ivar, mean, var) = ops.batchnorm_train(xs[0], p["scale"], p["shift"],
+                                                  a["epsilon"], lanes)
     if update_running:
-        _, _, mean, var = kept
         for name, batch_stat in (("running_mean", mean), ("running_var", var)):
             p[name] *= 1.0 - BN_MOMENTUM
             p[name] += BN_MOMENTUM * batch_stat.reshape(-1)
-    return y, kept
+    return y, (ivar, mean, var)  # not xhat: backward forms it again
 
 
 def _batch_norm_grad(a, p, gy, xs, y, kept, want_x, want_p):
-    gx = ops.batchnorm_train_grads(gy, xs[0], kept, p["scale"]) if want_x else None
+    ivar, mean, _ = kept
+    xmu = xs[0] - mean
+    gx = ops.batchnorm_train_grads(gy, xmu, ivar, p["scale"]) if want_x else None
     named = None
     if want_p:
-        named = {"scale": np.sum(gy * kept[0], axis=(0, 2, 3)),
-                 "shift": gy.sum(axis=(0, 2, 3))}
+        xmu *= ivar  # forward's xhat, by the same two operations
+        named = {"scale": np.sum(gy * xmu, axis=(0, 2, 3)), "shift": gy.sum(axis=(0, 2, 3))}
     return [gx], named
 
 
@@ -337,12 +347,13 @@ def backward(graph: Graph, params: ParamStore, tape: Tape,
         if nid not in grads or node.op.kind is OpKind.INPUT:
             continue
         gxs, named = KERNELS[node.op.kind].backward(
-            node.op.attrs, params.tensors.get(nid), grads[nid],
+            node.op.attrs, params.tensors.get(nid), grads.pop(nid),
             [tape.values[i] for i in node.inputs], tape.values[nid], tape.aux.get(nid),
             active[node.inputs[0]], nid in wrt)
         for src, g in zip(node.inputs, gxs):
             if active[src]:
                 accumulate(src, g)
+        del gxs, g  # grads holds copies: free these before the next kernel runs
         if named:  # each node is visited once, so its tensors' gradients are complete
             pgrads[nid] = named
 

@@ -31,12 +31,12 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray
                       (sn, sc, sh, sw, stride * sh, stride * sw)).copy()
 
 
-def _col2im(cols: np.ndarray, h: int, w: int, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patches back onto an (N, C, H, W) grid.
-    Taps i .. i + stride - 1 hit disjoint rows, so one add per block offset
-    (i, j) through a stride-phase view keeps each cell's ascending tap order."""
-    n, c, kernel, _, oh, ow = cols.shape
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+def _col2im(cols: np.ndarray, xp: np.ndarray, stride: int) -> None:
+    """Adjoint of _im2col: scatter-add (N, C, k, k, OH, OW) patches onto the
+    padded (N, C, H + 2p, W + 2p) grid ``xp`` in place. Taps i .. i + stride
+    - 1 hit disjoint rows, so one add per block offset (i, j) through a
+    stride-phase view keeps each cell's ascending tap order."""
+    kernel = cols.shape[2]
     sn, sc, sh, sw = xp.strides
     phase_strides = (sn, sc, sh, stride * sh, sw, stride * sw)
     by_phase = cols.transpose(0, 1, 2, 4, 3, 5)
@@ -45,9 +45,19 @@ def _col2im(cols: np.ndarray, h: int, w: int, stride: int, padding: int) -> np.n
             taps = by_phase[:, :, i:i + stride, :, j:j + stride]
             phases = np.ndarray(taps.shape, xp.dtype, xp, i * sh + j * sw, phase_strides)
             phases += taps
-    if padding:
-        return xp[:, :, padding:-padding, padding:-padding]
-    return xp
+
+
+# Bytes of one column block that the backward kernels build: a batch whose
+# columns outgrow it runs a slice of samples at a time.
+_COL_BLOCK_BYTES = 2 << 20
+
+
+def _sample_blocks(n: int, per_sample: int) -> list[slice]:
+    """Consecutive slices of a batch of ``n`` whose columns, ``per_sample``
+    bytes per sample, fit _COL_BLOCK_BYTES; one slice if the batch fits, and
+    at least one sample per slice."""
+    step = max(1, _COL_BLOCK_BYTES // per_sample)
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def conv_apply(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
@@ -81,23 +91,35 @@ def conv_apply_adjoint(z: np.ndarray, w: np.ndarray, stride: int, padding: int,
         raise ValueError("adjoint operand is %dx%d, conv output side is %dx%d"
                          % (z.shape[2], z.shape[3], oh, ow))
     zg = z.reshape(n, groups, oc // groups, oh * ow)
-    wg = w.reshape(groups, oc // groups, icg * kernel * kernel)
-    cols = np.matmul(wg.transpose(0, 2, 1)[None], zg)
-    cols = cols.reshape(n, groups * icg, kernel, kernel, oh, ow)
-    return _col2im(cols, h, wd, stride, padding)
+    wt = w.reshape(groups, oc // groups, icg * kernel * kernel).transpose(0, 2, 1)[None]
+    xp = np.zeros((n, groups * icg, h + 2 * padding, wd + 2 * padding),
+                  dtype=np.result_type(z, w))
+    # each slice of samples adds its taps into its own slice of the grid
+    for s in _sample_blocks(n, xp.itemsize * groups * icg * kernel * kernel * oh * ow):
+        cols = np.matmul(wt, zg[s])
+        _col2im(cols.reshape(-1, groups * icg, kernel, kernel, oh, ow), xp[s], stride)
+    if padding:
+        return xp[:, :, padding:-padding, padding:-padding]
+    return xp
 
 
 def conv_weight_grad(z: np.ndarray, x: np.ndarray, kernel: int, stride: int,
                      padding: int, groups: int) -> np.ndarray:
-    """d<z, conv(x; w)>/dw, shaped like the weight."""
-    n = x.shape[0]
-    oc = z.shape[1]
-    cols = _im2col(x, kernel, stride, padding)
-    oh, ow = cols.shape[-2:]
+    """d<z, conv(x; w)>/dw, shaped like the weight. The per-sample products
+    are added in sample order from sample 0, whatever the slices."""
+    n, oc, oh, ow = z.shape
     icg = x.shape[1] // groups
-    cols = cols.reshape(n, groups, icg * kernel * kernel, oh * ow)
     zg = z.reshape(n, groups, oc // groups, oh * ow)
-    gw = np.matmul(zg, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+    gw = None
+    for s in _sample_blocks(n, x.itemsize * x.shape[1] * kernel * kernel * oh * ow):
+        cols = _im2col(x[s], kernel, stride, padding)
+        cols = cols.reshape(-1, groups, icg * kernel * kernel, oh * ow)
+        prods = np.matmul(zg[s], cols.transpose(0, 1, 3, 2))
+        if gw is None:  # a sum over the outer axis adds sample by sample
+            gw = prods.sum(axis=0)
+        else:
+            for prod in prods:
+                gw += prod
     return gw.reshape(oc, icg, kernel, kernel)
 
 
@@ -123,13 +145,12 @@ def batchnorm_train(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
     return y, (xhat, ivar.reshape(per_lane), mean.reshape(per_lane), var.reshape(per_lane))
 
 
-def batchnorm_train_grads(gy: np.ndarray, x: np.ndarray, aux: tuple,
+def batchnorm_train_grads(gy: np.ndarray, xmu: np.ndarray, ivar: np.ndarray,
                           scale: np.ndarray) -> np.ndarray:
-    """Gradient of the input of one lane; scale and shift take plain sums."""
-    _, ivar, mean, _ = aux
-    m = x.shape[0] * x.shape[2] * x.shape[3]
+    """Gradient of the input of one lane, from x - mean and the inverse
+    deviation; scale and shift take plain sums."""
+    m = xmu.shape[0] * xmu.shape[2] * xmu.shape[3]
     dxhat = gy * scale[None, :, None, None]
-    xmu = x - mean
     dvar = np.sum(dxhat * xmu, axis=(0, 2, 3), keepdims=True) * (-0.5) * ivar ** 3
     dxhat *= ivar  # dxhat * ivar, formed once for the sum and for the result
     dmean = (-np.sum(dxhat, axis=(0, 2, 3), keepdims=True)

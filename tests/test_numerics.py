@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,8 +79,38 @@ def test_col2im_matches_per_tap_loop_bit_for_bit(kernel, stride, padding):
     for i in range(kernel):
         for j in range(kernel):
             xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
-    want = xp[:, :, padding:padding + h, padding:padding + w]
-    assert np.array_equal(ops._col2im(cols, h, w, stride, padding), want)
+    got = np.zeros_like(xp)
+    ops._col2im(cols, got, stride)
+    assert np.array_equal(got, xp)
+
+
+@pytest.mark.parametrize("kernel,stride,padding", KERNEL_GRID, ids=KERNEL_GRID_IDS)
+def test_backward_column_slices_match_one_block_bit_for_bit(monkeypatch, kernel, stride,
+                                                            padding):
+    h = _grid_extent(kernel, stride, padding)
+    w = h + 1
+    oh, ow = ir.window_out_hw(h, w, kernel, stride, padding)
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((5, 3, h, w))
+    z = rng.standard_normal((5, 6, oh, ow))
+    per_sample = x.itemsize * 3 * kernel * kernel * oh * ow  # column bytes of one sample
+
+    def both(weight, groups):
+        return (ops.conv_apply_adjoint(z, weight, stride, padding, groups, (h, w)),
+                ops.conv_weight_grad(z, x, kernel, stride, padding, groups))
+
+    for groups in (1, 3):
+        weight = rng.standard_normal((6, 3 // groups, kernel, kernel))
+        assert len(ops._sample_blocks(5, per_sample)) == 1
+        want = both(weight, groups)
+        # every sample alone; then pairs and a remainder
+        for samples, blocks in ((1, 5), (2, 3)):
+            monkeypatch.setattr(ops, "_COL_BLOCK_BYTES", samples * per_sample)
+            assert len(ops._sample_blocks(5, per_sample)) == blocks
+            for got, ref in zip(both(weight, groups), want, strict=True):
+                assert (got.shape, got.strides) == (ref.shape, ref.strides)
+                assert got.tobytes() == ref.tobytes(), (groups, samples)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("shape,crop", [((2, 16, 1, 1), False), ((2, 16, 4, 4), False),
@@ -126,7 +158,7 @@ def test_batchnorm_input_grad_matches_reference_formula_bit_for_bit():
         scale, shift = rng.standard_normal(16), rng.standard_normal(16)
         _, aux = ops.batchnorm_train(x, scale, shift, 1e-5)
         want = _batchnorm_input_grad_reference(gy, x, aux, scale)
-        got = ops.batchnorm_train_grads(gy, x, aux, scale)
+        got = ops.batchnorm_train_grads(gy, x - aux[2], aux[1], scale)
         assert got.tobytes() == want.tobytes(), (n, hw)
 
 
@@ -532,6 +564,41 @@ def test_restricted_wrt_returns_the_full_gradients_of_its_nodes_only(build, hw):
             assert grad.tobytes() == full_inputs[nid].tobytes()
     with pytest.raises(ValueError):
         backward(g, params, tape, gys, wrt=[len(g)])
+
+
+def test_batch_norm_tapes_only_its_per_channel_statistics():
+    g = build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5)
+    params = init_params(g, 2)
+    _, tape = forward(g, params, [np.random.default_rng(1).standard_normal((2, 3, 32, 32))])
+    norms = [n for n in g.nodes if n.op.kind is OpKind.BATCH_NORM]
+    assert norms
+    for node in norms:  # (ivar, mean, var), one lane of one value per channel
+        channels = node.op.attrs["channels"]
+        assert [a.shape for a in tape.aux[node.id]] == [(1, channels, 1, 1)] * 3
+
+
+def test_decoder_training_step_heap_peak_is_bounded():
+    """A batch-16 training step of the toy decoder peaks at about 48 MB of
+    heap, 34 MB of it the tape. The bound fails if backward keeps every
+    gradient to its end, if batch norm tapes its normalized activations, or
+    if backward builds a conv's columns over the whole batch (63 MB)."""
+    g = build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5)
+    params = init_params(g, 9)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((16, 3, 32, 32))
+    tracemalloc.start()
+    try:
+        (probs,), tape = forward(g, params, [x], Mode.TRAIN)
+        # the per-pixel mean NLL's gradient: -1 / (pixels * p) at each label
+        labels = rng.integers(0, 5, (16, 1) + probs.shape[2:])
+        picked = np.take_along_axis(probs, labels, axis=1)
+        gp = np.zeros_like(probs)
+        np.put_along_axis(gp, labels, -1.0 / (picked.size * picked), axis=1)
+        backward(g, params, tape, [gp])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56e6, "heap peak %.1f MB" % (peak / 1e6)
 
 
 def test_grad_report_json_shape():
