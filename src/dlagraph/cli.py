@@ -12,6 +12,7 @@ files are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -67,10 +68,12 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _read_document(path: str) -> Graph:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text: %s" % (path, exc)) from None
     return parse(text)[0]
 
 
@@ -178,7 +181,11 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process. ``parse_args`` fills a new Namespace on
+    every call and looks up sys.stdout/sys.stderr only when it prints, so
+    sequential ``main`` calls stay independent."""
     parser = argparse.ArgumentParser(
         prog="dlagraph",
         description="Build, analyze, export, check, and gradient-verify deep "

@@ -56,27 +56,39 @@ def serialize(graph: Graph, metadata: dict[str, Any] | None = None) -> str:
     return json.dumps(graph_to_document(graph, metadata), sort_keys=True, indent=2) + "\n"
 
 
-def _expect(condition: bool, message: str) -> None:
+def _expect(condition: bool, message: str, *args: Any) -> None:
+    """Raise ParseError(message % args) unless ``condition`` holds; the
+    message is formatted only when it is raised."""
     if not condition:
-        raise ParseError(message)
+        raise ParseError(message % args)
 
 
-def _parse_node(record: Any, position: int) -> GraphNode:
-    _expect(isinstance(record, dict), "node record %d is not an object" % position)
-    for key in ("id", "kind", "attrs", "inputs", "tags"):
-        _expect(key in record, "node record %d lacks %r" % (position, key))
+_NODE_KEYS = ("id", "kind", "attrs", "inputs", "tags")
+_NODE_KEY_SET = frozenset(_NODE_KEYS)
+_TAG_SET = frozenset(_TAG_KEYS)
+
+
+def _parse_node(record: Any, position: int, tag_cache: dict[tuple, Tags]) -> GraphNode:
+    """One node record; nodes with equal tags share the ``Tags`` object that
+    ``tag_cache`` holds for them."""
+    _expect(isinstance(record, dict), "node record %d is not an object", position)
+    if not record.keys() >= _NODE_KEY_SET:
+        missing = next(key for key in _NODE_KEYS if key not in record)
+        raise ParseError("node record %d lacks %r" % (position, missing))
     attrs = record["attrs"]
-    _expect(isinstance(attrs, dict), "attrs of node %d is not an object" % position)
+    _expect(isinstance(attrs, dict), "attrs of node %d is not an object", position)
     inputs = record["inputs"]
-    _expect(isinstance(inputs, list), "inputs of node %d must be a list of ids" % position)
+    _expect(isinstance(inputs, list), "inputs of node %d must be a list of ids", position)
     tags_json = record["tags"]
-    _expect(isinstance(tags_json, dict) and set(tags_json) <= set(_TAG_KEYS),
-            "tags of node %d carry unknown keys" % position)
+    _expect(isinstance(tags_json, dict) and tags_json.keys() <= _TAG_SET,
+            "tags of node %d carry unknown keys", position)
     for key, value in tags_json.items():
         _expect(type(value) is int or (key == "stage" and type(value) is str),
-                "tag %r of node %d has the wrong type: %r" % (key, position, value))
-    tags = Tags(stage=tags_json.get("stage"), block_id=tags_json.get("block_id"),
-                agg_node_id=tags_json.get("agg_node_id"))
+                "tag %r of node %d has the wrong type: %r", key, position, value)
+    tag_key = (tags_json.get("stage"), tags_json.get("block_id"), tags_json.get("agg_node_id"))
+    tags = tag_cache.get(tag_key)
+    if tags is None:
+        tags = tag_cache[tag_key] = Tags(*tag_key)
     try:
         return GraphNode(record["id"], PrimOp(OpKind(record["kind"]), dict(attrs)),
                          tuple(inputs), tags)
@@ -91,20 +103,21 @@ def parse(text: str) -> tuple[Graph, dict[str, Any]]:
         raise ParseError("not valid JSON: %s" % exc) from None
     _expect(isinstance(doc, dict), "document root is not an object")
     for key in ("format_version", "metadata", "inputs", "outputs", "nodes"):
-        _expect(key in doc, "document lacks %r" % key)
+        _expect(key in doc, "document lacks %r", key)
     _expect(doc["format_version"] == FORMAT_VERSION,
-            "unsupported format_version %r" % doc["format_version"])
+            "unsupported format_version %r", doc["format_version"])
     _expect(isinstance(doc["metadata"], dict), "metadata is not an object")
     raw_nodes = doc["nodes"]
     _expect(isinstance(raw_nodes, list) and raw_nodes, "document has no nodes")
-    nodes = tuple(_parse_node(rec, i) for i, rec in enumerate(raw_nodes))
+    tag_cache: dict[tuple, Tags] = {}
+    nodes = tuple(_parse_node(rec, i, tag_cache) for i, rec in enumerate(raw_nodes))
     for key in ("inputs", "outputs"):
-        _expect(isinstance(doc[key], list), "%s list is not a list of node ids" % key)
+        _expect(isinstance(doc[key], list), "%s list is not a list of node ids", key)
     try:
         graph = Graph(nodes, tuple(doc["inputs"]), tuple(doc["outputs"]))
     except GraphError as exc:
         raise ParseError(str(exc)) from None
-    _expect(len(graph.inputs) == 1, "document has %d Input nodes, not one" % len(graph.inputs))
+    _expect(len(graph.inputs) == 1, "document has %d Input nodes, not one", len(graph.inputs))
     return graph, dict(doc["metadata"])
 
 

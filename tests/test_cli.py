@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from dlagraph.cli import main
-from dlagraph.graphdoc import parse
+from dlagraph.cli import _build_parser, main
+from dlagraph.graphdoc import parse, to_dot
 
 
 def run(capsys, *argv):
@@ -88,6 +88,47 @@ def test_export_dot_empty_file_exits_4(capsys, tmp_path):
     empty.write_text("")
     code, _, _ = run(capsys, "export-dot", str(empty))
     assert code == 4
+
+
+@pytest.mark.parametrize("command", ["check", "report", "export-dot"])
+def test_document_that_is_not_utf8_exits_4(capsys, tmp_path, command):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("dlagraph: %s is not UTF-8 text: " % bad)
+
+
+def test_argument_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_report_override_does_not_carry_into_the_next_call(capsys, doc_path):
+    code, out, _ = run(capsys, "report", str(doc_path), "--input", "32x32x3")
+    assert code == 0 and json.loads(out)["input_shape"] == "32x32x3"
+    code, out, _ = run(capsys, "report", str(doc_path))
+    assert code == 0 and json.loads(out)["input_shape"] == "224x224x3"
+
+
+def test_collapse_does_not_carry_into_the_next_call(capsys, doc_path):
+    code, collapsed, _ = run(capsys, "export-dot", str(doc_path), "--collapse", "blocks")
+    assert code == 0
+    code, out, _ = run(capsys, "export-dot", str(doc_path))
+    assert code == 0
+    graph, _ = parse(doc_path.read_text())
+    assert out == to_dot(graph) != collapsed
+
+
+def test_rejected_arguments_do_not_change_the_next_call(capsys, doc_path):
+    before = run(capsys, "report", str(doc_path))
+    for argv in (["report", str(doc_path), "--collapse", "blocks"],
+                 ["export-dot", str(doc_path), "--collapse", "all"], ["report"], []):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: dlagraph")
+    assert run(capsys, "report", str(doc_path)) == before
 
 
 def test_check_accepts_catalog_document(capsys, doc_path):

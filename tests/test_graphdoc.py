@@ -133,3 +133,118 @@ def test_dense_document_round_trip():
     parsed, _ = parse(text)
     assert parsed == g
     assert serialize(parsed, {"arch_name": "DLA-34", "head": "dense"}) == text
+
+
+def _drop_node_keys(*keys):
+    def mutate(doc):
+        for key in keys:
+            del doc["nodes"][1][key]
+    return mutate
+
+
+def _set_node_key(key, value):
+    def mutate(doc):
+        doc["nodes"][1][key] = value
+    return mutate
+
+
+def _drop_doc_keys(*keys):
+    def mutate(doc):
+        for key in keys:
+            del doc[key]
+    return mutate
+
+
+def _set_doc_key(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
+def _second_input_node(doc):
+    doc["nodes"].append(dict(doc["nodes"][0], id=len(doc["nodes"])))
+    doc["inputs"].append(len(doc["nodes"]) - 1)
+
+
+# (mutation of small_graph's document, the exact ParseError text). Node 1 is
+# the conv; the two-key drops show that the first missing key in the order
+# id, kind, attrs, inputs, tags is the one named.
+PARSE_MESSAGES = {
+    "no-format-version": (_drop_doc_keys("format_version"), "document lacks 'format_version'"),
+    "no-metadata": (_drop_doc_keys("metadata"), "document lacks 'metadata'"),
+    "no-inputs": (_drop_doc_keys("inputs"), "document lacks 'inputs'"),
+    "no-outputs": (_drop_doc_keys("outputs"), "document lacks 'outputs'"),
+    "no-nodes": (_drop_doc_keys("nodes"), "document lacks 'nodes'"),
+    "no-metadata-nor-version": (_drop_doc_keys("metadata", "format_version"),
+                                "document lacks 'format_version'"),
+    "version-2": (_set_doc_key("format_version", "2"), "unsupported format_version '2'"),
+    "version-int": (_set_doc_key("format_version", 1), "unsupported format_version 1"),
+    "version-list": (_set_doc_key("format_version", [1]), "unsupported format_version [1]"),
+    "version-object": (_set_doc_key("format_version", {"a": 1}),
+                       "unsupported format_version {'a': 1}"),
+    "metadata-list": (_set_doc_key("metadata", []), "metadata is not an object"),
+    "nodes-empty": (_set_doc_key("nodes", []), "document has no nodes"),
+    "nodes-object": (_set_doc_key("nodes", {}), "document has no nodes"),
+    "inputs-int": (_set_doc_key("inputs", 0), "inputs list is not a list of node ids"),
+    "outputs-object": (_set_doc_key("outputs", {}), "outputs list is not a list of node ids"),
+    "second-input-node": (_second_input_node, "document has 2 Input nodes, not one"),
+    "record-list": (lambda doc: doc["nodes"].__setitem__(1, [1]),
+                    "node record 1 is not an object"),
+    "node-no-id": (_drop_node_keys("id"), "node record 1 lacks 'id'"),
+    "node-no-kind": (_drop_node_keys("kind"), "node record 1 lacks 'kind'"),
+    "node-no-attrs": (_drop_node_keys("attrs"), "node record 1 lacks 'attrs'"),
+    "node-no-inputs": (_drop_node_keys("inputs"), "node record 1 lacks 'inputs'"),
+    "node-no-tags": (_drop_node_keys("tags"), "node record 1 lacks 'tags'"),
+    "node-no-attrs-nor-kind": (_drop_node_keys("attrs", "kind"), "node record 1 lacks 'kind'"),
+    "node-no-tags-nor-id": (_drop_node_keys("tags", "id"), "node record 1 lacks 'id'"),
+    "node-no-tags-nor-inputs": (_drop_node_keys("tags", "inputs"),
+                                "node record 1 lacks 'inputs'"),
+    "attrs-list": (_set_node_key("attrs", []), "attrs of node 1 is not an object"),
+    "inputs-int": (_set_node_key("inputs", 0), "inputs of node 1 must be a list of ids"),
+    "inputs-object": (_set_node_key("inputs", {}), "inputs of node 1 must be a list of ids"),
+    "tags-list": (_set_node_key("tags", ["stage"]), "tags of node 1 carry unknown keys"),
+    "tags-unknown-key": (_set_node_key("tags", {"stage": 1, "color": 1}),
+                         "tags of node 1 carry unknown keys"),
+    "tag-block-str": (_set_node_key("tags", {"block_id": "3"}),
+                      "tag 'block_id' of node 1 has the wrong type: '3'"),
+    "tag-stage-bool": (_set_node_key("tags", {"stage": True}),
+                       "tag 'stage' of node 1 has the wrong type: True"),
+    "tag-agg-float": (_set_node_key("tags", {"agg_node_id": 1.0}),
+                      "tag 'agg_node_id' of node 1 has the wrong type: 1.0"),
+    "tag-stage-list": (_set_node_key("tags", {"stage": [3]}),
+                       "tag 'stage' of node 1 has the wrong type: [3]"),
+    "kind-unknown": (_set_node_key("kind", "Convolution9000"),
+                     "node 1: 'Convolution9000' is not a valid OpKind"),
+    "id-moved": (_set_node_key("id", 7), "node at position 1 carries id 7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_MESSAGES))
+def test_parse_error_text_is_pinned(case):
+    mutate, message = PARSE_MESSAGES[case]
+    doc = graph_to_document(small_graph())
+    mutate(doc)
+    with pytest.raises(ParseError) as info:
+        parse(json.dumps(doc))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("{not json", "not valid JSON: Expecting property name enclosed in double "
+                              "quotes: line 1 column 2 (char 1)", id="invalid-json"),
+    pytest.param("[]", "document root is not an object", id="root-list"),
+])
+def test_parse_error_text_of_a_document_that_is_no_object(text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_parse_shares_one_tags_object_per_distinct_tags():
+    g = build_classifier(arch_spec("DLA-34"), 1000, SHAPE224)
+    parsed, _ = parse(serialize(g))
+    assert parsed == g
+    by_value = {}
+    for node in parsed.nodes:
+        assert by_value.setdefault(node.tags, node.tags) is node.tags
+    assert len(by_value) < len(parsed.nodes) / 4
