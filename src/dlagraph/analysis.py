@@ -43,9 +43,18 @@ def infer_shapes(graph: Graph, input_shape: TensorShape) -> ShapeMap:
     return shapes
 
 
+def _param_count(learnable: dict[str, tuple[int, ...]]) -> int:
+    return sum(math.prod(shape) for shape in learnable.values())
+
+
+def _fma_count(learnable: dict[str, tuple[int, ...]], out_shape: TensorShape) -> int:
+    weight = learnable.get("weight")
+    return 0 if weight is None else out_shape.height * out_shape.width * math.prod(weight)
+
+
 def node_params(node: GraphNode) -> int:
     """Learnable scalars owned by one node."""
-    return sum(math.prod(shape) for shape in param_shapes(node.op).values())
+    return _param_count(param_shapes(node.op))
 
 
 def count_params(graph: Graph) -> int:
@@ -55,8 +64,7 @@ def count_params(graph: Graph) -> int:
 def node_fmas(node: GraphNode, out_shape: TensorShape) -> int:
     """Fused multiply-adds of one node for one sample: its weight is
     applied once per output pixel."""
-    weight = param_shapes(node.op).get("weight")
-    return 0 if weight is None else out_shape.height * out_shape.width * math.prod(weight)
+    return _fma_count(param_shapes(node.op), out_shape)
 
 
 def count_fmas(graph: Graph, input_shape: TensorShape) -> int:
@@ -84,8 +92,9 @@ def cost_report(graph: Graph, input_shape: TensorShape) -> CostReport:
     for node in graph.nodes:
         key = "untagged" if node.tags.stage is None else str(node.tags.stage)
         bucket = per_stage.setdefault(key, [0, 0])
-        bucket[0] += node_params(node)
-        bucket[1] += node_fmas(node, shapes[node.id])
+        learnable = param_shapes(node.op)
+        bucket[0] += _param_count(learnable)
+        bucket[1] += _fma_count(learnable, shapes[node.id])
     return CostReport(
         params=sum(v[0] for v in per_stage.values()),
         fmas=sum(v[1] for v in per_stage.values()),

@@ -1,15 +1,20 @@
 """Graph document format and DOT rendering.
 
 Documents are canonical JSON: keys sorted, two-space indent, nodes listed
-by ascending id. Serializing a graph twice yields identical bytes, and
-parse followed by serialize is byte-idempotent. A document holds exactly one
-Input node, and, being a ``Graph``, is shape-consistent at the extents that
-node declares, so every document that parses can be analyzed.
+by ascending id. ``serialize`` writes these bytes itself, rendering each
+distinct attrs and tags object once, and tests pin them to
+``json.dumps(graph_to_document(...), sort_keys=True, indent=2)``, whose
+indenting encoder is pure Python. Serializing a graph twice yields
+identical bytes, and parse followed by serialize is byte-idempotent. A
+document holds exactly one Input node, and, being a ``Graph``, is
+shape-consistent at the extents that node declares, so every document that
+parses can be analyzed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .ir import Graph, GraphError, GraphNode, OpKind, PrimOp, Tags
@@ -52,8 +57,90 @@ def graph_to_document(graph: Graph, metadata: dict[str, Any] | None = None) -> d
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+_PLAIN = (str, int, bool, type(None))
+_KIND_TEXT = {kind: _quote(kind.value) for kind in OpKind}
+_RECORD = ('{\n      "attrs": %s,\n      "id": %d,\n      "inputs": %s,\n'
+           '      "kind": %s,\n      "tags": %s\n    }')
+_DOCUMENT = ('{\n  "format_version": %s,\n  "inputs": %s,\n  "metadata": %s,\n'
+             '  "nodes": %s,\n  "outputs": %s\n}\n')
+
+
+def _value(value: Any, pad: str) -> str:
+    """``value`` as json.dumps(sort_keys=True, indent=2) writes it where its
+    enclosing lines start with ``pad``, testing types in the encoder's order.
+    Containers go to json.dumps and are re-indented, which is exact because
+    JSON strings never hold a raw newline."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+
+
+def _array(texts: Any) -> str:
+    """A top-level JSON array of encoded items."""
+    body = ",\n    ".join(texts)
+    return "[\n    %s\n  ]" % body if body else "[]"
+
+
+def _block(cache: dict, key: tuple, pairs: Any) -> str:
+    """The attrs or tags object of a node record from its (key, value)
+    ``pairs``, stored in ``cache`` under ``key`` unless a value is a float
+    zero (``0.0 == -0.0``) or of a type other than str, int, bool, float and
+    None; a key holds the values with their types, since ``1 == 1.0``."""
+    pairs = sorted(pairs)
+    text = "{%s\n      }" % ",".join("\n        %s: %s" % (_quote(k), _value(v, "\n        "))
+                                       for k, v in pairs) if pairs else "{}"
+    if all(type(v) in _PLAIN or (type(v) is float and v) for _, v in pairs):
+        cache[key] = text
+    return text
+
+
 def serialize(graph: Graph, metadata: dict[str, Any] | None = None) -> str:
-    return json.dumps(graph_to_document(graph, metadata), sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(graph_to_document(graph, metadata),
+    sort_keys=True, indent=2) + "\\n"``, written without building the document."""
+    attr_blocks: dict[tuple, str] = {}
+    tag_blocks: dict[tuple, str] = {}
+    records = []
+    for node in graph.nodes:
+        op, tags = node.op, node.tags
+        attrs = op.attrs
+        values = tuple(attrs.values())
+        key = (*attrs, *values, *map(type, values))
+        try:
+            attrs_text = attr_blocks[key]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            attrs_text = _block(attr_blocks, key, attrs.items())
+        stage, block, agg = tags.stage, tags.block_id, tags.agg_node_id
+        key = (stage, block, agg, type(stage), type(block), type(agg))
+        try:
+            tags_text = tag_blocks[key]
+        except (KeyError, TypeError):
+            tags_text = _block(tag_blocks, key, _tags_to_json(tags).items())
+        inputs = node.inputs
+        records.append(_RECORD % (
+            attrs_text, node.id,
+            "[\n        %s\n      ]" % ",\n        ".join(map(str, inputs)) if inputs else "[]",
+            _KIND_TEXT[op.kind], tags_text))
+    return _DOCUMENT % (
+        _quote(FORMAT_VERSION), _array(map(str, graph.inputs)),
+        json.dumps(dict(metadata or {}), sort_keys=True, indent=2).replace("\n", "\n  "),
+        _array(records), _array(map(str, graph.outputs)))
 
 
 def _expect(condition: bool, message: str, *args: Any) -> None:

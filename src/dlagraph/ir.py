@@ -66,6 +66,12 @@ class TensorShape:
 
 
 class OpKind(enum.Enum):
+    """Op kinds hash by identity, which keeps ``OPS`` and kernel-table
+    lookups in C (``Enum.__hash__`` is Python code); members compare by
+    identity anyway."""
+
+    __hash__ = object.__hash__
+
     CONV = "Conv"
     BATCH_NORM = "BatchNorm"
     RELU = "ReLU"

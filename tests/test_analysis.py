@@ -1,6 +1,6 @@
 import pytest
 
-from dlagraph import ir
+from dlagraph import analysis, ir
 from dlagraph.analysis import (MissingTags, cost_report, count_fmas, count_params,
                                infer_shapes, node_params, structure_stats)
 from dlagraph.architectures import arch_spec, build_classifier
@@ -84,6 +84,19 @@ def test_cost_report_stage_breakdown_sums_to_totals():
     assert report.params == sum(v.params for v in report.per_stage.values())
     assert report.fmas == sum(v.fmas for v in report.per_stage.values())
     assert set(report.per_stage) == {"1", "2", "3", "4", "5", "6", "head"}
+
+
+def test_cost_report_reads_each_nodes_parameter_shapes_once(monkeypatch):
+    g = build_classifier(arch_spec("DLA-46-C"), 1000, SHAPE224)
+    seen = []
+
+    def counted(op):
+        seen.append(op)
+        return ir.param_shapes(op)
+
+    monkeypatch.setattr(analysis, "param_shapes", counted)
+    cost_report(g, SHAPE224)
+    assert len(seen) == len(g.nodes)
 
 
 def test_structure_stats_standalone_tree_matches_prediction():

@@ -32,16 +32,21 @@ VALUES = (0, 1, 2, 3, 7, -1, 10 ** 6, 0.5, 1e-5, float("inf"), True, False, None
           "", "3", "Conv", "fixed_bilinear", [], [1], {}, {"a": 1})
 
 
-@pytest.fixture(scope="module")
-def documents(tmp_path_factory):
-    root = tmp_path_factory.mktemp("fuzz")
+def build_documents(root):
+    """Build the source documents into ``root``: {name: parsed JSON}."""
     docs = {}
     for name, (head, classes) in DOCUMENTS.items():
         path = root / ("%s.json" % name)
         assert main(["build", "DLA-34", "--input", "32x32x3", "--classes", classes,
                      "--head", head, "-o", str(path)]) == 0
         docs[name] = json.loads(path.read_text())
-    return root, docs
+    return docs
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return root, build_documents(root)
 
 
 def _mutate_attrs(rng, doc):
@@ -168,6 +173,14 @@ MUTATORS = (_mutate_attrs, _mutate_kind, _mutate_id, _mutate_inputs, _mutate_tag
             _toggle_bias)
 
 
+def mutants(name, doc):
+    """The seeded mutants of source document ``name``: (what, mutant) pairs."""
+    rng = random.Random("dlagraph-fuzz-%s" % name)
+    for _ in range(MUTANTS_PER_DOCUMENT):
+        mutant = copy.deepcopy(doc)
+        yield rng.choice(MUTATORS)(rng, mutant), mutant
+
+
 def _run(capsys, argv):
     try:
         code = main(argv)
@@ -180,13 +193,10 @@ def _run(capsys, argv):
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_mutated_documents_keep_exit_codes_consistent(capsys, documents, name):
     root, docs = documents
-    rng = random.Random("dlagraph-fuzz-%s" % name)
     path = root / ("%s-mutant.json" % name)
     failures = []
     parsed = 0
-    for k in range(MUTANTS_PER_DOCUMENT):
-        doc = copy.deepcopy(docs[name])
-        what = rng.choice(MUTATORS)(rng, doc)
+    for k, (what, doc) in enumerate(mutants(name, docs[name])):
         path.write_text(json.dumps(doc))
         codes = {}
         for command in COMMANDS:

@@ -1,15 +1,17 @@
 import json
+import random
 import re
 
 import pytest
 
-from dlagraph import ir
+from dlagraph import __version__, ir
 from dlagraph.aggregation import HdaSpec, build_hda
 from dlagraph.architectures import DenseHeadSpec, arch_spec, build_classifier, \
-    build_dense_decoder
+    build_dense_decoder, build_toy_classifier, build_toy_dense_decoder, catalog_names
 from dlagraph.blocks import BlockKind, BlockSpec
 from dlagraph.graphdoc import ParseError, graph_to_document, parse, serialize, to_dot
 from dlagraph.ir import GraphBuilder, TensorShape
+from test_cli_fuzz import MUTANTS_PER_DOCUMENT, build_documents, mutants
 
 SHAPE224 = TensorShape(3, 224, 224)
 
@@ -248,3 +250,137 @@ def test_parse_shares_one_tags_object_per_distinct_tags():
     for node in parsed.nodes:
         assert by_value.setdefault(node.tags, node.tags) is node.tags
     assert len(by_value) < len(parsed.nodes) / 4
+
+
+# --- the emitter against the json.dumps reference ---------------------------
+
+def reference(graph, metadata=None):
+    return json.dumps(graph_to_document(graph, metadata), sort_keys=True, indent=2) + "\n"
+
+
+def build_metadata(arch, head, shape, classes):
+    return {"arch_name": arch, "input_shape": shape, "generator_version": __version__,
+            "head": head, "num_classes": classes}
+
+
+@pytest.mark.parametrize("name", catalog_names() + ("DLA-34-dense",))
+def test_serialize_matches_reference_at_full_scale(name):
+    if name == "DLA-34-dense":
+        g = build_dense_decoder(arch_spec("DLA-34"), DenseHeadSpec(num_classes=19),
+                                TensorShape(3, 864, 864))
+        metadata = build_metadata("DLA-34", "dense", "864x864x3", 19)
+    else:
+        g = build_classifier(arch_spec(name), 1000, SHAPE224)
+        metadata = build_metadata(name, "classify", "224x224x3", 1000)
+    text = serialize(g, metadata)
+    assert text == reference(g, metadata)
+    assert serialize(*parse(text)) == text
+
+
+@pytest.mark.parametrize("name", catalog_names() + ("DLA-34-dense",))
+def test_serialize_matches_reference_on_toy_cases(name):
+    if name == "DLA-34-dense":
+        g = build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5)
+    else:
+        g = build_toy_classifier(name, 16, 16, num_classes=10)
+    assert serialize(g) == reference(g)
+    assert serialize(g, {"arch_name": name}) == reference(g, {"arch_name": name})
+
+
+def test_serialize_matches_reference_on_every_fuzz_mutant_that_parses(tmp_path):
+    parsed = 0
+    for name, doc in build_documents(tmp_path).items():
+        for what, mutant in mutants(name, doc):
+            try:
+                g, metadata = parse(json.dumps(mutant))
+            except ParseError:
+                continue
+            parsed += 1
+            assert serialize(g, metadata) == reference(g, metadata), what
+    assert parsed >= MUTANTS_PER_DOCUMENT // 2
+
+
+# Characters that json escapes, or spells as a surrogate pair, or passes through.
+ALPHABET = ("a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
+            "\u2028", "\ufeff", "\u65e5", "\U0001f600", "\ud800")
+NUMBERS = (0, 1, -7, 2 ** 70, 1e-05, -0.0, 0.0, 1.0, 1e300, float("nan"), float("inf"),
+           float("-inf"))
+
+
+def random_string(rng):
+    return "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(5)))
+
+
+def random_json(rng, depth):
+    """A JSON value: nested and empty dicts and lists, strings, numbers,
+    bools and None."""
+    pick = rng.randrange(8 if depth else 6)
+    if pick == 0:
+        return random_string(rng)
+    if pick == 1:
+        return rng.choice((True, False, None))
+    if pick < 6:
+        return rng.choice(NUMBERS)
+    if pick == 6:
+        return [random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {random_string(rng): random_json(rng, depth - 1) for _ in range(rng.randrange(4))}
+
+
+def random_graph(rng):
+    """A chain of convs and batch norms whose stage tags and epsilons are
+    drawn at random, with values equal across types (1, 1.0, True)."""
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(2, 4, 4))
+    for _ in range(rng.randrange(1, 8)):
+        tags = ir.Tags(stage=random_json(rng, 2),
+                       block_id=rng.choice((None, 0, 1, 1.0, True)),
+                       agg_node_id=rng.choice((None, 0, 0.0, -0.0, False)))
+        if rng.randrange(2):
+            op = ir.batch_norm(2, rng.choice((1, 1.0, 2, 2.0, 1e-05, 1e300, float("inf"))))
+        else:
+            k = rng.choice((1, 3))
+            op = ir.conv(k, 1, k // 2, 2, 2, has_bias=rng.choice((True, False)))
+        x = b.add(op, [x], tags)
+    b.mark_output(x)
+    return b.build()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_serialize_matches_reference_on_random_tags_and_metadata(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng)
+    metadata = {random_string(rng): random_json(rng, 3) for _ in range(rng.randrange(5))}
+    assert serialize(g, metadata) == reference(g, metadata)
+
+
+def test_serialize_keeps_int_and_float_epsilons_apart():
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(2, 4, 4))
+    x = b.add(ir.batch_norm(2, 1), [x])
+    x = b.add(ir.batch_norm(2, 1.0), [x])
+    b.mark_output(x)
+    g = b.build()
+    text = serialize(g)
+    assert text == reference(g)
+    assert text.count('"epsilon": 1\n') == text.count('"epsilon": 1.0\n') == 1
+    assert serialize(*parse(text)) == text
+
+
+def test_serialize_keeps_equal_tags_of_other_types_apart():
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(2, 4, 4))
+    for stage in (1, 1.0, True, 0.0, -0.0, 0, False):
+        x = b.add(ir.relu(), [x], ir.Tags(stage=stage))
+    b.mark_output(x)
+    g = b.build()
+    text = serialize(g)
+    assert text == reference(g)
+    stages = re.findall(r'"stage": (.*)\n', text)
+    assert stages == ["1", "1.0", "true", "0.0", "-0.0", "0", "false"]
+
+
+def test_serialize_matches_reference_without_nodes():
+    g = ir.Graph((), (), ())
+    assert serialize(g) == reference(g) == (
+        '{\n  "format_version": "1",\n  "inputs": [],\n  "metadata": {},\n'
+        '  "nodes": [],\n  "outputs": []\n}\n')

@@ -13,6 +13,14 @@ def test_tensor_shape_rejects_nonpositive_extents():
         TensorShape(3, 8, -1)
 
 
+def test_op_kinds_hash_by_identity():
+    assert OpKind.__hash__ is object.__hash__
+    assert len(OpKind) == 12
+    for kind in OpKind:
+        assert hash(kind) == object.__hash__(kind)
+        assert ir.OPS[kind] is ir.OPS[OpKind(kind.value)]
+
+
 def test_add_node_ids_are_dense_and_sequential():
     b = GraphBuilder()
     x = b.add_input(TensorShape(4, 8, 8))
