@@ -60,6 +60,7 @@ def graph_to_document(graph: Graph, metadata: dict[str, Any] | None = None) -> d
 _quote = json.encoder.encode_basestring_ascii
 _PLAIN = (str, int, bool, type(None))
 _KIND_TEXT = {kind: _quote(kind.value) for kind in OpKind}
+_KIND_OF_TEXT = {kind.value: kind for kind in OpKind}
 _RECORD = ('{\n      "attrs": %s,\n      "id": %d,\n      "inputs": %s,\n'
            '      "kind": %s,\n      "tags": %s\n    }')
 _DOCUMENT = ('{\n  "format_version": %s,\n  "inputs": %s,\n  "metadata": %s,\n'
@@ -176,8 +177,10 @@ def _parse_node(record: Any, position: int, tag_cache: dict[tuple, Tags]) -> Gra
     tags = tag_cache.get(tag_key)
     if tags is None:
         tags = tag_cache[tag_key] = Tags(*tag_key)
-    try:
-        return GraphNode(record["id"], PrimOp(OpKind(record["kind"]), dict(attrs)),
+    text = record["kind"]
+    kind = _KIND_OF_TEXT.get(text) if type(text) is str else None
+    try:  # OpKind(text) says why text names no kind
+        return GraphNode(record["id"], PrimOp(kind or OpKind(text), dict(attrs)),
                          tuple(inputs), tags)
     except (ValueError, GraphError) as exc:
         raise ParseError("node %d: %s" % (position, exc)) from None

@@ -22,13 +22,15 @@ that of one pass per pick: a group holds at most ``_PROBE_GROUP`` picks,
 and convolutions and upsamplings, whose im2col or col2im blocks grow with
 the batch, run one lane pair at a time.
 
-Three rules bound the memory of a training step; none changes a bit.
+Five rules bound the memory of a training step; none changes a bit.
+``forward`` tapes only the values that ``backward`` and ``grad_check`` read
+(see ``_tape_drops``) and drops every other value after its last consumer.
 ``backward`` drops each node's gradient once that node's kernel has used
 it, so it holds only the frontier and the graph inputs' gradients. Batch
 norm tapes only its per-lane statistics (ivar, mean, var), and its backward
-forms x - mean again. The backward convolutions build their im2col and
-col2im blocks a bounded slice of samples at a time (see ``ops``).
-``forward`` still keeps every value on the tape.
+forms x - mean again and its input gradient in one buffer. Every
+convolution, forward and backward, builds its im2col and col2im blocks a
+bounded slice of samples at a time (see ``ops``).
 """
 
 from __future__ import annotations
@@ -115,6 +117,10 @@ def init_params(graph: Graph, seed: int) -> ParamStore:
 
 @dataclass
 class Tape:
+    """What ``backward`` and ``grad_check`` read of a forward pass: the values
+    ``forward`` keeps (see ``_tape_drops``), and each kernel's ``kept`` in
+    ``aux``."""
+
     graph: Graph
     mode: Mode
     values: dict[NodeId, np.ndarray]
@@ -131,10 +137,11 @@ def _check_input_tensor(node, x: np.ndarray) -> None:
 def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
             mode: Mode = Mode.TRAIN, update_running: bool = True
             ) -> tuple[list[np.ndarray], Tape]:
-    """Evaluate every output; the returned tape holds the activations
-    needed by backward. Train mode normalizes with batch statistics (and
-    by default refreshes the running ones); Eval mode uses running
-    statistics and produces a tape that backward will refuse."""
+    """Evaluate every output; the returned tape holds only the activations
+    that backward and grad_check read, and every other value is dropped
+    after its last consumer runs. Train mode normalizes with batch
+    statistics (and by default refreshes the running ones); Eval mode uses
+    running statistics and produces a tape that backward will refuse."""
     if len(inputs) != len(graph.inputs):
         raise ShapeMismatch("graph takes %d inputs, got %d"
                             % (len(graph.inputs), len(inputs)))
@@ -145,6 +152,7 @@ def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
     if len(batches) > 1:
         raise ShapeMismatch("inputs disagree on batch size: %s" % sorted(batches))
     aux: dict[NodeId, object] = {}
+    drops = _tape_drops(graph)
     for nid in topo_order(graph):
         node = graph.node(nid)
         if node.op.kind is OpKind.INPUT:
@@ -154,6 +162,8 @@ def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
             mode, update_running, 1)
         if kept is not None:
             aux[nid] = kept
+        for i in drops.get(nid, ()):
+            del values[i]
     outputs = [values[o] for o in graph.outputs]
     return outputs, Tape(graph, mode, values, aux)
 
@@ -167,11 +177,20 @@ class Kernels(NamedTuple):
     (see ``grad_check``); one that builds im2col or col2im blocks runs them
     a lane pair at a time through ``_by_pairs``. ``backward`` gets whether the first input's
     gradient and the tensors' gradients are wanted; a kernel may skip what
-    is not, and returns None or {} for it."""
+    is not, and returns None or {} for it.
+
+    ``reads`` declares what ``backward`` reads besides ``gy`` and ``kept``:
+    ``INPUTS`` (its input values ``xs``), ``OUTPUT`` (its own value ``y``)
+    or None. The tape keeps only declared values (see ``_tape_drops``), and
+    ``backward`` gets None for a value the tape dropped."""
 
     forward: Callable  # (a, p, xs, mode, update_running, lanes) -> (value, kept or None)
     backward: Callable  # (a, p, gy, xs, y, kept, want_x, want_p)
     #                     -> ([grad per input], {tensor: grad})
+    reads: str | None = None
+
+
+INPUTS, OUTPUT = "inputs", "output"  # values of Kernels.reads
 
 
 def _by_pairs(apply, x: np.ndarray, lanes: int) -> np.ndarray:
@@ -227,8 +246,14 @@ def _batch_norm_grad(a, p, gy, xs, y, kept, want_x, want_p):
     return [gx], named
 
 
-def _max_pool_grad(a, p, gy, xs, y, winner, *_):
-    return [ops.maxpool_grad(gy, winner, xs[0].shape, a["kernel"], a["stride"])], {}
+def _max_pool(a, p, xs, *_):
+    y, winner = ops.maxpool(xs[0], a["kernel"], a["stride"], a["ceil_mode"])
+    return y, (winner, xs[0].shape)
+
+
+def _max_pool_grad(a, p, gy, xs, y, kept, *_):
+    winner, x_shape = kept
+    return [ops.maxpool_grad(gy, winner, x_shape, a["kernel"], a["stride"])], {}
 
 
 def _linear_grad(a, p, gy, xs, y, kept, want_x, want_p):
@@ -242,9 +267,9 @@ def _linear_grad(a, p, gy, xs, y, kept, want_x, want_p):
     return [gx], named
 
 
-def _concat_grad(a, p, gy, xs, *_):
-    ends = np.cumsum([x.shape[1] for x in xs])
-    return [gy[:, end - x.shape[1]:end] for x, end in zip(xs, ends)], {}
+def _concat_grad(a, p, gy, xs, y, widths, *_):
+    ends = np.cumsum(widths)
+    return [gy[:, end - width:end] for width, end in zip(widths, ends)], {}
 
 
 def _upsample_weight(a, p):  # a learned upsampling owns its kernel
@@ -273,31 +298,60 @@ def _upsample_grad(a, p, gy, xs, y, kept, want_x, want_p):
 
 
 KERNELS: dict[OpKind, Kernels] = {
-    OpKind.CONV: Kernels(_conv, _conv_grad),
-    OpKind.BATCH_NORM: Kernels(_batch_norm, _batch_norm_grad),
+    OpKind.CONV: Kernels(_conv, _conv_grad, INPUTS),
+    OpKind.BATCH_NORM: Kernels(_batch_norm, _batch_norm_grad, INPUTS),
     OpKind.RELU: Kernels(lambda a, p, xs, *_: (np.maximum(xs[0], 0.0), None),
-                         lambda a, p, gy, xs, *_: ([gy * (xs[0] > 0.0)], {})),
-    OpKind.MAX_POOL: Kernels(
-        lambda a, p, xs, *_: ops.maxpool(xs[0], a["kernel"], a["stride"], a["ceil_mode"]),
-        _max_pool_grad),
+                         lambda a, p, gy, xs, y, *_: ([gy * (y > 0.0)], {}), OUTPUT),
+    OpKind.MAX_POOL: Kernels(_max_pool, _max_pool_grad),
     OpKind.GLOBAL_AVG_POOL: Kernels(
-        lambda a, p, xs, *_: (ops.global_avg_pool(xs[0]), None),
-        lambda a, p, gy, xs, *_: ([ops.global_avg_pool_grad(gy, xs[0].shape)], {})),
+        lambda a, p, xs, *_: (ops.global_avg_pool(xs[0]), xs[0].shape),
+        lambda a, p, gy, xs, y, x_shape, *_: ([ops.global_avg_pool_grad(gy, x_shape)], {})),
     OpKind.LINEAR: Kernels(
         lambda a, p, xs, mode, update_running, lanes: (
             ops.linear_apply(xs[0], p["weight"], p.get("bias"), lanes), None),
-        _linear_grad),
-    OpKind.CONCAT: Kernels(lambda a, p, xs, *_: (np.concatenate(xs, axis=1), None),
-                           _concat_grad),
+        _linear_grad, INPUTS),
+    OpKind.CONCAT: Kernels(
+        lambda a, p, xs, *_: (np.concatenate(xs, axis=1), [x.shape[1] for x in xs]),
+        _concat_grad),
     OpKind.ADD: Kernels(lambda a, p, xs, *_: (xs[0] + xs[1], None),
                         lambda a, p, gy, *_: ([gy, gy], {})),
-    OpKind.UPSAMPLE: Kernels(_upsample, _upsample_grad),
+    # the learned form's weight gradient reads the input
+    OpKind.UPSAMPLE: Kernels(_upsample, _upsample_grad, INPUTS),
     OpKind.SOFTMAX: Kernels(
         lambda a, p, xs, *_: (ops.softmax_channels(xs[0]), None),
-        lambda a, p, gy, xs, y, *_: ([ops.softmax_channels_grad(gy, y)], {})),
+        lambda a, p, gy, xs, y, *_: ([ops.softmax_channels_grad(gy, y)], {}), OUTPUT),
     OpKind.OUTPUT: Kernels(lambda a, p, xs, *_: (xs[0], None),
                            lambda a, p, gy, *_: ([gy], {})),
 }
+
+
+def _tape_drops(graph: Graph) -> dict[NodeId, list[NodeId]]:
+    """The values ``forward`` drops once each node has run: those with no
+    later reader, after their last consumer (a value with none goes once
+    made). A value stays on the tape if it is a graph input or output, if
+    its own backward reads its output, or if a consumer's backward reads its
+    inputs or the consumer takes two or more inputs: ``_probe_group`` reads
+    such an input from the tape when a pick's cone holds the consumer but
+    not the input."""
+    keep = {*graph.inputs, *graph.outputs}
+    last: dict[NodeId, NodeId] = {}
+    for node in graph.nodes:
+        nid, inputs = node.id, node.inputs
+        last[nid] = nid
+        for i in inputs:
+            last[i] = nid
+        if node.op.kind is OpKind.INPUT:
+            continue
+        reads = KERNELS[node.op.kind].reads
+        if reads == OUTPUT:
+            keep.add(nid)
+        if reads == INPUTS or len(inputs) > 1:
+            keep.update(inputs)
+    drops: dict[NodeId, list[NodeId]] = {}
+    for i, consumer in last.items():
+        if i not in keep:
+            drops.setdefault(consumer, []).append(i)
+    return drops
 
 
 def backward(graph: Graph, params: ParamStore, tape: Tape,
@@ -346,10 +400,10 @@ def backward(graph: Graph, params: ParamStore, tape: Tape,
         node = graph.node(nid)
         if nid not in grads or node.op.kind is OpKind.INPUT:
             continue
-        gxs, named = KERNELS[node.op.kind].backward(
+        gxs, named = KERNELS[node.op.kind].backward(  # None for a value the tape dropped
             node.op.attrs, params.tensors.get(nid), grads.pop(nid),
-            [tape.values[i] for i in node.inputs], tape.values[nid], tape.aux.get(nid),
-            active[node.inputs[0]], nid in wrt)
+            [tape.values.get(i) for i in node.inputs], tape.values.get(nid),
+            tape.aux.get(nid), active[node.inputs[0]], nid in wrt)
         for src, g in zip(node.inputs, gxs):
             if active[src]:
                 accumulate(src, g)
@@ -458,7 +512,7 @@ def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
         if upstream:
             parts.append(run(node.op.attrs, p, [lanes_of(i, upstream) for i in node.inputs],
                              Mode.TRAIN, False, 2 * len(upstream))[0])
-        xs = [tape.values[i] for i in node.inputs]
+        xs = [tape.values[i] for i in node.inputs] if here else None
         for k in here:
             _, _, arr, offset = group[k]
             original = arr.flat[offset]

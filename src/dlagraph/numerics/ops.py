@@ -47,7 +47,7 @@ def _col2im(cols: np.ndarray, xp: np.ndarray, stride: int) -> None:
             phases += taps
 
 
-# Bytes of one column block that the backward kernels build: a batch whose
+# Bytes of one column block that a convolution builds: a batch whose
 # columns outgrow it runs a slice of samples at a time.
 _COL_BLOCK_BYTES = 2 << 20
 
@@ -57,21 +57,26 @@ def _sample_blocks(n: int, per_sample: int) -> list[slice]:
     bytes per sample, fit _COL_BLOCK_BYTES; one slice if the batch fits, and
     at least one sample per slice."""
     step = max(1, _COL_BLOCK_BYTES // per_sample)
+    if step >= n:  # the common case, at a fraction of the comprehension's cost
+        return [slice(None)]
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def conv_apply(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
                stride: int, padding: int, groups: int) -> np.ndarray:
-    """y = conv(x; w) with w shaped (out_c, in_c / groups, k, k)."""
-    n = x.shape[0]
+    """y = conv(x; w) with w shaped (out_c, in_c / groups, k, k). Each slice
+    of samples fills its slice of y; every sample is its own product."""
+    n, c, h, wd = x.shape
     oc, icg, kernel, _ = w.shape
-    cols = _im2col(x, kernel, stride, padding)
-    oh, ow = cols.shape[-2:]
-    cols = cols.reshape(n, groups, icg * kernel * kernel, oh * ow)
-    wg = w.reshape(groups, oc // groups, icg * kernel * kernel)
-    y = np.matmul(wg[None], cols).reshape(n, oc, oh, ow)
+    oh, ow = window_out_hw(h, wd, kernel, stride, padding)
+    wg = w.reshape(groups, oc // groups, icg * kernel * kernel)[None]
+    y = np.empty((n, groups, oc // groups, oh * ow), dtype=np.result_type(x, w))
+    for s in _sample_blocks(n, x.itemsize * c * kernel * kernel * oh * ow):
+        cols = _im2col(x[s], kernel, stride, padding)
+        np.matmul(wg, cols.reshape(-1, groups, icg * kernel * kernel, oh * ow), out=y[s])
+    y = y.reshape(n, oc, oh, ow)
     if bias is not None:
-        y = y + bias[None, :, None, None]
+        y += bias[None, :, None, None]
     return y
 
 
@@ -148,14 +153,19 @@ def batchnorm_train(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
 def batchnorm_train_grads(gy: np.ndarray, xmu: np.ndarray, ivar: np.ndarray,
                           scale: np.ndarray) -> np.ndarray:
     """Gradient of the input of one lane, from x - mean and the inverse
-    deviation; scale and shift take plain sums."""
+    deviation, formed in one buffer; scale and shift take plain sums."""
     m = xmu.shape[0] * xmu.shape[2] * xmu.shape[3]
     dxhat = gy * scale[None, :, None, None]
     dvar = np.sum(dxhat * xmu, axis=(0, 2, 3), keepdims=True) * (-0.5) * ivar ** 3
     dxhat *= ivar  # dxhat * ivar, formed once for the sum and for the result
     dmean = (-np.sum(dxhat, axis=(0, 2, 3), keepdims=True)
              + dvar * (-2.0 * np.sum(xmu, axis=(0, 2, 3), keepdims=True)) / m)
-    return dxhat + dvar * 2.0 * xmu / m + dmean / m
+    # dxhat + dvar * 2.0 * xmu / m + dmean / m, term by term in place
+    out = np.multiply(dvar * 2.0, xmu)
+    out /= m
+    out += dxhat
+    out += dmean / m
+    return out
 
 
 def batchnorm_eval(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,

@@ -217,6 +217,7 @@ PARSE_MESSAGES = {
                        "tag 'stage' of node 1 has the wrong type: [3]"),
     "kind-unknown": (_set_node_key("kind", "Convolution9000"),
                      "node 1: 'Convolution9000' is not a valid OpKind"),
+    "kind-list": (_set_node_key("kind", ["Conv"]), "node 1: ['Conv'] is not a valid OpKind"),
     "id-moved": (_set_node_key("id", 7), "node at position 1 carries id 7"),
 }
 

@@ -7,7 +7,8 @@ from conftest import naive_conv2d
 
 from dlagraph import ir
 from dlagraph.aggregation import AggNodeSpec, build_aggregation_node
-from dlagraph.architectures import build_toy_classifier, build_toy_dense_decoder
+from dlagraph.architectures import (build_toy_classifier, build_toy_dense_decoder,
+                                    catalog_names)
 from dlagraph.ir import GraphBuilder, OpKind, TensorShape, UpsampleMode
 from dlagraph.numerics import (Mode, ParamStore, ShapeMismatch, StaleTape, backward,
                                cross_entropy, forward, grad_check, init_params,
@@ -111,6 +112,55 @@ def test_backward_column_slices_match_one_block_bit_for_bit(monkeypatch, kernel,
                 assert (got.shape, got.strides) == (ref.shape, ref.strides)
                 assert got.tobytes() == ref.tobytes(), (groups, samples)
         monkeypatch.undo()
+
+
+def _one_block_conv(x, w, bias, stride, padding, groups):
+    """conv_apply as one im2col block over the whole batch, kept as the
+    reference for its slices."""
+    n = x.shape[0]
+    oc, icg, kernel, _ = w.shape
+    cols = ops._im2col(x, kernel, stride, padding)
+    oh, ow = cols.shape[-2:]
+    cols = cols.reshape(n, groups, icg * kernel * kernel, oh * ow)
+    y = np.matmul(w.reshape(groups, oc // groups, -1)[None], cols).reshape(n, oc, oh, ow)
+    return y if bias is None else y + bias[None, :, None, None]
+
+
+def _decoder_forward_at_batch_16():
+    g = build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5)
+    x = np.random.default_rng(5).standard_normal((16, 3, 32, 32))
+    forward(g, init_params(g, 1), [x], Mode.TRAIN, update_running=False)
+
+
+def test_forward_conv_columns_fit_the_block_budget(monkeypatch):
+    im2col, blocks = ops._im2col, []
+
+    def recorded(x, *args):
+        cols = im2col(x, *args)
+        blocks.append((len(cols), cols.nbytes))
+        return cols
+
+    monkeypatch.setattr(ops, "_im2col", recorded)
+    _decoder_forward_at_batch_16()
+    assert any(samples < 16 for samples, _ in blocks)  # some convolution was sliced
+    for samples, nbytes in blocks:  # one sample alone may exceed the budget
+        assert samples == 1 or nbytes <= ops._COL_BLOCK_BYTES, (samples, nbytes)
+
+
+def test_forward_conv_slices_match_one_block_bit_for_bit(monkeypatch):
+    conv_apply, sliced = ops.conv_apply, []
+
+    def checked(x, w, bias, stride, padding, groups):
+        y = conv_apply(x, w, bias, stride, padding, groups)
+        want = _one_block_conv(x, w, bias, stride, padding, groups)
+        assert (y.shape, y.tobytes()) == (want.shape, want.tobytes())
+        per_sample = x.itemsize * x.shape[1] * w.shape[2] ** 2 * y.shape[2] * y.shape[3]
+        sliced.append(len(ops._sample_blocks(len(x), per_sample)) > 1)
+        return y
+
+    monkeypatch.setattr(ops, "conv_apply", checked)
+    _decoder_forward_at_batch_16()
+    assert any(sliced) and not all(sliced)
 
 
 @pytest.mark.parametrize("shape,crop", [((2, 16, 1, 1), False), ((2, 16, 4, 4), False),
@@ -577,11 +627,51 @@ def test_batch_norm_tapes_only_its_per_channel_statistics():
         assert [a.shape for a in tape.aux[node.id]] == [(1, channels, 1, 1)] * 3
 
 
+READS_INPUTS = {OpKind.CONV, OpKind.BATCH_NORM, OpKind.LINEAR, OpKind.UPSAMPLE}
+READS_OUTPUT = {OpKind.RELU, OpKind.SOFTMAX}
+
+
+def dead_end_net():
+    """A max pool that nothing reads: forward drops its value once made."""
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(3, 16, 16))
+    b.add(ir.max_pool(2, 2), [x])
+    b.mark_output(b.add(ir.conv(1, 1, 0, 3, 2), [x]))
+    return b.build()
+
+
+@pytest.mark.parametrize("name", catalog_names() + ("decoder", "dead-end"))
+def test_train_tape_keeps_only_what_backward_and_grad_check_read(name):
+    hw = 32 if name == "decoder" else 16
+    if name == "decoder":
+        g = build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5)
+    elif name == "dead-end":
+        g = dead_end_net()
+    else:
+        g = build_toy_classifier(name, 16, 16, num_classes=10)
+    # graph inputs and outputs; values a backward reads; inputs of a node
+    # with two or more, which a probe pass may read from the tape
+    want = set(g.inputs) | set(g.outputs)
+    for node in g.nodes:
+        if node.op.kind in READS_OUTPUT:
+            want.add(node.id)
+        if node.op.kind in READS_INPUTS or len(node.inputs) > 1:
+            want.update(node.inputs)
+    x = np.random.default_rng(0).standard_normal((2, 3, hw, hw))
+    _, tape = forward(g, init_params(g, 0), [x], Mode.TRAIN, update_running=False)
+    assert set(tape.values) == want
+    assert len(want) < len(g)
+
+
 def test_decoder_training_step_heap_peak_is_bounded():
-    """A batch-16 training step of the toy decoder peaks at about 48 MB of
-    heap, 34 MB of it the tape. The bound fails if backward keeps every
-    gradient to its end, if batch norm tapes its normalized activations, or
-    if backward builds a conv's columns over the whole batch (63 MB)."""
+    """A batch-16 training step of the toy decoder peaks at about 37 MB of
+    heap, and its forward at 31 MB, 25 MB of it the tape. The step bound
+    fails if forward tapes every value (46 MB), if batch norm's input
+    gradient takes a full-size temporary per term (39.5 MB), if backward
+    keeps every gradient to its end, if batch norm tapes its normalized
+    activations, or if backward builds a conv's columns over the whole
+    batch. The forward bound fails if forward builds a conv's columns over
+    the whole batch (37 MB)."""
     g = build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5)
     params = init_params(g, 9)
     rng = np.random.default_rng(0)
@@ -589,6 +679,7 @@ def test_decoder_training_step_heap_peak_is_bounded():
     tracemalloc.start()
     try:
         (probs,), tape = forward(g, params, [x], Mode.TRAIN)
+        forward_peak = tracemalloc.get_traced_memory()[1]
         # the per-pixel mean NLL's gradient: -1 / (pixels * p) at each label
         labels = rng.integers(0, 5, (16, 1) + probs.shape[2:])
         picked = np.take_along_axis(probs, labels, axis=1)
@@ -598,7 +689,8 @@ def test_decoder_training_step_heap_peak_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 56e6, "heap peak %.1f MB" % (peak / 1e6)
+    assert forward_peak < 34e6, "forward heap peak %.1f MB" % (forward_peak / 1e6)
+    assert peak < 39e6, "heap peak %.1f MB" % (peak / 1e6)
 
 
 def test_grad_report_json_shape():

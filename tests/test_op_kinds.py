@@ -1,5 +1,8 @@
 import re
 
+import numpy as np
+import pytest
+
 from dlagraph import ir
 from dlagraph.graphdoc import to_dot
 from dlagraph.ir import GraphBuilder, OpKind, TensorShape, UpsampleMode
@@ -16,14 +19,14 @@ def test_every_op_kind_but_input_has_forward_and_backward_kernels():
         assert callable(kernels.forward) and callable(kernels.backward)
 
 
-def every_kind_graph():
+def every_kind_graph(upsample_mode=UpsampleMode.FIXED_BILINEAR):
     b = GraphBuilder()
     x = b.add_input(TensorShape(4, 8, 8))
     y = b.add(ir.conv(3, 1, 1, 4, 4, groups=2), [x])
     y = b.add(ir.batch_norm(4), [y])
     y = b.add(ir.relu(), [y])
     y = b.add(ir.max_pool(2, 2), [y])
-    y = b.add(ir.upsample(2, UpsampleMode.FIXED_BILINEAR, 4), [y])
+    y = b.add(ir.upsample(2, upsample_mode, 4), [y])
     y = b.add(ir.add(), [y, x])
     y = b.add(ir.concat(), [y, x])
     y = b.add(ir.softmax(), [y])
@@ -56,3 +59,31 @@ def test_dot_label_of_each_op_kind():
     got = {node.op.kind: labels[str(node.id)] for node in graph.nodes}
     assert got == DOT_LABELS
     assert ir.conv(7, 2, 3, 3, 16).label() == "Conv 7x7 s2 3>16"  # groups=1 is not shown
+
+
+def _bits(result):
+    gxs, named = result
+    return ([None if g is None else (g.shape, g.tobytes()) for g in gxs],
+            None if named is None else {name: g.tobytes() for name, g in named.items()})
+
+
+@pytest.mark.parametrize("upsample_mode", list(UpsampleMode), ids=lambda m: m.value)
+def test_each_backward_reads_only_the_values_its_kind_declares(upsample_mode):
+    """Every backward runs with each value its ``reads`` leaves out replaced
+    by None, as the tape drops it, and gives the same bits as with every
+    value: a kind whose declaration misses a read fails here."""
+    graph = every_kind_graph(upsample_mode)
+    params = executor.init_params(graph, 1)
+    rng = np.random.default_rng(2)
+    values = {graph.inputs[0]: rng.standard_normal((2, 4, 8, 8))}
+    for node in graph.nodes[1:]:
+        kernels = executor.KERNELS[node.op.kind]
+        p, xs = params.tensors.get(node.id), [values[i] for i in node.inputs]
+        y, kept = kernels.forward(node.op.attrs, p, xs, executor.Mode.TRAIN, False, 1)
+        values[node.id] = y
+        gy = rng.standard_normal(y.shape)
+        full = kernels.backward(node.op.attrs, p, gy, xs, y, kept, True, True)
+        declared = kernels.backward(
+            node.op.attrs, p, gy, xs if kernels.reads == executor.INPUTS else [None] * len(xs),
+            y if kernels.reads == executor.OUTPUT else None, kept, True, True)
+        assert _bits(declared) == _bits(full), node.op.kind
