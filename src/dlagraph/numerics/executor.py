@@ -14,13 +14,14 @@ of. ``grad_check`` probes its sampled entries in groups of consecutive
 picks, one pass per group over the union of their downstream cones. A node
 carries a +/-epsilon pair of lanes, stacked on the batch axis, for every
 pick whose cone holds it, and each value is dropped after its last
-consumer in the pass unless it is a graph output. Only batch norm
-(per-lane statistics) and linear (one product per lane) see the lanes;
-every other kernel treats each sample alone, so a lane's bits equal those
-of a run at the plain batch. Two bounds keep a pass's memory at or below
-that of one pass per pick: a group holds at most ``_PROBE_GROUP`` picks,
-and convolutions and upsamplings, whose im2col or col2im blocks grow with
-the batch, run one lane pair at a time.
+consumer in the pass unless it is a graph output. Each node's kernel
+runs once over all the lanes it carries. Only batch norm (per-lane
+statistics) and linear (one product per lane) see the lanes; every other
+kernel treats each sample alone, so a lane's bits equal those of a run at
+the plain batch. Two bounds keep a pass's memory down: a group holds at
+most ``_PROBE_GROUP`` picks, and convolutions and upsamplings build their
+im2col or col2im blocks a bounded slice of samples at a time, however
+many lanes they get (see ``ops``).
 
 Five rules bound the memory of a training step; none changes a bit.
 ``forward`` tapes only the values that ``backward`` and ``grad_check`` read
@@ -174,10 +175,12 @@ class Kernels(NamedTuple):
     functions up when they run, so a wrapper put on the module takes effect.
 
     ``forward`` gets the number of probe lanes stacked on the batch axis
-    (see ``grad_check``); one that builds im2col or col2im blocks runs them
-    a lane pair at a time through ``_by_pairs``. ``backward`` gets whether the first input's
-    gradient and the tensors' gradients are wanted; a kernel may skip what
-    is not, and returns None or {} for it.
+    (see ``grad_check``) and runs once over all of them; one that reduces
+    over the batch axis does so per lane, and one that builds im2col or
+    col2im blocks leaves their size to the sample slices in ``ops``.
+    ``backward`` gets whether the first input's gradient and the tensors'
+    gradients are wanted; a kernel may skip what is not, and returns None
+    or {} for it.
 
     ``reads`` declares what ``backward`` reads besides ``gy`` and ``kept``:
     ``INPUTS`` (its input values ``xs``), ``OUTPUT`` (its own value ``y``)
@@ -193,20 +196,9 @@ class Kernels(NamedTuple):
 INPUTS, OUTPUT = "inputs", "output"  # values of Kernels.reads
 
 
-def _by_pairs(apply, x: np.ndarray, lanes: int) -> np.ndarray:
-    """``apply`` over one +/- pair of probe lanes at a time, so a kernel that
-    builds an im2col or col2im block builds it for one pair only: a block
-    over many lanes outgrows the cache and the probe's heap peak."""
-    if lanes <= 2:
-        return apply(x)
-    step = 2 * len(x) // lanes
-    return np.concatenate([apply(x[i:i + step]) for i in range(0, len(x), step)])
-
-
-def _conv(a, p, xs, mode, update_running, lanes):
-    return _by_pairs(lambda x: ops.conv_apply(x, p["weight"], p.get("bias"), a["stride"],
-                                              a["padding"], a["groups"]),
-                     xs[0], lanes), None
+def _conv(a, p, xs, *_):
+    return ops.conv_apply(xs[0], p["weight"], p.get("bias"), a["stride"], a["padding"],
+                          a["groups"]), None
 
 
 def _conv_grad(a, p, gy, xs, y, kept, want_x, want_p):
@@ -276,13 +268,12 @@ def _upsample_weight(a, p):  # a learned upsampling owns its kernel
     return p["weight"] if p else ops.bilinear_upsample_weight(a["channels"], a["factor"])
 
 
-def _upsample(a, p, xs, mode, update_running, lanes):
+def _upsample(a, p, xs, *_):
     f = a["factor"]
     _, stride, padding = upsample_kernel_geometry(f)
     out_hw = (xs[0].shape[2] * f, xs[0].shape[3] * f)
-    return _by_pairs(lambda x: ops.conv_apply_adjoint(x, _upsample_weight(a, p), stride,
-                                                      padding, a["channels"], out_hw),
-                     xs[0], lanes), None
+    return ops.conv_apply_adjoint(xs[0], _upsample_weight(a, p), stride, padding,
+                                  a["channels"], out_hw), None
 
 
 def _upsample_grad(a, p, gy, xs, y, kept, want_x, want_p):

@@ -11,7 +11,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FILES = sorted(ROOT.glob("BENCH_*.json"))
-END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = DECLARED["end_to_end"]
 SIDES = ("parent", "change")
 
 
@@ -49,6 +50,13 @@ def test_bench_file_schema_and_ok_ratio(path):
         wins = workload["wins"]
         assert set(wins) == {m["name"] for m in END_TO_END}, name
         assert all(0 <= n <= doc["pairs"] for n in wins.values()), name
+        for side, traced in workload.get("traced", {}).items():  # optional per-layer data
+            assert side in SIDES, (name, side)
+            assert traced["correct"], (name, side)
+            assert traced["wrapper_self_check"] == {"unused": [], "digests_equal": True}, \
+                (name, side)
+            assert {m["name"] for m in DECLARED["per_layer"]} <= set(traced["metrics"]), \
+                (name, side)
 
 
 def test_summary_counts_a_win_in_each_metric_direction():

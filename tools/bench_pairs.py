@@ -16,7 +16,10 @@ after every pair. Per workload and side it holds the median and quartiles
 of every end-to-end metric that ``BENCHMARK.json`` declares, scaled and
 unscaled (``bench/NOTES.md`` explains the host-speed scale; metrics that
 are not timings are the same in both), the lowest ``ok_ratio``, every
-run's values, and per metric the number of pairs the change won.
+run's values, and per metric the number of pairs the change won. After the
+pairs, one ``--trace 1`` run per side and workload, at seed 0, adds the
+per-layer metrics and the tracer's ``wrapper_self_check`` under the
+workload's ``traced`` key.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import time
 
 WORKTREE = "WORKTREE"
 SCHEMA = 1
+SIDES = ("parent", "change")
 
 
 def git(*args: str) -> str:
@@ -62,16 +66,29 @@ def write_side(rev: str, dest: str) -> dict:
     return {"rev": rev, "commit": commit, "uncommitted_changes": False}
 
 
-def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict:
+def run_lines(root: str, workload: str, seed: int, seconds: float,
+              trace: int) -> tuple[dict, dict]:
     """One ``bench/run.py`` run in ``root``: its record and result lines."""
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise SystemExit("bench/run.py exited with %d in %s" % (proc.returncode, root))
     record_line, result_line = proc.stdout.strip().splitlines()[-2:]
-    record = json.loads(record_line)["record"]
-    result = json.loads(result_line)
+    return json.loads(record_line)["record"], json.loads(result_line)
+
+
+def run_traced(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 1`` run: its per-layer metrics and wrapper self-check."""
+    record, result = run_lines(root, workload, seed, seconds, 1)
+    return {"seed": seed, "correct": result["correct"],
+            "wrapper_self_check": record["wrapper_self_check"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced ``bench/run.py`` run in ``root``, summarized."""
+    record, result = run_lines(root, workload, seed, seconds, 0)
     scaled = {k: v["value"] for k, v in result["metrics"].items()}
     return {"seed": seed, "scaled": scaled, "unscaled": {**scaled, **record["unscaled"]},
             "host_scale": record["host_scale"], "host": record["host"],
@@ -90,7 +107,7 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
     """Per side: quartiles of each metric, scaled and unscaled; per metric:
     the pairs in which the change beat the parent."""
     out = {}
-    for side in ("parent", "change"):
+    for side in SIDES:
         side_runs = runs[side]
         out[side] = {
             "host_matches_refs": all(r["host_matches_refs"] for r in side_runs),
@@ -130,12 +147,19 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     seconds = args.seconds or bench["run_seconds"]
     scratch = args.scratch or tempfile.mkdtemp(prefix="bench-pairs-")
-    roots = {side: os.path.join(scratch, side) for side in ("parent", "change")}
+    roots = {side: os.path.join(scratch, side) for side in SIDES}
     commits = {side: write_side(rev, roots[side])
                for side, rev in (("parent", args.parent), ("change", args.change))}
     out_path = "BENCH_%s.json" % args.label
-    runs = {w: {"parent": [], "change": []} for w in workloads}
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
     started = time.time()
+
+    def write(doc: dict) -> None:
+        with open(out_path + ".tmp", "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(out_path + ".tmp", out_path)
+
     try:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -152,10 +176,12 @@ def main(argv=None) -> int:
                 "pairs": pair + 1, "host": host, "commits": commits,
                 "workloads": {w: summarize(runs[w], bench["end_to_end"]) for w in workloads},
             }
-            with open(out_path + ".tmp", "w") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            os.replace(out_path + ".tmp", out_path)
+            write(doc)
+        # per-layer data: one traced run per side and workload, at seed 0
+        for workload in workloads:
+            doc["workloads"][workload]["traced"] = {
+                side: run_traced(roots[side], workload, 0, seconds) for side in SIDES}
+            write(doc)
     finally:
         if args.scratch is None:
             shutil.rmtree(scratch, ignore_errors=True)
