@@ -5,19 +5,19 @@ by ascending id. ``serialize`` writes these bytes itself, rendering each
 distinct attrs and tags object once, and tests pin them to
 ``json.dumps(graph_to_document(...), sort_keys=True, indent=2)``, whose
 indenting encoder is pure Python. Serializing a graph twice yields
-identical bytes, and parse followed by serialize is byte-idempotent. A
-document holds exactly one Input node, and, being a ``Graph``, is
-shape-consistent at the extents that node declares, so every document that
-parses can be analyzed.
+identical bytes, and parse followed by serialize is byte-idempotent. Node
+records are strict JSON: ``PrimOp`` and ``Tags`` admit only strs, bools,
+ints and finite floats. A document holds exactly one Input node, and,
+being a ``Graph``, is shape-consistent at the extents that node declares,
+so every document that parses can be analyzed.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
-from .ir import Graph, GraphError, GraphNode, OpKind, PrimOp, Tags
+from .ir import Graph, GraphError, GraphNode, OpKind, PrimOp, Tags, is_tag_value
 
 FORMAT_VERSION = "1"
 
@@ -58,7 +58,6 @@ def graph_to_document(graph: Graph, metadata: dict[str, Any] | None = None) -> d
 
 
 _quote = json.encoder.encode_basestring_ascii
-_PLAIN = (str, int, bool, type(None))
 _KIND_TEXT = {kind: _quote(kind.value) for kind in OpKind}
 _KIND_OF_TEXT = {kind.value: kind for kind in OpKind}
 _RECORD = ('{\n      "attrs": %s,\n      "id": %d,\n      "inputs": %s,\n'
@@ -67,30 +66,16 @@ _DOCUMENT = ('{\n  "format_version": %s,\n  "inputs": %s,\n  "metadata": %s,\n'
              '  "nodes": %s,\n  "outputs": %s\n}\n')
 
 
-def _value(value: Any, pad: str) -> str:
-    """``value`` as json.dumps(sort_keys=True, indent=2) writes it where its
-    enclosing lines start with ``pad``, testing types in the encoder's order.
-    Containers go to json.dumps and are re-indented, which is exact because
-    JSON strings never hold a raw newline."""
+def _value(value: Any) -> str:
+    """An attr or tag value, a str, bool, int or finite float, as json.dumps
+    writes it, testing types in the encoder's order."""
     if isinstance(value, str):
         return _quote(value)
-    if value is None:
-        return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+    return repr(value)  # an int or a float: PrimOp and Tags admit no subclass
 
 
 def _array(texts: Any) -> str:
@@ -101,14 +86,11 @@ def _array(texts: Any) -> str:
 
 def _block(cache: dict, key: tuple, pairs: Any) -> str:
     """The attrs or tags object of a node record from its (key, value)
-    ``pairs``, stored in ``cache`` under ``key`` unless a value is a float
-    zero (``0.0 == -0.0``) or of a type other than str, int, bool, float and
-    None; a key holds the values with their types, since ``1 == 1.0``."""
+    ``pairs``, stored in ``cache`` under ``key``."""
     pairs = sorted(pairs)
-    text = "{%s\n      }" % ",".join("\n        %s: %s" % (_quote(k), _value(v, "\n        "))
+    text = "{%s\n      }" % ",".join("\n        %s: %s" % (_quote(k), _value(v))
                                        for k, v in pairs) if pairs else "{}"
-    if all(type(v) in _PLAIN or (type(v) is float and v) for _, v in pairs):
-        cache[key] = text
+    cache[key] = text
     return text
 
 
@@ -122,16 +104,15 @@ def serialize(graph: Graph, metadata: dict[str, Any] | None = None) -> str:
         op, tags = node.op, node.tags
         attrs = op.attrs
         values = tuple(attrs.values())
-        key = (*attrs, *values, *map(type, values))
+        key = (*attrs, *values, *map(type, values))  # with types, since 1 == 1.0
         try:
             attrs_text = attr_blocks[key]
-        except (KeyError, TypeError):  # TypeError: an unhashable value
+        except KeyError:
             attrs_text = _block(attr_blocks, key, attrs.items())
-        stage, block, agg = tags.stage, tags.block_id, tags.agg_node_id
-        key = (stage, block, agg, type(stage), type(block), type(agg))
+        key = (tags.stage, tags.block_id, tags.agg_node_id)  # an int never equals a str
         try:
             tags_text = tag_blocks[key]
-        except (KeyError, TypeError):
+        except KeyError:
             tags_text = _block(tag_blocks, key, _tags_to_json(tags).items())
         inputs = node.inputs
         records.append(_RECORD % (
@@ -171,8 +152,8 @@ def _parse_node(record: Any, position: int, tag_cache: dict[tuple, Tags]) -> Gra
     _expect(isinstance(tags_json, dict) and tags_json.keys() <= _TAG_SET,
             "tags of node %d carry unknown keys", position)
     for key, value in tags_json.items():
-        _expect(type(value) is int or (key == "stage" and type(value) is str),
-                "tag %r of node %d has the wrong type: %r", key, position, value)
+        if not is_tag_value(key, value):  # one call per tag: it runs on every node
+            raise ParseError("tag %r of node %d has the wrong type: %r" % (key, position, value))
     tag_key = (tags_json.get("stage"), tags_json.get("block_id"), tags_json.get("agg_node_id"))
     tags = tag_cache.get(tag_key)
     if tags is None:

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import enum
 import heapq
+import itertools
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Sequence
 
 NodeId = int
@@ -211,7 +213,7 @@ OPS: dict[OpKind, OpDef] = {
                "has_bias": _FLAG},
         shape=_conv_shape, params=_conv_params, label=_conv_label),
     OpKind.BATCH_NORM: OpDef(
-        attrs={"channels": _COUNT, "epsilon": (float, lambda v: v > 0)},
+        attrs={"channels": _COUNT, "epsilon": (float, lambda v: 0 < v < math.inf)},
         shape=lambda a, s: _expect_channels("batchnorm", a["channels"], s),
         params=lambda a: {"scale": (a["channels"],), "shift": (a["channels"],)},
         label=lambda a: "BN %d" % a["channels"]),
@@ -347,13 +349,26 @@ def upsample_kernel_geometry(factor: int) -> tuple[int, int, int]:
     return (2 * factor, factor, factor // 2)
 
 
+def is_tag_value(key: str, value: Any) -> bool:
+    """Whether tag ``key`` may hold ``value`` besides None: an int (not a
+    bool), or for ``stage`` also a str."""
+    return type(value) is int or (key == "stage" and type(value) is str)
+
+
 @dataclass(frozen=True)
 class Tags:
-    """Structural labels: stage (1..6, "head" or "decoder"), block id, aggregation-node id."""
+    """Structural labels: stage (1..6, "head" or "decoder"), block id and
+    aggregation-node id, each None or a value ``is_tag_value`` accepts."""
 
     stage: int | str | None = None
     block_id: int | None = None
     agg_node_id: int | None = None
+
+    def __post_init__(self) -> None:
+        for key in ("stage", "block_id", "agg_node_id"):
+            value = getattr(self, key)
+            if value is not None and not is_tag_value(key, value):
+                raise ValueError("tag %r has the wrong type: %r" % (key, value))
 
 
 @dataclass(frozen=True)
@@ -438,9 +453,9 @@ def infer_node_shape(op: PrimOp, input_shapes: Sequence[TensorShape]) -> TensorS
 class GraphBuilder:
     """Single-writer graph construction with incremental shape tracking.
 
-    Tag context managers (``stage``, ``block``, ``agg_node``) label every
-    node added inside them; block and aggregation-node ids are handed out
-    densely in construction order.
+    Tag context managers (``stage``, ``block``, ``agg_node``) give every
+    node added inside them one shared ``Tags``; block and aggregation-node
+    ids are handed out densely in construction order.
     """
 
     def __init__(self) -> None:
@@ -448,11 +463,9 @@ class GraphBuilder:
         self._shapes: list[TensorShape] = []
         self._inputs: list[NodeId] = []
         self._outputs: list[NodeId] = []
-        self._stage: int | str | None = None
-        self._block_id: int | None = None
-        self._agg_id: int | None = None
-        self._next_block_id = 0
-        self._next_agg_id = 0
+        self._tags = Tags()
+        self._block_ids = itertools.count()
+        self._agg_ids = itertools.count()
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -462,9 +475,7 @@ class GraphBuilder:
 
     def add(self, op: PrimOp, inputs: Sequence[NodeId] = (), tags: Tags | None = None) -> NodeId:
         nid = len(self._nodes)
-        if tags is None:
-            tags = Tags(stage=self._stage, block_id=self._block_id, agg_node_id=self._agg_id)
-        node = GraphNode(nid, op, tuple(inputs), tags)
+        node = GraphNode(nid, op, tuple(inputs), self._tags if tags is None else tags)
         shape = infer_node_shape(op, [self._shapes[i] for i in node.inputs])
         if op.kind == OpKind.INPUT:
             self._inputs.append(nid)
@@ -481,32 +492,23 @@ class GraphBuilder:
         return out
 
     @contextmanager
+    def _scope(self, key: str, value: Any):
+        """Label nodes added inside with tag ``key`` set to ``value``; yields it."""
+        outer = self._tags
+        self._tags = replace(outer, **{key: value})
+        try:
+            yield value
+        finally:
+            self._tags = outer
+
     def stage(self, stage: int | str):
-        prev, self._stage = self._stage, stage
-        try:
-            yield stage
-        finally:
-            self._stage = prev
+        return self._scope("stage", stage)
 
-    @contextmanager
     def block(self):
-        bid = self._next_block_id
-        self._next_block_id += 1
-        prev, self._block_id = self._block_id, bid
-        try:
-            yield bid
-        finally:
-            self._block_id = prev
+        return self._scope("block_id", next(self._block_ids))
 
-    @contextmanager
     def agg_node(self):
-        aid = self._next_agg_id
-        self._next_agg_id += 1
-        prev, self._agg_id = self._agg_id, aid
-        try:
-            yield aid
-        finally:
-            self._agg_id = prev
+        return self._scope("agg_node_id", next(self._agg_ids))
 
     def build(self) -> Graph:
         return Graph(tuple(self._nodes), tuple(self._inputs), tuple(self._outputs))

@@ -5,7 +5,7 @@ from dlagraph.analysis import (MissingTags, cost_report, count_fmas, count_param
                                infer_shapes, node_params, structure_stats)
 from dlagraph.architectures import arch_spec, build_classifier
 from dlagraph.blocks import BlockKind, BlockSpec
-from dlagraph.aggregation import HdaSpec, build_hda
+from dlagraph.aggregation import HdaSpec, build_hda, build_unmerged_hda
 from dlagraph.graphdoc import graph_to_document
 from dlagraph.ir import GraphBuilder, ShapeConflict, TensorShape
 
@@ -120,6 +120,18 @@ def test_structure_stats_requires_tags():
     with pytest.raises(MissingTags):
         structure_stats(g)
 
+
+
+def test_structural_violations_flag_the_root_fanin_of_an_unmerged_tree():
+    # 2^d - 1 binary nodes over 2^d blocks: too many nodes, a root of fan-in 2
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(8, 8, 8))
+    with b.stage(3):
+        root = build_unmerged_hda(b, x, HdaSpec(2, BlockSpec(BlockKind.BASIC, 8)))
+    b.mark_output(root)
+    assert analysis.structural_violations(b.build()) == [
+        "StructureViolation: stage 3 has 3 aggregation nodes for 4 blocks, expected 2",
+        "StructureViolation: stage 3 root fan-in 2 outside [3, 4]"]
 
 def test_upsample_accounting():
     op = ir.upsample(2, ir.UpsampleMode.LEARNED_TRANSPOSED_CONV, 32)

@@ -17,12 +17,13 @@ def _load(monkeypatch, filename):
     return module
 
 
-@pytest.mark.parametrize("name", ["toy-train", "toy-gradcheck"])
-def test_tracer_sees_every_function_the_toy_workloads_use(name, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", ["toy-train", "toy-gradcheck", "static-catalog"])
+def test_tracer_sees_every_function_the_workloads_use(name, tmp_path, monkeypatch):
     # A traced benchmark run fails its wrapper self-check when a function a
     # workload lists in `uses` shows no calls, as happens when the executor
     # holds a kernel it looked up once instead of calling it through `ops`,
-    # or passes an argument the tracer reads by position as a keyword.
+    # passes an argument the tracer reads by position as a keyword, or a
+    # static path (builder, serializer, checker) stops calling a listed one.
     tracing = _load(monkeypatch, "tracer.py")
     workloads = _load(monkeypatch, "workloads.py")
     wl = workloads.make(name, str(tmp_path))

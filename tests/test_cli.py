@@ -164,6 +164,38 @@ def test_check_flags_edited_structure_tag(capsys, doc_path, tmp_path):
     assert "StructureViolation" in out
 
 
+
+def test_check_flags_nudged_linear_in_features(capsys, doc_path, tmp_path):
+    doc = json.loads(doc_path.read_text())
+    linear = next(n for n in doc["nodes"] if n["kind"] == "Linear")
+    features = linear["attrs"]["in_features"]
+    linear["attrs"]["in_features"] += 1
+    edited = tmp_path / "edited_linear.json"
+    edited.write_text(json.dumps(doc))
+    for command in ("check", "report", "export-dot"):
+        code, out, err = run(capsys, command, str(edited))
+        assert code == 4
+        assert out == ""
+        assert "node %d: linear expects %d features, got %d" % (
+            linear["id"], features + 1, features) in err
+
+
+def test_report_on_untagged_document_prints_zero_structure_fields(capsys, doc_path, tmp_path):
+    doc = json.loads(doc_path.read_text())
+    for node in doc["nodes"]:
+        node["tags"] = {}
+    untagged = tmp_path / "untagged.json"
+    untagged.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "report", str(untagged))
+    assert code == 0
+    payload = json.loads(out)
+    assert {k: payload[k] for k in ("blocks", "agg_nodes", "max_root_fanin",
+                                    "max_block_to_output_hops", "per_stage_hda_depth")} == {
+        "blocks": 0, "agg_nodes": 0, "max_root_fanin": 0, "max_block_to_output_hops": 0,
+        "per_stage_hda_depth": {}}
+    assert payload["per_stage"] == {"untagged": {"params": payload["params"],
+                                                 "fmas": payload["fmas"]}}
+
 def test_gradcheck_passes_and_reports(capsys):
     code, out, _ = run(capsys, "gradcheck", "DLA-34", "--width-cap", "16",
                        "--input", "16", "--tol", "1e-4", "--seed", "1")
@@ -173,6 +205,17 @@ def test_gradcheck_passes_and_reports(capsys):
     assert payload["max_rel_error"] < 1e-4
     assert payload["samples"] == 200
 
+
+
+def test_gradcheck_dense_head_passes_and_reports(capsys):
+    # a seed whose 20 samples sit away from ReLU and pool kinks, as the
+    # acceptance suite pins its points
+    code, out, _ = run(capsys, "gradcheck", "DLA-34", "--head", "dense", "--input", "32",
+                       "--samples", "20", "--seed", "29")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["head"], payload["input_hw"], payload["samples"]) == ("dense", 32, 20)
+    assert payload["passed"] is True
 
 def test_gradcheck_corrupted_backward_exits_1(capsys):
     code, out, _ = run(capsys, "gradcheck", "DLA-34", "--width-cap", "16",
@@ -347,6 +390,8 @@ MUTATIONS = {
     "conv-stride-0": ("decoder", _set_attr("Conv", "stride", 0), (4, 4, 4)),
     "maxpool-kernel-0": ("DLA-34", _set_attr("MaxPool", "kernel", 0), (4, 4, 4)),
     "batchnorm-epsilon-negative": ("decoder", _set_attr("BatchNorm", "epsilon", -1), (4, 4, 4)),
+    "batchnorm-epsilon-infinity": ("DLA-34", _set_attr("BatchNorm", "epsilon", float("inf")),
+                                   (4, 4, 4)),
     "upsample-mode-nearest": ("decoder", _set_attr("Upsample", "mode", "nearest"), (4, 4, 4)),
     "upsample-factor-3": ("decoder", _set_attr("Upsample", "factor", 3), (4, 4, 4)),
     "metadata-not-object": ("DLA-34", _set_doc("metadata", 3), (4, 4, 4)),

@@ -8,11 +8,16 @@ fails to parse fails to parse for every command, and ``check`` and
 ``report`` agree on whether a document can be analyzed. Besides mutations
 that break a document, some keep every shape intact (a rewired input, a
 moved structure tag, a nudged epsilon, a toggled bias), so that mutants
-also reach the commands past the parser.
+also reach the commands past the parser. A second stream of mutants nudges
+one conv, pool or upsampling attribute within its range; those that still
+parse also go through ``report --input`` at a second extent, which must
+exit 0 or 3.
 """
 
+import collections
 import copy
 import json
+import math
 import random
 import traceback
 
@@ -24,6 +29,8 @@ from dlagraph.graphdoc import parse
 from dlagraph.ir import infer_node_shape
 
 MUTANTS_PER_DOCUMENT = 60
+NUDGES_PER_DOCUMENT = 30
+SECOND_EXTENTS = ("64x64x3", "48x48x3", "24x24x3", "8x8x3")
 DOCUMENTS = {"DLA-34": ("classify", "10"), "decoder": ("dense", "19")}
 COMMANDS = ("check", "report", "export-dot")
 
@@ -173,6 +180,44 @@ MUTATORS = (_mutate_attrs, _mutate_kind, _mutate_id, _mutate_inputs, _mutate_tag
             _toggle_bias)
 
 
+def _nudge_in_range(rng, doc):
+    """Set one attribute to another in-range value that mostly keeps the
+    shapes fitting: a conv's kernel by 2 with its padding by 1, or its
+    groups to another divisor of both widths; a pool's kernel or stride by
+    1, or its ceil mode; an upsampling's mode."""
+    kind = rng.choice(sorted({n["kind"] for n in doc["nodes"]} & {"Conv", "MaxPool", "Upsample"}))
+    node = rng.choice([n for n in doc["nodes"] if n["kind"] == kind])
+    attrs = node["attrs"]
+    if kind == "Conv":
+        width = math.gcd(attrs["in_channels"], attrs["out_channels"])
+        groups = [g for g in range(1, width + 1) if width % g == 0 and g != attrs["groups"]]
+        if groups and rng.randrange(2):
+            key, attrs["groups"] = "groups", rng.choice(groups)
+        else:
+            step = rng.choice((-1, 1)) if attrs["padding"] else 1
+            attrs["kernel"] += 2 * step
+            attrs["padding"] += step
+            key = "kernel"
+    elif kind == "MaxPool":
+        key = rng.choice(("kernel", "stride", "ceil_mode"))
+        attrs[key] = (not attrs[key] if key == "ceil_mode"
+                      else max(1, attrs[key] + rng.choice((-1, 1))))
+    else:
+        key = "mode"
+        attrs[key] = ("fixed_bilinear" if attrs[key] == "learned_transposed_conv"
+                      else "learned_transposed_conv")
+    return "nudge %s of node %d: %r" % (key, node["id"], attrs)
+
+
+def nudged(name, doc):
+    """The seeded in-range nudges of source document ``name``: (what,
+    mutant, second extent) triples."""
+    rng = random.Random("dlagraph-nudge-%s" % name)
+    for _ in range(NUDGES_PER_DOCUMENT):
+        mutant = copy.deepcopy(doc)
+        yield _nudge_in_range(rng, mutant), mutant, rng.choice(SECOND_EXTENTS)
+
+
 def mutants(name, doc):
     """The seeded mutants of source document ``name``: (what, mutant) pairs."""
     rng = random.Random("dlagraph-fuzz-%s" % name)
@@ -190,6 +235,26 @@ def _run(capsys, argv):
     return code, capsys.readouterr().err
 
 
+def _run_commands(capsys, path, k, what, failures):
+    """Exit codes of every command on the document at ``path``; appends to
+    ``failures`` what breaks the rules the module docstring states."""
+    codes = {}
+    for command in COMMANDS:
+        code, err = _run(capsys, [command, str(path)])
+        if "Traceback" in err:
+            failures.append("%d %s: %s %s a traceback:\n%s" % (k, what, command, code, err))
+        codes[command] = code
+    if any(code not in (0, 1, 2, 3, 4) for code in codes.values()):
+        failures.append("%d %s: codes %r" % (k, what, codes))
+    elif codes["check"] == 0 and (codes["report"], codes["export-dot"]) != (0, 0):
+        failures.append("%d %s: check accepts, yet codes %r" % (k, what, codes))
+    elif codes["export-dot"] == 4 and (codes["check"], codes["report"]) != (4, 4):
+        failures.append("%d %s: does not parse, yet codes %r" % (k, what, codes))
+    elif (codes["check"] == 4) != (codes["report"] == 4):
+        failures.append("%d %s: analyzable to one command only, codes %r" % (k, what, codes))
+    return codes
+
+
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_mutated_documents_keep_exit_codes_consistent(capsys, documents, name):
     root, docs = documents
@@ -198,23 +263,28 @@ def test_mutated_documents_keep_exit_codes_consistent(capsys, documents, name):
     parsed = 0
     for k, (what, doc) in enumerate(mutants(name, docs[name])):
         path.write_text(json.dumps(doc))
-        codes = {}
-        for command in COMMANDS:
-            code, err = _run(capsys, [command, str(path)])
-            if "Traceback" in err:
-                failures.append("%d %s: %s %s a traceback:\n%s"
-                                % (k, what, command, code, err))
-            codes[command] = code
-        parsed += codes["export-dot"] != 4
-        if any(code not in (0, 1, 2, 3, 4) for code in codes.values()):
-            failures.append("%d %s: codes %r" % (k, what, codes))
-        elif codes["check"] == 0 and (codes["report"], codes["export-dot"]) != (0, 0):
-            failures.append("%d %s: check accepts, yet codes %r" % (k, what, codes))
-        elif codes["export-dot"] == 4 and (codes["check"], codes["report"]) != (4, 4):
-            failures.append("%d %s: does not parse, yet codes %r" % (k, what, codes))
-        elif (codes["check"] == 4) != (codes["report"] == 4):
-            failures.append("%d %s: analyzable to one command only, codes %r"
-                            % (k, what, codes))
+        parsed += _run_commands(capsys, path, k, what, failures)["export-dot"] != 4
     assert not failures, "\n".join(failures)
     # mutants that only reach the parser would leave the other commands unfuzzed
     assert parsed >= MUTANTS_PER_DOCUMENT // 4, "only %d mutants parse" % parsed
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_nudged_documents_report_at_a_second_extent(capsys, documents, name):
+    root, docs = documents
+    path = root / ("%s-nudged.json" % name)
+    failures = []
+    second = collections.Counter()
+    for k, (what, doc, extent) in enumerate(nudged(name, docs[name])):
+        path.write_text(json.dumps(doc))
+        if _run_commands(capsys, path, k, what, failures)["export-dot"] == 4:
+            continue
+        code, err = _run(capsys, ["report", str(path), "--input", extent])
+        if "Traceback" in err or code not in (0, 3):
+            failures.append("%d %s: report --input %s %s:\n%s" % (k, what, extent, code, err))
+        second[code] += 1
+    assert not failures, "\n".join(failures)
+    # most nudges keep the document parseable, and the second extent both
+    # fits some of them and conflicts with others
+    assert sum(second.values()) >= NUDGES_PER_DOCUMENT * 2 // 3, second
+    assert second[0] and second[3], second

@@ -11,7 +11,7 @@ from dlagraph.architectures import DenseHeadSpec, arch_spec, build_classifier, \
 from dlagraph.blocks import BlockKind, BlockSpec
 from dlagraph.graphdoc import ParseError, graph_to_document, parse, serialize, to_dot
 from dlagraph.ir import GraphBuilder, TensorShape
-from test_cli_fuzz import MUTANTS_PER_DOCUMENT, build_documents, mutants
+from test_cli_fuzz import MUTANTS_PER_DOCUMENT, build_documents, mutants, nudged
 
 SHAPE224 = TensorShape(3, 224, 224)
 
@@ -219,6 +219,8 @@ PARSE_MESSAGES = {
                      "node 1: 'Convolution9000' is not a valid OpKind"),
     "kind-list": (_set_node_key("kind", ["Conv"]), "node 1: ['Conv'] is not a valid OpKind"),
     "id-moved": (_set_node_key("id", 7), "node at position 1 carries id 7"),
+    "epsilon-infinity": (lambda doc: doc["nodes"][2]["attrs"].update(epsilon=float("inf")),
+                         "node 2: BatchNorm attr 'epsilon' is out of range: inf"),
 }
 
 
@@ -291,7 +293,8 @@ def test_serialize_matches_reference_on_toy_cases(name):
 def test_serialize_matches_reference_on_every_fuzz_mutant_that_parses(tmp_path):
     parsed = 0
     for name, doc in build_documents(tmp_path).items():
-        for what, mutant in mutants(name, doc):
+        nudges = ((what, mutant) for what, mutant, _ in nudged(name, doc))
+        for what, mutant in (*mutants(name, doc), *nudges):
             try:
                 g, metadata = parse(json.dumps(mutant))
             except ParseError:
@@ -306,6 +309,9 @@ ALPHABET = ("a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7
             "\u2028", "\ufeff", "\u65e5", "\U0001f600", "\ud800")
 NUMBERS = (0, 1, -7, 2 ** 70, 1e-05, -0.0, 0.0, 1.0, 1e300, float("nan"), float("inf"),
            float("-inf"))
+# Tag ids and batch-norm epsilons a document can carry; 1 and 1.0 render apart.
+TAG_INTS = (0, 1, -7, 2 ** 70)
+EPSILONS = (1, 1.0, 2, 0.5, 1e-05, 1e300)
 
 
 def random_string(rng):
@@ -327,31 +333,80 @@ def random_json(rng, depth):
     return {random_string(rng): random_json(rng, depth - 1) for _ in range(rng.randrange(4))}
 
 
+def random_tags(rng):
+    """Valid tags: each None or an int up to 2**70, and the stage also a
+    string with escapes and non-ASCII."""
+    stage = rng.choice((None, rng.choice(TAG_INTS), random_string(rng)))
+    return ir.Tags(stage, rng.choice((None,) + TAG_INTS), rng.choice((None,) + TAG_INTS))
+
+
+def random_op(rng, kind, shapes):
+    """An op of ``kind`` applied to the last node, and its inputs, which fit
+    the node ``shapes`` so far; Concat and Add draw further operands among
+    the earlier nodes that fit. Linear needs a 1x1 extent."""
+    x, s = len(shapes) - 1, shapes[-1]
+    c = s.channels
+    if kind is ir.OpKind.CONV:
+        k, groups = rng.choice((1, 3)), rng.choice([g for g in (1, 2, 3) if c % g == 0])
+        return ir.conv(k, rng.choice((1, 2)), k // 2, c, groups * rng.randrange(1, 3), groups,
+                       rng.choice((True, False))), [x]
+    if kind is ir.OpKind.BATCH_NORM:
+        return ir.batch_norm(c, rng.choice(EPSILONS)), [x]
+    if kind is ir.OpKind.MAX_POOL:
+        kernel = rng.choice([k for k in (1, 2, 3) if k <= min(s.spatial)])
+        return ir.max_pool(kernel, rng.choice((1, 2)), rng.choice((True, False))), [x]
+    if kind is ir.OpKind.LINEAR:
+        return ir.linear(c, rng.randrange(1, 4), rng.choice((True, False))), [x]
+    if kind is ir.OpKind.CONCAT:
+        fits = [i for i, t in enumerate(shapes) if t.spatial == s.spatial]
+        return ir.concat(), [x] + rng.choices(fits, k=rng.randrange(1, 3))
+    if kind is ir.OpKind.ADD:
+        return ir.add(), [x, rng.choice([i for i, t in enumerate(shapes) if t == s])]
+    if kind is ir.OpKind.UPSAMPLE:
+        return ir.upsample(2, rng.choice(list(ir.UpsampleMode)), c), [x]
+    return {ir.OpKind.RELU: ir.relu, ir.OpKind.GLOBAL_AVG_POOL: ir.global_avg_pool,
+            ir.OpKind.SOFTMAX: ir.softmax}[kind](), [x]
+
+
 def random_graph(rng):
-    """A chain of convs and batch norms whose stage tags and epsilons are
-    drawn at random, with values equal across types (1, 1.0, True)."""
+    """A single-Input graph over every op kind, in random order with random
+    repeats, whose nodes carry random valid tags."""
     b = GraphBuilder()
-    x = b.add_input(TensorShape(2, 4, 4))
-    for _ in range(rng.randrange(1, 8)):
-        tags = ir.Tags(stage=random_json(rng, 2),
-                       block_id=rng.choice((None, 0, 1, 1.0, True)),
-                       agg_node_id=rng.choice((None, 0, 0.0, -0.0, False)))
-        if rng.randrange(2):
-            op = ir.batch_norm(2, rng.choice((1, 1.0, 2, 2.0, 1e-05, 1e300, float("inf"))))
-        else:
-            k = rng.choice((1, 3))
-            op = ir.conv(k, 1, k // 2, 2, 2, has_bias=rng.choice((True, False)))
-        x = b.add(op, [x], tags)
-    b.mark_output(x)
+    shapes = []
+
+    def add(op, inputs):
+        shapes.append(ir.infer_node_shape(op, [shapes[i] for i in inputs]))
+        return b.add(op, inputs, random_tags(rng))
+
+    add(ir.input_op(rng.randrange(1, 4), 8, 8), [])
+    kinds = [k for k in ir.OpKind if k not in (ir.OpKind.INPUT, ir.OpKind.OUTPUT)]
+    kinds += rng.choices(kinds, k=rng.randrange(6))
+    rng.shuffle(kinds)
+    for kind in kinds:
+        if kind is ir.OpKind.LINEAR and shapes[-1].spatial != (1, 1):
+            add(ir.global_avg_pool(), [len(shapes) - 1])
+        add(*random_op(rng, kind, shapes))
+    for nid in {len(shapes) - 1, rng.randrange(len(shapes))}:
+        b.mark_output(nid)
     return b.build()
+
+
+def _reject_constant(name):
+    raise AssertionError("not strict JSON: %s" % name)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_serialize_matches_reference_on_random_tags_and_metadata(seed):
     rng = random.Random(seed)
     g = random_graph(rng)
+    assert {n.op.kind for n in g.nodes} == set(ir.OpKind)
+    json.loads(serialize(g), parse_constant=_reject_constant)
     metadata = {random_string(rng): random_json(rng, 3) for _ in range(rng.randrange(5))}
-    assert serialize(g, metadata) == reference(g, metadata)
+    text = serialize(g, metadata)
+    assert text == reference(g, metadata)
+    parsed, parsed_metadata = parse(text)
+    assert parsed == g
+    assert serialize(parsed, parsed_metadata) == text
 
 
 def test_serialize_keeps_int_and_float_epsilons_apart():
@@ -367,17 +422,18 @@ def test_serialize_keeps_int_and_float_epsilons_apart():
     assert serialize(*parse(text)) == text
 
 
-def test_serialize_keeps_equal_tags_of_other_types_apart():
+def test_serialize_keeps_int_and_str_stages_apart():
     b = GraphBuilder()
     x = b.add_input(TensorShape(2, 4, 4))
-    for stage in (1, 1.0, True, 0.0, -0.0, 0, False):
-        x = b.add(ir.relu(), [x], ir.Tags(stage=stage))
+    for stage in (1, "1", 1, "1"):
+        with b.stage(stage):
+            x = b.add(ir.relu(), [x])
     b.mark_output(x)
     g = b.build()
     text = serialize(g)
     assert text == reference(g)
-    stages = re.findall(r'"stage": (.*)\n', text)
-    assert stages == ["1", "1.0", "true", "0.0", "-0.0", "0", "false"]
+    assert re.findall(r'"stage": (.*)\n', text) == ["1", '"1"', "1", '"1"']
+    assert serialize(*parse(text)) == text
 
 
 def test_serialize_matches_reference_without_nodes():

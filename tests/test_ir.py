@@ -171,3 +171,58 @@ def test_tags_follow_builder_context():
             y = b.add(ir.relu(), [x])
     node = b.build().node(y)
     assert node.tags == Tags(stage=3, block_id=bid)
+
+
+@pytest.mark.parametrize("tags", [
+    pytest.param({"stage": 1.0}, id="stage-float"),
+    pytest.param({"stage": True}, id="stage-bool"),
+    pytest.param({"stage": [3]}, id="stage-list"),
+    pytest.param({"stage": {}}, id="stage-object"),
+    pytest.param({"block_id": "3"}, id="block-str"),
+    pytest.param({"block_id": False}, id="block-bool"),
+    pytest.param({"agg_node_id": "0"}, id="agg-str"),
+    pytest.param({"agg_node_id": 0.0}, id="agg-float"),
+])
+def test_tags_reject_values_a_document_cannot_carry(tags):
+    with pytest.raises(ValueError, match="has the wrong type"):
+        Tags(**tags)
+
+
+def test_tags_take_none_ints_and_str_stages():
+    assert Tags("decoder", 2 ** 70, -1) == Tags(stage="decoder", block_id=2 ** 70, agg_node_id=-1)
+    assert Tags(stage=0).block_id is Tags().agg_node_id is None
+
+
+@pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), 0, 0.0, -1, float("-inf")])
+def test_batch_norm_rejects_an_epsilon_that_is_not_finite_and_positive(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        ir.batch_norm(4, epsilon)
+
+
+def test_builder_scope_rejects_a_stage_a_document_cannot_carry():
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(4, 8, 8))
+    with pytest.raises(ValueError):
+        with b.stage(True):
+            b.add(ir.relu(), [x])
+    assert len(b) == 1
+
+
+def test_builder_scopes_share_one_tags_and_restore_the_enclosing_one():
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(4, 8, 8))
+    with b.stage(2) as stage:
+        with b.block() as first:
+            y = b.add(ir.relu(), [x])
+            z = b.add(ir.relu(), [y])
+        before = b.add(ir.relu(), [z])
+        with b.agg_node() as agg, b.block() as second:
+            w = b.add(ir.relu(), [before])
+        after = b.add(ir.relu(), [w])
+    g = b.build()
+    assert (stage, first, second, agg) == (2, 0, 1, 0)
+    assert g.node(y).tags is g.node(z).tags
+    assert g.node(before).tags is g.node(after).tags
+    assert g.node(before).tags == Tags(stage=2)
+    assert g.node(w).tags == Tags(stage=2, block_id=1, agg_node_id=0)
+    assert g.node(x).tags == Tags()

@@ -413,6 +413,32 @@ def test_backward_rejects_foreign_tape():
         backward(g2, init_params(g2, 0), tape, [np.ones_like(outs[0])])
 
 
+
+def test_backward_rejects_a_wrong_output_gradient_count_or_shape():
+    g = simple_net()
+    params = init_params(g, 0)
+    outs, tape = forward(g, params, [np.zeros((2, 4, 8, 8))], Mode.TRAIN)
+    with pytest.raises(ShapeMismatch, match="expected 1 output gradients, got 2"):
+        backward(g, params, tape, [np.ones_like(outs[0])] * 2)
+    with pytest.raises(ShapeMismatch, match=r"output gradient shape \(1, 3, 1, 1\)"):
+        backward(g, params, tape, [np.ones((1, 3, 1, 1))])
+
+
+def test_forward_rejects_inputs_of_two_batch_sizes():
+    b = GraphBuilder()
+    left = b.add_input(TensorShape(2, 4, 4))
+    right = b.add_input(TensorShape(2, 4, 4))
+    b.mark_output(b.add(ir.add(), [left, right]))
+    g = b.build()
+    with pytest.raises(ShapeMismatch, match=r"inputs disagree on batch size: \[1, 3\]"):
+        forward(g, init_params(g, 0), [np.zeros((1, 2, 4, 4)), np.zeros((3, 2, 4, 4))])
+
+
+def test_conv_apply_adjoint_rejects_an_operand_of_the_wrong_extent():
+    w = np.ones((4, 2, 3, 3))
+    with pytest.raises(ValueError, match="adjoint operand is 5x4, conv output side is 4x4"):
+        ops.conv_apply_adjoint(np.ones((1, 4, 5, 4)), w, 2, 1, 1, (8, 8))
+
 def test_relu_gradient_is_zero_at_negative_preactivations():
     b = GraphBuilder()
     x = b.add_input(TensorShape(2, 2, 2))

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked through its syntax trees: no
 module outside ``__init__.py`` imports a name it never uses, no line is
-longer than 98 characters, and no line holds two statements."""
+longer than 98 characters, no line holds two statements, and every private
+module-level name is read somewhere in the package."""
 
 import ast
 import pathlib
@@ -54,3 +55,41 @@ def test_one_statement_per_line(path):
     starts = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.stmt)]
     shared = sorted({line for line in starts if starts.count(line) > 1})
     assert not shared, "lines holding two statements: %s" % shared
+
+
+def _module_level_private_names(tree):
+    """Private names (``_x``, not dunder) that a module binds at top level,
+    with their lines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [(t.id, node.lineno) for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name, line in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, line
+
+
+def _references(tree):
+    """Every name a tree reads: loaded names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", _each(SOURCES))
+def test_every_private_module_level_name_is_referenced(path):
+    # A leftover after a cut (a constant or helper nothing reads) fails here.
+    referenced = {name for source in SOURCES for name in _references(_tree(source))}
+    unused = ["%s (line %d)" % (name, line)
+              for name, line in _module_level_private_names(_tree(path))
+              if name not in referenced]
+    assert not unused, "private module-level names never referenced: %s" % ", ".join(unused)
