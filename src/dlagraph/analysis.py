@@ -20,10 +20,6 @@ from .ir import (Graph, GraphNode, NodeId, OpKind, TensorShape, infer_node_shape
 ShapeMap = dict[NodeId, TensorShape]
 
 
-class MissingTags(ir.GraphError):
-    """Structural statistics need block or aggregation tags."""
-
-
 def infer_shapes(graph: Graph, input_shape: TensorShape) -> ShapeMap:
     """Shape of every node given the single graph input's shape.
 
@@ -47,11 +43,6 @@ def _param_count(learnable: dict[str, tuple[int, ...]]) -> int:
     return sum(math.prod(shape) for shape in learnable.values())
 
 
-def _fma_count(learnable: dict[str, tuple[int, ...]], out_shape: TensorShape) -> int:
-    weight = learnable.get("weight")
-    return 0 if weight is None else out_shape.height * out_shape.width * math.prod(weight)
-
-
 def node_params(node: GraphNode) -> int:
     """Learnable scalars owned by one node."""
     return _param_count(param_shapes(node.op))
@@ -59,17 +50,6 @@ def node_params(node: GraphNode) -> int:
 
 def count_params(graph: Graph) -> int:
     return sum(node_params(node) for node in graph.nodes)
-
-
-def node_fmas(node: GraphNode, out_shape: TensorShape) -> int:
-    """Fused multiply-adds of one node for one sample: its weight is
-    applied once per output pixel."""
-    return _fma_count(param_shapes(node.op), out_shape)
-
-
-def count_fmas(graph: Graph, input_shape: TensorShape) -> int:
-    shapes = infer_shapes(graph, input_shape)
-    return sum(node_fmas(node, shapes[node.id]) for node in graph.nodes)
 
 
 @dataclass(frozen=True)
@@ -94,12 +74,18 @@ def cost_report(graph: Graph, input_shape: TensorShape) -> CostReport:
         bucket = per_stage.setdefault(key, [0, 0])
         learnable = param_shapes(node.op)
         bucket[0] += _param_count(learnable)
-        bucket[1] += _fma_count(learnable, shapes[node.id])
+        weight = learnable.get("weight")  # applied once per output pixel
+        if weight is not None:
+            bucket[1] += math.prod(shapes[node.id].spatial) * math.prod(weight)
     return CostReport(
         params=sum(v[0] for v in per_stage.values()),
         fmas=sum(v[1] for v in per_stage.values()),
         per_stage={k: StageCost(*v) for k, v in sorted(per_stage.items())},
     )
+
+
+def count_fmas(graph: Graph, input_shape: TensorShape) -> int:
+    return cost_report(graph, input_shape).fmas
 
 
 @dataclass(frozen=True)
@@ -171,12 +157,10 @@ def structure_stats(graph: Graph) -> StructureStats:
     """Counts of tagged blocks and aggregation nodes, the widest
     aggregation fan-in, per-stage tree depths, and the worst shortest-path
     hop count from a block output to the graph output (counted in
-    aggregation nodes entered)."""
+    aggregation nodes entered); all zero on a graph without those tags."""
     groups = _stage_groups(graph)
     block_ids = set().union(*(g[0] for g in groups.values()))
     agg_ids = set().union(*(g[1] for g in groups.values()))
-    if not block_ids and not agg_ids:
-        raise MissingTags("graph carries no block or aggregation tags")
 
     hops = _agg_hops_to_output(graph)
     max_hops = 0
@@ -187,7 +171,7 @@ def structure_stats(graph: Graph) -> StructureStats:
     return StructureStats(
         blocks=len(block_ids),
         agg_nodes=len(agg_ids),
-        max_root_fanin=max(g[2] for g in groups.values()),
+        max_root_fanin=max((g[2] for g in groups.values()), default=0),
         per_stage_depth={tree[0]: tree[2] for tree in _stage_trees(groups)},
         max_block_to_output_hops=max_hops,
     )

@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .analysis import MissingTags, cost_report, structural_violations, structure_stats
+from .analysis import cost_report, structural_violations, structure_stats
 from .architectures import (DenseHeadSpec, IndivisibleInput, UnknownArchitecture,
                             arch_spec, build_classifier, build_dense_decoder,
                             build_toy_classifier, build_toy_dense_decoder, catalog_names)
@@ -106,6 +106,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     except ShapeConflict as exc:  # a parsed document fits its declared extents
         raise IndivisibleInput("--input %s does not fit the document: %s"
                                % (args.input, exc)) from None
+    stats = structure_stats(graph)
     payload = {
         "params": costs.params,
         "fmas": costs.fmas,
@@ -113,19 +114,12 @@ def cmd_report(args: argparse.Namespace) -> int:
                       for k, v in costs.per_stage.items()},
         "input_shape": "%dx%dx%d" % (shape.height, shape.width, shape.channels),
         "fma_convention": FMA_CONVENTION,
+        "blocks": stats.blocks,
+        "agg_nodes": stats.agg_nodes,
+        "max_root_fanin": stats.max_root_fanin,
+        "max_block_to_output_hops": stats.max_block_to_output_hops,
+        "per_stage_hda_depth": {str(k): v for k, v in stats.per_stage_depth.items()},
     }
-    try:
-        stats = structure_stats(graph)
-        payload.update({
-            "blocks": stats.blocks,
-            "agg_nodes": stats.agg_nodes,
-            "max_root_fanin": stats.max_root_fanin,
-            "max_block_to_output_hops": stats.max_block_to_output_hops,
-            "per_stage_hda_depth": {str(k): v for k, v in stats.per_stage_depth.items()},
-        })
-    except MissingTags:
-        payload.update({"blocks": 0, "agg_nodes": 0, "max_root_fanin": 0,
-                        "max_block_to_output_hops": 0, "per_stage_hda_depth": {}})
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
 
@@ -155,8 +149,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             raise ValueError("%s must be >= %d, got %d" % (flag, least, value))
     if not 0.0 < args.epsilon < math.inf:
         raise ValueError("--epsilon must be finite and > 0, got %r" % args.epsilon)
-    if not args.tol >= 0.0:
-        raise ValueError("--tol must be >= 0, got %r" % args.tol)
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError("--tol must be finite and >= 0, got %r" % args.tol)
     if args.head == "classify":
         graph = build_toy_classifier(args.arch, args.width_cap, args.input,
                                      num_classes=args.classes)
@@ -177,7 +171,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
                "input_hw": args.input, "head": args.head, "seed": args.seed,
                "batch": args.batch}
     payload.update(report.to_json_dict())
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     return 0 if report.passed else 1
 
 

@@ -5,9 +5,10 @@ by ascending id. ``serialize`` writes these bytes itself, rendering each
 distinct attrs and tags object once, and tests pin them to
 ``json.dumps(graph_to_document(...), sort_keys=True, indent=2)``, whose
 indenting encoder is pure Python. Serializing a graph twice yields
-identical bytes, and parse followed by serialize is byte-idempotent. Node
-records are strict JSON: ``PrimOp`` and ``Tags`` admit only strs, bools,
-ints and finite floats. A document holds exactly one Input node, and,
+identical bytes, and parse followed by serialize is byte-idempotent.
+Documents are strict JSON: ``PrimOp`` and ``Tags`` admit only strs, bools,
+ints and finite floats, and ``serialize`` raises ValueError on a NaN or
+infinite metadata value. A document holds exactly one Input node, and,
 being a ``Graph``, is shape-consistent at the extents that node declares,
 so every document that parses can be analyzed.
 """
@@ -121,7 +122,8 @@ def serialize(graph: Graph, metadata: dict[str, Any] | None = None) -> str:
             _KIND_TEXT[op.kind], tags_text))
     return _DOCUMENT % (
         _quote(FORMAT_VERSION), _array(map(str, graph.inputs)),
-        json.dumps(dict(metadata or {}), sort_keys=True, indent=2).replace("\n", "\n  "),
+        json.dumps(dict(metadata or {}), sort_keys=True, indent=2,
+                   allow_nan=False).replace("\n", "\n  "),
         _array(records), _array(map(str, graph.outputs)))
 
 

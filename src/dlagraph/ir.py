@@ -27,7 +27,7 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 NodeId = int
 
@@ -429,9 +429,6 @@ class Graph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __iter__(self) -> Iterator[GraphNode]:
-        return iter(self.nodes)
-
 
 def successors(graph: Graph) -> dict[NodeId, list[NodeId]]:
     """Consumer lists per node, with multiplicity, in ascending consumer order."""
@@ -473,9 +470,9 @@ class GraphBuilder:
     def channels(self, nid: NodeId) -> int:
         return self._shapes[nid].channels
 
-    def add(self, op: PrimOp, inputs: Sequence[NodeId] = (), tags: Tags | None = None) -> NodeId:
+    def add(self, op: PrimOp, inputs: Sequence[NodeId] = ()) -> NodeId:
         nid = len(self._nodes)
-        node = GraphNode(nid, op, tuple(inputs), self._tags if tags is None else tags)
+        node = GraphNode(nid, op, tuple(inputs), self._tags)
         shape = infer_node_shape(op, [self._shapes[i] for i in node.inputs])
         if op.kind == OpKind.INPUT:
             self._inputs.append(nid)

@@ -429,25 +429,35 @@ class GradReport:
     passed: bool
 
     def worst(self) -> GradCheckEntry:
-        return max(self.entries, key=lambda e: e.rel_error)
+        return _worst(self.entries)
 
     def to_json_dict(self) -> dict:
+        """The report as strict JSON values: a NaN or infinite float is None."""
         worst = self.worst()
         return {
             "samples": len(self.entries),
-            "epsilon": self.epsilon,
-            "tolerance": self.tolerance,
-            "max_rel_error": self.max_rel_error,
+            "epsilon": self.epsilon,  # grad_check admits only a finite one
+            "tolerance": _json_number(self.tolerance),
+            "max_rel_error": _json_number(self.max_rel_error),
             "passed": self.passed,
             "worst": {
                 "node": worst.node_id, "param": worst.name, "index": worst.index,
-                "analytic": worst.analytic, "numeric": worst.numeric,
+                "analytic": _json_number(worst.analytic), "numeric": _json_number(worst.numeric),
             },
         }
 
 
+def _json_number(v: float) -> float | None:
+    return v if math.isfinite(v) else None
+
+
 def _rel_error(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1e-8)
+
+
+def _worst(entries: Sequence[GradCheckEntry]) -> GradCheckEntry:
+    """The first entry of largest error, a NaN above all (``max`` skips a later NaN)."""
+    return max(entries, key=lambda e: (math.isnan(e.rel_error), e.rel_error))
 
 
 _PROBE_GROUP = 6  # picks per probe pass: the widest that kept the heap peak down
@@ -591,9 +601,9 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
         entries[target] = GradCheckEntry(e.node_id, e.name, e.index, corrupted,
                                          e.numeric, _rel_error(corrupted, e.numeric))
 
-    max_err = max(e.rel_error for e in entries)
+    max_err = _worst(entries).rel_error
     return GradReport(tuple(entries), max_err, epsilon, tolerance,
-                      passed=max_err < tolerance)
+                      passed=max_err < tolerance)  # False for a NaN
 
 
 def sgd_step(params: ParamStore, grads: GradStore, lr: float) -> None:

@@ -205,3 +205,11 @@ def test_residual_node_jacobian_is_identity_at_zero_weights():
     _, input_grads = backward(g, params, tape, [seed_grad], wrt=[x1, x2])
     np.testing.assert_array_equal(input_grads[x2], seed_grad)
     np.testing.assert_array_equal(input_grads[x1], np.zeros_like(a))
+
+
+def test_aggregation_node_rejects_fewer_than_two_inputs():
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(8, 8, 8))
+    with pytest.raises(ir.ArityMismatch, match="at least 2 inputs, got 1"):
+        build_aggregation_node(b, [x], AggNodeSpec(8))
+    assert len(b) == 1

@@ -1,7 +1,7 @@
 import pytest
 
 from dlagraph import analysis, ir
-from dlagraph.analysis import (MissingTags, cost_report, count_fmas, count_params,
+from dlagraph.analysis import (StructureStats, cost_report, count_fmas, count_params,
                                infer_shapes, node_params, structure_stats)
 from dlagraph.architectures import arch_spec, build_classifier
 from dlagraph.blocks import BlockKind, BlockSpec
@@ -115,10 +115,21 @@ def test_structure_stats_classifier_per_stage_depths():
     assert [stats.per_stage_depth[s] for s in (3, 4, 5, 6)] == [1, 2, 2, 1]
 
 
-def test_structure_stats_requires_tags():
+def test_structure_stats_of_an_untagged_graph_are_zero():
     g = lone_op(ir.relu(), TensorShape(4, 4, 4))
-    with pytest.raises(MissingTags):
-        structure_stats(g)
+    assert structure_stats(g) == StructureStats(0, 0, 0, {}, 0)
+
+
+def test_structure_stats_of_the_empty_graph_are_zero():
+    assert structure_stats(ir.Graph((), (), ())) == StructureStats(0, 0, 0, {}, 0)
+
+
+def test_infer_shapes_rejects_a_graph_of_two_inputs():
+    b = GraphBuilder()
+    b.mark_output(b.add(ir.add(), [b.add_input(TensorShape(4, 4, 4)),
+                                   b.add_input(TensorShape(4, 4, 4))]))
+    with pytest.raises(ShapeConflict, match="expected exactly one graph input, found 2"):
+        infer_shapes(b.build(), TensorShape(4, 4, 4))
 
 
 

@@ -243,12 +243,51 @@ def test_gradcheck_unknown_architecture_exits_2(capsys):
     pytest.param("--epsilon", "nan", id="--epsilon-nan"),
     pytest.param("--tol", "nan", id="--tol-nan"),
     pytest.param("--tol", "-1", id="--tol-negative"),
+    pytest.param("--tol", "inf", id="--tol-inf"),
     pytest.param("--seed", "-1", id="--seed"),
 ])
 def test_gradcheck_zero_count_exits_2_naming_the_flag(capsys, flag, value):
     code, _, err = run(capsys, "gradcheck", "DLA-34", flag, value)
     assert code == 2
     assert flag in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_gradcheck_nan_error_prints_null_and_exits_1(capsys):
+    # at a step this large the perturbed forward overflows, so every
+    # central difference is NaN
+    def reject(token):
+        raise ValueError("not RFC 8259 JSON: %s" % token)
+
+    code, out, _ = run(capsys, "gradcheck", "DLA-34", "--epsilon", "1e308", "--samples", "2")
+    assert code == 1
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["max_rel_error"] is None and payload["passed"] is False
+    assert payload["worst"]["numeric"] is None
+
+
+def test_gradcheck_odd_input_exits_3(capsys):
+    code, _, err = run(capsys, "gradcheck", "DLA-34", "--input", "15")
+    assert code == 3
+    assert "must at least be even" in err
+
+
+def test_gradcheck_width_cap_off_the_multiples_of_4_exits_2(capsys):
+    code, _, err = run(capsys, "gradcheck", "DLA-34", "--width-cap", "6")
+    assert code == 2
+    assert "width cap must be a positive multiple of 4" in err
+
+
+def test_failed_rename_exits_2_and_leaves_no_temp_file(capsys, monkeypatch, tmp_path):
+    def fail(src, dst):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, _, err = run(capsys, "build", "DLA-34", "-o", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "cannot write" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_build_dense_head_and_report(capsys, tmp_path):

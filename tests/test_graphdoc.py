@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -116,6 +117,11 @@ def test_dot_export_full_graph_is_well_formed():
     text = to_dot(small_graph(), collapse="none")
     declared = assert_valid_dot(text)
     assert len(declared) == 5
+
+
+def test_dot_rejects_an_unknown_collapse_mode():
+    with pytest.raises(ValueError, match="collapse must be 'none' or 'blocks'"):
+        to_dot(small_graph(), collapse="x")
 
 
 def test_dot_collapsed_hda_has_expected_vertices():
@@ -307,8 +313,8 @@ def test_serialize_matches_reference_on_every_fuzz_mutant_that_parses(tmp_path):
 # Characters that json escapes, or spells as a surrogate pair, or passes through.
 ALPHABET = ("a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
             "\u2028", "\ufeff", "\u65e5", "\U0001f600", "\ud800")
-NUMBERS = (0, 1, -7, 2 ** 70, 1e-05, -0.0, 0.0, 1.0, 1e300, float("nan"), float("inf"),
-           float("-inf"))
+NUMBERS = (0, 1, -7, 2 ** 70, 1e-05, -0.0, 0.0, 1.0, 1e300)
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 # Tag ids and batch-norm epsilons a document can carry; 1 and 1.0 render apart.
 TAG_INTS = (0, 1, -7, 2 ** 70)
 EPSILONS = (1, 1.0, 2, 0.5, 1e-05, 1e300)
@@ -370,13 +376,15 @@ def random_op(rng, kind, shapes):
 
 def random_graph(rng):
     """A single-Input graph over every op kind, in random order with random
-    repeats, whose nodes carry random valid tags."""
+    repeats, whose nodes carry random valid tags (the Output nodes none)."""
     b = GraphBuilder()
     shapes = []
+    tags = []
 
     def add(op, inputs):
         shapes.append(ir.infer_node_shape(op, [shapes[i] for i in inputs]))
-        return b.add(op, inputs, random_tags(rng))
+        tags.append(random_tags(rng))
+        return b.add(op, inputs)
 
     add(ir.input_op(rng.randrange(1, 4), 8, 8), [])
     kinds = [k for k in ir.OpKind if k not in (ir.OpKind.INPUT, ir.OpKind.OUTPUT)]
@@ -388,7 +396,10 @@ def random_graph(rng):
         add(*random_op(rng, kind, shapes))
     for nid in {len(shapes) - 1, rng.randrange(len(shapes))}:
         b.mark_output(nid)
-    return b.build()
+    g = b.build()
+    # a builder's scopes hand out dense ids; a document may hold any int
+    nodes = [dataclasses.replace(n, tags=t) for n, t in zip(g.nodes, tags)]
+    return ir.Graph((*nodes, *g.nodes[len(tags):]), g.inputs, g.outputs)
 
 
 def _reject_constant(name):
@@ -407,6 +418,13 @@ def test_serialize_matches_reference_on_random_tags_and_metadata(seed):
     parsed, parsed_metadata = parse(text)
     assert parsed == g
     assert serialize(parsed, parsed_metadata) == text
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+def test_serialize_rejects_non_finite_metadata(value):
+    for metadata in ({"x": value}, {"a": [1, {"b": value}]}):
+        with pytest.raises(ValueError):
+            serialize(small_graph(), metadata)
 
 
 def test_serialize_keeps_int_and_float_epsilons_apart():

@@ -131,7 +131,7 @@ def test_replay_in_topo_order_reproduces_graph():
     rb = GraphBuilder()
     for nid in topo_order(g):
         node = g.node(nid)
-        replayed = rb.add(node.op, node.inputs, tags=node.tags)
+        replayed = rb.add(node.op, node.inputs)
         assert replayed == nid
         if node.op.kind == OpKind.OUTPUT:
             rb._outputs.append(replayed)
@@ -226,3 +226,10 @@ def test_builder_scopes_share_one_tags_and_restore_the_enclosing_one():
     assert g.node(before).tags == Tags(stage=2)
     assert g.node(w).tags == Tags(stage=2, block_id=1, agg_node_id=0)
     assert g.node(x).tags == Tags()
+
+
+def test_linear_rejects_a_map_larger_than_1x1():
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(4, 2, 2))
+    with pytest.raises(ShapeConflict, match="linear expects 1x1 spatial extent, got 2x2"):
+        b.add(ir.linear(4, 3), [x])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -514,6 +515,40 @@ def test_grad_check_detects_corrupted_backward():
     assert clean.passed
     corrupt = grad_check(g, params, xval, sample=40, seed=3, corrupt_backward=True)
     assert not corrupt.passed
+
+
+def test_grad_check_fails_on_a_nan_gradient(monkeypatch):
+    # toy DLA-34 at its acceptance point, with the classifier's weight and
+    # bias gradients planted as NaN: one of the 200 entries is NaN, and
+    # finite entries come before it
+    linear = executor.KERNELS[OpKind.LINEAR]
+
+    def nan_backward(*args):
+        gxs, named = linear.backward(*args)
+        return gxs, named and {k: np.full_like(v, np.nan) for k, v in named.items()}
+
+    monkeypatch.setitem(executor.KERNELS, OpKind.LINEAR,
+                        linear._replace(backward=nan_backward))
+    g = build_toy_classifier("DLA-34", 16, 16, num_classes=10)
+    x = np.random.default_rng(3).standard_normal((2, 3, 16, 16))
+    report = grad_check(g, init_params(g, 7), x, sample=200, seed=1)
+    nan = [e for e in report.entries if math.isnan(e.rel_error)]
+    assert len(nan) == 1 and not math.isnan(report.entries[0].rel_error)
+    assert math.isnan(report.max_rel_error) and not report.passed
+    assert report.worst() is nan[0]
+    payload = report.to_json_dict()
+    assert payload["max_rel_error"] is None and payload["passed"] is False
+
+
+def test_grad_report_worst_is_the_first_nan_else_the_first_largest():
+    def report(*errors):
+        entries = tuple(executor.GradCheckEntry(i, "weight", 0, 0.0, 0.0, e)
+                        for i, e in enumerate(errors))
+        return executor.GradReport(entries, 0.0, 1e-5, 1e-4, True)
+
+    nan = float("nan")
+    assert report(1.0, nan, 2.0, nan).worst().node_id == 1
+    assert report(1.0, 2.0, 2.0, 0.5).worst().node_id == 1
 
 
 def test_grad_check_zero_tolerance_cannot_pass():
