@@ -66,17 +66,24 @@ class CostReport:
 
 
 def cost_report(graph: Graph, input_shape: TensorShape) -> CostReport:
-    """Totals plus a per-stage breakdown; totals equal the stage sums."""
+    """Totals plus a per-stage breakdown; totals equal the stage sums. Each
+    op's costs are derived once, however many nodes share it, as the nodes
+    of a parsed graph do."""
     shapes = infer_shapes(graph, input_shape)
     per_stage: dict[str, list[int]] = {}
+    op_costs: dict[int, tuple[int, int]] = {}  # id(op) -> (params, weight size)
     for node in graph.nodes:
         key = "untagged" if node.tags.stage is None else str(node.tags.stage)
         bucket = per_stage.setdefault(key, [0, 0])
-        learnable = param_shapes(node.op)
-        bucket[0] += _param_count(learnable)
-        weight = learnable.get("weight")  # applied once per output pixel
-        if weight is not None:
-            bucket[1] += math.prod(shapes[node.id].spatial) * math.prod(weight)
+        costs = op_costs.get(id(node.op))
+        if costs is None:
+            learnable = param_shapes(node.op)
+            weight = learnable.get("weight")  # applied once per output pixel
+            costs = op_costs[id(node.op)] = (_param_count(learnable),
+                                             0 if weight is None else math.prod(weight))
+        bucket[0] += costs[0]
+        if costs[1]:
+            bucket[1] += math.prod(shapes[node.id].spatial) * costs[1]
     return CostReport(
         params=sum(v[0] for v in per_stage.values()),
         fmas=sum(v[1] for v in per_stage.values()),

@@ -161,12 +161,14 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     # draw, and the check's sampling/contraction.
     init_seed, data_seed, check_seed = (
         int(v) for v in np.random.default_rng(args.seed).integers(0, 2 ** 31, 3))
-    params = init_params(graph, init_seed)
-    x = np.random.default_rng(data_seed).standard_normal(
-        (args.batch, 3, args.input, args.input))
-    report = grad_check(graph, params, x, epsilon=args.epsilon, tolerance=args.tol,
-                        sample=args.samples, seed=check_seed,
-                        corrupt_backward=args.debug_corrupt_backward)
+    # An overflow or NaN shows in the report, so numpy's warnings are muted.
+    with np.errstate(all="ignore"):
+        params = init_params(graph, init_seed)
+        x = np.random.default_rng(data_seed).standard_normal(
+            (args.batch, 3, args.input, args.input))
+        report = grad_check(graph, params, x, epsilon=args.epsilon, tolerance=args.tol,
+                            sample=args.samples, seed=check_seed,
+                            corrupt_backward=args.debug_corrupt_backward)
     payload = {"architecture": args.arch, "width_cap": args.width_cap,
                "input_hw": args.input, "head": args.head, "seed": args.seed,
                "batch": args.batch}

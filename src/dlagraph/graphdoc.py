@@ -7,10 +7,16 @@ distinct attrs and tags object once, and tests pin them to
 indenting encoder is pure Python. Serializing a graph twice yields
 identical bytes, and parse followed by serialize is byte-idempotent.
 Documents are strict JSON: ``PrimOp`` and ``Tags`` admit only strs, bools,
-ints and finite floats, and ``serialize`` raises ValueError on a NaN or
-infinite metadata value. A document holds exactly one Input node, and,
-being a ``Graph``, is shape-consistent at the extents that node declares,
-so every document that parses can be analyzed.
+ints and finite floats; ``serialize`` raises ValueError and ``parse``
+ParseError on a NaN or infinite metadata value. A document holds exactly
+one Input node, and, being a ``Graph``, is shape-consistent at the extents
+that node declares, so every document that parses can be analyzed.
+
+``parse`` checks each distinct attrs record and each distinct tags record
+once: within one parse, nodes whose records are equal, value types and
+key order included, share one ``PrimOp`` or one ``Tags``. So a parsed
+graph costs what its distinct ops cost, and ``PrimOp.attrs`` must not be
+mutated.
 """
 
 from __future__ import annotations
@@ -139,32 +145,52 @@ _NODE_KEY_SET = frozenset(_NODE_KEYS)
 _TAG_SET = frozenset(_TAG_KEYS)
 
 
-def _parse_node(record: Any, position: int, tag_cache: dict[tuple, Tags]) -> GraphNode:
-    """One node record; nodes with equal tags share the ``Tags`` object that
-    ``tag_cache`` holds for them."""
-    _expect(isinstance(record, dict), "node record %d is not an object", position)
+def _parse_node(record: Any, position: int, op_cache: dict[tuple, PrimOp],
+                tag_cache: dict[tuple, Tags]) -> GraphNode:
+    """One node record. Nodes with equal attrs records share the checked
+    ``PrimOp`` that ``op_cache`` holds for them, and nodes with equal tags
+    records the ``Tags`` that ``tag_cache`` holds; a record is checked when
+    its key first shows up. Keys hold the values' types, since
+    ``True == 1 == 1.0``; a record with an unhashable value is checked, and
+    rejected, every time."""
+    # Checks raise inline rather than through _expect: they run on every node.
+    if not isinstance(record, dict):
+        raise ParseError("node record %d is not an object" % position)
     if not record.keys() >= _NODE_KEY_SET:
         missing = next(key for key in _NODE_KEYS if key not in record)
         raise ParseError("node record %d lacks %r" % (position, missing))
-    attrs = record["attrs"]
-    _expect(isinstance(attrs, dict), "attrs of node %d is not an object", position)
-    inputs = record["inputs"]
-    _expect(isinstance(inputs, list), "inputs of node %d must be a list of ids", position)
-    tags_json = record["tags"]
-    _expect(isinstance(tags_json, dict) and tags_json.keys() <= _TAG_SET,
-            "tags of node %d carry unknown keys", position)
-    for key, value in tags_json.items():
-        if not is_tag_value(key, value):  # one call per tag: it runs on every node
-            raise ParseError("tag %r of node %d has the wrong type: %r" % (key, position, value))
-    tag_key = (tags_json.get("stage"), tags_json.get("block_id"), tags_json.get("agg_node_id"))
-    tags = tag_cache.get(tag_key)
+    attrs, inputs, tags_json = record["attrs"], record["inputs"], record["tags"]
+    if not isinstance(attrs, dict):
+        raise ParseError("attrs of node %d is not an object" % position)
+    if not isinstance(inputs, list):
+        raise ParseError("inputs of node %d must be a list of ids" % position)
+    if not (isinstance(tags_json, dict) and tags_json.keys() <= _TAG_SET):
+        raise ParseError("tags of node %d carry unknown keys" % position)
+    values = tuple(tags_json.values())
+    tag_key = (*tags_json, *values, *map(type, values))  # a missing tag is no null
+    try:
+        tags = tag_cache.get(tag_key)
+    except TypeError:  # an unhashable value, which the check below rejects
+        tags = None
     if tags is None:
-        tags = tag_cache[tag_key] = Tags(*tag_key)
+        for key, value in tags_json.items():
+            if not is_tag_value(key, value):
+                raise ParseError("tag %r of node %d has the wrong type: %r"
+                                 % (key, position, value))
+        tags = tag_cache[tag_key] = Tags(tags_json.get("stage"), tags_json.get("block_id"),
+                                         tags_json.get("agg_node_id"))
     text = record["kind"]
-    kind = _KIND_OF_TEXT.get(text) if type(text) is str else None
+    values = tuple(attrs.values())
+    op_key = (text, *attrs, *values, *map(type, values))
+    try:
+        op = op_cache.get(op_key)
+    except TypeError:  # an unhashable kind or value, which PrimOp rejects
+        op = None
     try:  # OpKind(text) says why text names no kind
-        return GraphNode(record["id"], PrimOp(kind or OpKind(text), dict(attrs)),
-                         tuple(inputs), tags)
+        if op is None:
+            kind = _KIND_OF_TEXT.get(text) if type(text) is str else None
+            op = op_cache[op_key] = PrimOp(kind or OpKind(text), dict(attrs))
+        return GraphNode(record["id"], op, tuple(inputs), tags)
     except (ValueError, GraphError) as exc:
         raise ParseError("node %d: %s" % (position, exc)) from None
 
@@ -180,10 +206,16 @@ def parse(text: str) -> tuple[Graph, dict[str, Any]]:
     _expect(doc["format_version"] == FORMAT_VERSION,
             "unsupported format_version %r", doc["format_version"])
     _expect(isinstance(doc["metadata"], dict), "metadata is not an object")
+    try:  # serialize's own test, so a document that parses serializes again
+        json.dumps(doc["metadata"], allow_nan=False)
+    except ValueError:
+        raise ParseError("metadata holds a NaN or infinite number") from None
     raw_nodes = doc["nodes"]
     _expect(isinstance(raw_nodes, list) and raw_nodes, "document has no nodes")
+    op_cache: dict[tuple, PrimOp] = {}
     tag_cache: dict[tuple, Tags] = {}
-    nodes = tuple(_parse_node(rec, i, tag_cache) for i, rec in enumerate(raw_nodes))
+    nodes = tuple(_parse_node(rec, i, op_cache, tag_cache)
+                  for i, rec in enumerate(raw_nodes))
     for key in ("inputs", "outputs"):
         _expect(isinstance(doc[key], list), "%s list is not a list of node ids", key)
     try:

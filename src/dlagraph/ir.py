@@ -58,9 +58,9 @@ class TensorShape:
     width: int
 
     def __post_init__(self) -> None:
-        for name in ("channels", "height", "width"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be >= 1, got %d" % (name, getattr(self, name)))
+        if self.channels < 1 or self.height < 1 or self.width < 1:
+            name = next(n for n in ("channels", "height", "width") if getattr(self, n) < 1)
+            raise ValueError("%s must be >= 1, got %d" % (name, getattr(self, name)))
 
     @property
     def spatial(self) -> tuple[int, int]:
@@ -195,10 +195,6 @@ class OpDef:
     label: Callable[..., str] | None = None  # DOT label; None: the kind's name
     min_inputs: int = 1
     max_inputs: int | None = 1  # None: unbounded
-
-    def takes(self, n_inputs: int) -> bool:
-        return self.min_inputs <= n_inputs and (self.max_inputs is None
-                                                or n_inputs <= self.max_inputs)
 
 
 # Attribute checks: (type, range check or None).
@@ -383,15 +379,22 @@ class GraphNode:
     tags: Tags = Tags()
 
     def __post_init__(self) -> None:
-        if type(self.id) is not int or not all(type(i) is int and 0 <= i < self.id
-                                               for i in self.inputs):
+        nid, inputs = self.id, self.inputs
+        known = type(nid) is int
+        if known:  # a plain loop: this runs for every node of every graph
+            for i in inputs:
+                if type(i) is not int or not 0 <= i < nid:
+                    known = False
+                    break
+        if not known:
             raise UnknownInput("node %r: id must be an int and inputs %r earlier node ids"
-                               % (self.id, self.inputs))
+                               % (nid, inputs))
         spec = OPS[self.op.kind]
-        if not spec.takes(len(self.inputs)):
+        n = len(inputs)
+        if n < spec.min_inputs or (spec.max_inputs is not None and n > spec.max_inputs):
             bound = "exactly" if spec.min_inputs == spec.max_inputs else "at least"
             raise ArityMismatch("%s takes %s %d inputs, got %d" % (
-                self.op.kind.value, bound, spec.min_inputs, len(self.inputs)))
+                self.op.kind.value, bound, spec.min_inputs, n))
 
 
 @dataclass(frozen=True)
@@ -407,13 +410,15 @@ class Graph:
     outputs: tuple[NodeId, ...]
 
     def __post_init__(self) -> None:
+        input_ids: list[NodeId] = []
         for i, node in enumerate(self.nodes):
             if node.id != i:
                 raise UnknownInput("node at position %d carries id %d" % (i, node.id))
-        input_ids = tuple(node.id for node in self.nodes if node.op.kind == OpKind.INPUT)
-        if not all(type(i) is int for i in self.inputs) or self.inputs != input_ids:
+            if node.op.kind is OpKind.INPUT:
+                input_ids.append(i)
+        if not all(type(i) is int for i in self.inputs) or self.inputs != tuple(input_ids):
             raise UnknownInput("declared inputs %r do not match Input nodes %r"
-                               % (self.inputs, input_ids))
+                               % (self.inputs, tuple(input_ids)))
         if not all(type(o) is int and 0 <= o < len(self.nodes) for o in self.outputs):
             raise UnknownInput("output ids %r do not all name a node" % (self.outputs,))
         shapes: list[TensorShape] = []

@@ -6,7 +6,7 @@ from dlagraph.analysis import (StructureStats, cost_report, count_fmas, count_pa
 from dlagraph.architectures import arch_spec, build_classifier
 from dlagraph.blocks import BlockKind, BlockSpec
 from dlagraph.aggregation import HdaSpec, build_hda, build_unmerged_hda
-from dlagraph.graphdoc import graph_to_document
+from dlagraph.graphdoc import graph_to_document, parse, serialize
 from dlagraph.ir import GraphBuilder, ShapeConflict, TensorShape
 
 SHAPE224 = TensorShape(3, 224, 224)
@@ -95,8 +95,15 @@ def test_cost_report_reads_each_nodes_parameter_shapes_once(monkeypatch):
         return ir.param_shapes(op)
 
     monkeypatch.setattr(analysis, "param_shapes", counted)
-    cost_report(g, SHAPE224)
-    assert len(seen) == len(g.nodes)
+    report = cost_report(g, SHAPE224)
+    assert len(seen) == len(g.nodes)  # a builder makes a new op for every node
+    # a parsed graph shares one op per distinct attrs record, read once
+    parsed, _ = parse(serialize(g))
+    distinct = {id(node.op) for node in parsed.nodes}
+    assert len(distinct) < len(parsed.nodes) / 3
+    seen.clear()
+    assert cost_report(parsed, SHAPE224) == report
+    assert sorted(map(id, seen)) == sorted(distinct)
 
 
 def test_structure_stats_standalone_tree_matches_prediction():

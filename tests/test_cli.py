@@ -252,16 +252,16 @@ def test_gradcheck_zero_count_exits_2_naming_the_flag(capsys, flag, value):
     assert flag in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's would reach stderr
 def test_gradcheck_nan_error_prints_null_and_exits_1(capsys):
     # at a step this large the perturbed forward overflows, so every
     # central difference is NaN
     def reject(token):
         raise ValueError("not RFC 8259 JSON: %s" % token)
 
-    code, out, _ = run(capsys, "gradcheck", "DLA-34", "--epsilon", "1e308", "--samples", "2")
+    code, out, err = run(capsys, "gradcheck", "DLA-34", "--epsilon", "1e308", "--samples", "2")
     assert code == 1
+    assert all(line.startswith("dlagraph: ") for line in err.splitlines())
     payload = json.loads(out, parse_constant=reject)
     assert payload["max_rel_error"] is None and payload["passed"] is False
     assert payload["worst"]["numeric"] is None

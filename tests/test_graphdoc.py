@@ -174,6 +174,20 @@ def _second_input_node(doc):
     doc["inputs"].append(len(doc["nodes"]) - 1)
 
 
+def _tag_nodes(first, second):
+    def mutate(doc):
+        doc["nodes"][1]["tags"], doc["nodes"][2]["tags"] = first, second
+    return mutate
+
+
+def _second_conv(**attrs):
+    """Node 2 becomes a copy of the conv at node 1 with ``attrs`` changed."""
+    def mutate(doc):
+        conv = doc["nodes"][1]
+        doc["nodes"][2] = dict(conv, id=2, attrs=dict(conv["attrs"], **attrs))
+    return mutate
+
+
 # (mutation of small_graph's document, the exact ParseError text). Node 1 is
 # the conv; the two-key drops show that the first missing key in the order
 # id, kind, attrs, inputs, tags is the one named.
@@ -227,6 +241,18 @@ PARSE_MESSAGES = {
     "id-moved": (_set_node_key("id", 7), "node at position 1 carries id 7"),
     "epsilon-infinity": (lambda doc: doc["nodes"][2]["attrs"].update(epsilon=float("inf")),
                          "node 2: BatchNorm attr 'epsilon' is out of range: inf"),
+    "metadata-nan": (_set_doc_key("metadata", {"a": [1, {"b": float("nan")}]}),
+                     "metadata holds a NaN or infinite number"),
+    "metadata-infinity": (_set_doc_key("metadata", {"a": float("-inf")}),
+                          "metadata holds a NaN or infinite number"),
+    # parse checks a record once per distinct key: these keys differ from
+    # the earlier node's only by a missing tag or a value's type
+    "tag-null-after-untagged": (lambda doc: doc["nodes"][2].update(tags={"stage": None}),
+                                "tag 'stage' of node 2 has the wrong type: None"),
+    "tag-true-after-one": (_tag_nodes({"block_id": 1}, {"block_id": True}),
+                           "tag 'block_id' of node 2 has the wrong type: True"),
+    "has-bias-0-after-false": (_second_conv(has_bias=0),
+                               "node 2: Conv attr 'has_bias' must be a bool, got 0"),
 }
 
 
@@ -259,6 +285,20 @@ def test_parse_shares_one_tags_object_per_distinct_tags():
     for node in parsed.nodes:
         assert by_value.setdefault(node.tags, node.tags) is node.tags
     assert len(by_value) < len(parsed.nodes) / 4
+
+
+def test_parse_shares_one_prim_op_per_distinct_attrs_record():
+    g = build_classifier(arch_spec("DLA-34"), 1000, SHAPE224)
+    text = serialize(g)
+    parsed, _ = parse(text)
+    assert parsed == g
+    by_record = {}
+    for record, node in zip(json.loads(text)["nodes"], parsed.nodes):
+        attrs = record["attrs"]
+        key = (record["kind"], *((k, v, type(v)) for k, v in attrs.items()))
+        assert by_record.setdefault(key, node.op) is node.op
+    assert len({id(node.op) for node in parsed.nodes}) == len(by_record)
+    assert len(by_record) < len(parsed.nodes) / 3
 
 
 # --- the emitter against the json.dumps reference ---------------------------
@@ -428,16 +468,20 @@ def test_serialize_rejects_non_finite_metadata(value):
 
 
 def test_serialize_keeps_int_and_float_epsilons_apart():
-    b = GraphBuilder()
-    x = b.add_input(TensorShape(2, 4, 4))
-    x = b.add(ir.batch_norm(2, 1), [x])
-    x = b.add(ir.batch_norm(2, 1.0), [x])
-    b.mark_output(x)
-    g = b.build()
-    text = serialize(g)
-    assert text == reference(g)
-    assert text.count('"epsilon": 1\n') == text.count('"epsilon": 1.0\n') == 1
-    assert serialize(*parse(text)) == text
+    for epsilons in ((1, 1.0), (1.0, 1)):  # parse shares an op only between equal types
+        b = GraphBuilder()
+        x = b.add_input(TensorShape(2, 4, 4))
+        for epsilon in epsilons:
+            x = b.add(ir.batch_norm(2, epsilon), [x])
+        b.mark_output(x)
+        g = b.build()
+        text = serialize(g)
+        assert text == reference(g)
+        assert text.count('"epsilon": 1\n') == text.count('"epsilon": 1.0\n') == 1
+        parsed, _ = parse(text)
+        assert [type(node.op.attrs["epsilon"]) for node in parsed.nodes[1:3]] == [
+            type(epsilon) for epsilon in epsilons]
+        assert serialize(parsed) == text
 
 
 def test_serialize_keeps_int_and_str_stages_apart():
