@@ -5,9 +5,12 @@ Everything runs in 64-bit floats. The executor is a correctness oracle,
 not a performance runtime: identical (graph, seed, input) triples produce
 bit-identical results across runs.
 
-``KERNELS`` holds each op kind's forward and backward next to each other;
-``forward``, ``backward`` and ``grad_check`` dispatch every node through it.
-Shapes, attributes and learnable-tensor shapes come from ``ir.OPS``.
+``KERNELS`` holds each op kind's forward and backward next to each other.
+Each graph is compiled once, on its first execution, into a plan: one step
+per non-Input node in ``topo_order``, holding its id, ``KERNELS`` entry,
+attrs, input ids and the values ``forward`` drops after it. ``forward``,
+``backward`` and ``grad_check`` walk that plan (see ``_plan``). Shapes,
+attributes and learnable-tensor shapes come from ``ir.OPS``.
 
 ``backward`` differentiates only what its ``wrt`` nodes sit at or upstream
 of. ``grad_check`` probes its sampled entries in groups of consecutive
@@ -25,7 +28,7 @@ many lanes they get (see ``ops``).
 
 Five rules bound the memory of a training step; none changes a bit.
 ``forward`` tapes only the values that ``backward`` and ``grad_check`` read
-(see ``_tape_drops``) and drops every other value after its last consumer.
+(see ``_plan``) and drops every other value after its last consumer.
 ``backward`` drops each node's gradient once that node's kernel has used
 it, so it holds only the frontier and the graph inputs' gradients. Batch
 norm tapes only its per-lane statistics (ivar, mean, var), and its backward
@@ -40,6 +43,7 @@ import bisect
 import enum
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
@@ -119,7 +123,7 @@ def init_params(graph: Graph, seed: int) -> ParamStore:
 @dataclass
 class Tape:
     """What ``backward`` and ``grad_check`` read of a forward pass: the values
-    ``forward`` keeps (see ``_tape_drops``), and each kernel's ``kept`` in
+    ``forward`` keeps (see ``_plan``), and each kernel's ``kept`` in
     ``aux``."""
 
     graph: Graph
@@ -153,17 +157,14 @@ def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
     if len(batches) > 1:
         raise ShapeMismatch("inputs disagree on batch size: %s" % sorted(batches))
     aux: dict[NodeId, object] = {}
-    drops = _tape_drops(graph)
-    for nid in topo_order(graph):
-        node = graph.node(nid)
-        if node.op.kind is OpKind.INPUT:
-            continue
-        values[nid], kept = KERNELS[node.op.kind].forward(
-            node.op.attrs, params.tensors.get(nid), [values[i] for i in node.inputs],
-            mode, update_running, 1)
+    tensors = params.tensors
+    for nid, kernels, attrs, inputs, drops in _plan(graph):
+        values[nid], kept = kernels.forward(attrs, tensors.get(nid),
+                                            [values[i] for i in inputs],
+                                            mode, update_running, 1)
         if kept is not None:
             aux[nid] = kept
-        for i in drops.get(nid, ()):
+        for i in drops:
             del values[i]
     outputs = [values[o] for o in graph.outputs]
     return outputs, Tape(graph, mode, values, aux)
@@ -184,8 +185,11 @@ class Kernels(NamedTuple):
 
     ``reads`` declares what ``backward`` reads besides ``gy`` and ``kept``:
     ``INPUTS`` (its input values ``xs``), ``OUTPUT`` (its own value ``y``)
-    or None. The tape keeps only declared values (see ``_tape_drops``), and
-    ``backward`` gets None for a value the tape dropped."""
+    or None. The tape keeps only declared values (see ``_plan``), and
+    ``backward`` gets None for a value the tape dropped.
+
+    A graph's plan takes each node's entry from ``KERNELS`` once, when the
+    graph first runs; replacing an entry affects graphs that run later."""
 
     forward: Callable  # (a, p, xs, mode, update_running, lanes) -> (value, kept or None)
     backward: Callable  # (a, p, gy, xs, y, kept, want_x, want_p)
@@ -210,7 +214,7 @@ def _conv_grad(a, p, gy, xs, y, kept, want_x, want_p):
         named = {"weight": ops.conv_weight_grad(gy, xs[0], a["kernel"], a["stride"],
                                                 a["padding"], a["groups"])}
         if a["has_bias"]:
-            named["bias"] = gy.sum(axis=(0, 2, 3))
+            named["bias"] = np.add.reduce(gy, (0, 2, 3))
     return [gx], named
 
 
@@ -234,7 +238,8 @@ def _batch_norm_grad(a, p, gy, xs, y, kept, want_x, want_p):
     named = None
     if want_p:
         xmu *= ivar  # forward's xhat, by the same two operations
-        named = {"scale": np.sum(gy * xmu, axis=(0, 2, 3)), "shift": gy.sum(axis=(0, 2, 3))}
+        named = {"scale": np.add.reduce(gy * xmu, (0, 2, 3)),
+                 "shift": np.add.reduce(gy, (0, 2, 3))}
     return [gx], named
 
 
@@ -316,14 +321,35 @@ KERNELS: dict[OpKind, Kernels] = {
 }
 
 
-def _tape_drops(graph: Graph) -> dict[NodeId, list[NodeId]]:
-    """The values ``forward`` drops once each node has run: those with no
-    later reader, after their last consumer (a value with none goes once
-    made). A value stays on the tape if it is a graph input or output, if
-    its own backward reads its output, or if a consumer's backward reads its
-    inputs or the consumer takes two or more inputs: ``_probe_group`` reads
-    such an input from the tape when a pick's cone holds the consumer but
-    not the input."""
+class _Step(NamedTuple):
+    """One non-Input node of a graph's plan."""
+
+    id: NodeId
+    kernels: Kernels
+    attrs: dict
+    inputs: tuple[NodeId, ...]
+    drops: tuple[NodeId, ...]  # the values forward drops once this node has run
+
+
+_PLANS: dict[int, tuple[_Step, ...]] = {}  # by graph identity, while the graph lives
+
+
+def _plan(graph: Graph) -> tuple[_Step, ...]:
+    """The graph's plan, built on its first execution and shared by every
+    later one. ``Graph`` cannot be hashed, so the cache is keyed by
+    identity, and its entry goes when the graph does.
+
+    One step per non-Input node in ``topo_order``, with the values
+    ``forward`` drops once it has run: those with no later reader, after
+    their last consumer (a value with none goes once made). A value stays
+    on the tape if it is a graph input or output, if its own backward reads
+    its output, or if a consumer's backward reads its inputs or the consumer
+    takes two or more inputs: ``_probe_group`` reads such an input from the
+    tape when a pick's cone holds the consumer but not the input."""
+    key = id(graph)
+    steps = _PLANS.get(key)
+    if steps is not None:
+        return steps
     keep = {*graph.inputs, *graph.outputs}
     last: dict[NodeId, NodeId] = {}
     for node in graph.nodes:
@@ -342,7 +368,12 @@ def _tape_drops(graph: Graph) -> dict[NodeId, list[NodeId]]:
     for i, consumer in last.items():
         if i not in keep:
             drops.setdefault(consumer, []).append(i)
-    return drops
+    steps = _PLANS[key] = tuple(
+        _Step(nid, KERNELS[node.op.kind], node.op.attrs, node.inputs, tuple(drops.get(nid, ())))
+        for nid in topo_order(graph)
+        if (node := graph.nodes[nid]).op.kind is not OpKind.INPUT)
+    weakref.finalize(graph, _PLANS.pop, key, None)
+    return steps
 
 
 def backward(graph: Graph, params: ParamStore, tape: Tape,
@@ -366,10 +397,18 @@ def backward(graph: Graph, params: ParamStore, tape: Tape,
     if not wrt.issubset(range(len(graph))):
         raise ValueError("wrt names nodes the graph does not have: %s"
                          % sorted(wrt.difference(range(len(graph)))))
-    # ids ascend along every edge, so one pass marks all downstream of wrt
+    steps = _plan(graph)
+    # one pass in plan order marks all downstream of wrt; an Input is active
+    # only if listed
     active = [False] * len(graph.nodes)
-    for node in graph.nodes:
-        active[node.id] = node.id in wrt or any(active[i] for i in node.inputs)
+    for nid in wrt:
+        active[nid] = True
+    for nid, _, _, inputs, _ in steps:
+        if not active[nid]:
+            for i in inputs:  # a plain loop: any() over a generator costs 3x
+                if active[i]:
+                    active[nid] = True
+                    break
 
     grads: dict[NodeId, np.ndarray] = {}
 
@@ -387,15 +426,14 @@ def backward(graph: Graph, params: ParamStore, tape: Tape,
             accumulate(out_id, np.asarray(g, dtype=np.float64))
 
     pgrads: GradStore = {}
-    for nid in reversed(topo_order(graph)):
-        node = graph.node(nid)
-        if nid not in grads or node.op.kind is OpKind.INPUT:
+    tensors, values, aux = params.tensors, tape.values, tape.aux
+    for nid, kernels, attrs, inputs, _ in reversed(steps):  # an Input is no step
+        if nid not in grads:
             continue
-        gxs, named = KERNELS[node.op.kind].backward(  # None for a value the tape dropped
-            node.op.attrs, params.tensors.get(nid), grads.pop(nid),
-            [tape.values.get(i) for i in node.inputs], tape.values.get(nid),
-            tape.aux.get(nid), active[node.inputs[0]], nid in wrt)
-        for src, g in zip(node.inputs, gxs):
+        gxs, named = kernels.backward(  # None for a value the tape dropped
+            attrs, tensors.get(nid), grads.pop(nid), [values.get(i) for i in inputs],
+            values.get(nid), aux.get(nid), active[inputs[0]], nid in wrt)
+        for src, g in zip(inputs, gxs):
             if active[src]:
                 accumulate(src, g)
         del gxs, g  # grads holds copies: free these before the next kernel runs
@@ -477,19 +515,36 @@ def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
     picks whose lane pairs each cone node carries, in order."""
     n = tape.values[graph.inputs[0]].shape[0]
     rooted: dict[NodeId, list[int]] = {}
+    masks: dict[NodeId, int] = {}  # per cone node, one bit per pick whose cone holds it
     for k, (nid, *_) in enumerate(group):
         rooted.setdefault(nid, []).append(k)
+        masks[nid] = masks.get(nid, 0) | 1 << k
+    picks_of = [tuple(k for k in range(len(group)) if mask >> k & 1)
+                for mask in range(1 << len(group))]
+    steps = _plan(graph)
     held: dict[NodeId, tuple[int, ...]] = {}
+    cone: list[tuple[_Step, tuple[int, ...]]] = []  # in plan order
     last: dict[NodeId, NodeId] = {}  # each cone value's last consumer in the pass
-    for node in graph.nodes[group[0][0]:]:  # ids ascend along every edge
-        picks = {k for i in node.inputs for k in held.get(i, ())}
-        picks.update(rooted.get(node.id, ()))
-        if picks:
-            held[node.id] = tuple(sorted(picks))
-            last.update((i, node.id) for i in (*node.inputs, node.id))
+    # ids ascend along every edge, so no step before the first root is in a cone
+    for step in steps[bisect.bisect_left(steps, group[0][0], key=lambda s: s.id):]:
+        nid, inputs = step.id, step.inputs
+        mask = masks.get(nid, 0)
+        for i in inputs:
+            mask |= masks.get(i, 0)
+        if mask:
+            masks[nid] = mask
+            held[nid] = picks_of[mask]
+            cone.append((step, held[nid]))
+            for i in inputs:
+                last[i] = nid
+            last[nid] = nid
+    outputs = set(graph.outputs)
+    frees: dict[NodeId, list[NodeId]] = {}  # what to drop once each cone node has run
+    for i, consumer in last.items():
+        if i in held and i not in outputs:
+            frees.setdefault(consumer, []).append(i)
 
     values: dict[NodeId, np.ndarray] = {}
-    outputs = set(graph.outputs)
 
     def lanes_of(i: NodeId, picks: tuple[int, ...]) -> np.ndarray:
         own = held.get(i, ())
@@ -504,27 +559,25 @@ def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
                 parts += (tape.values[i],) * 2
         return np.concatenate(parts)
 
-    for nid, picks in held.items():
-        node = graph.node(nid)
-        run, p = KERNELS[node.op.kind].forward, params.tensors.get(nid)
+    for (nid, kernels, attrs, inputs, _), picks in cone:
+        run, p = kernels.forward, params.tensors.get(nid)
         here = rooted.get(nid, ())
         upstream = picks[:len(picks) - len(here)]
         parts = []
         if upstream:
-            parts.append(run(node.op.attrs, p, [lanes_of(i, upstream) for i in node.inputs],
+            parts.append(run(attrs, p, [lanes_of(i, upstream) for i in inputs],
                              Mode.TRAIN, False, 2 * len(upstream))[0])
-        xs = [tape.values[i] for i in node.inputs] if here else None
+        xs = [tape.values[i] for i in inputs] if here else None
         for k in here:
             _, _, arr, offset = group[k]
             original = arr.flat[offset]
             for value in (original + epsilon, original - epsilon):
                 arr.flat[offset] = value
-                parts.append(run(node.op.attrs, p, xs, Mode.TRAIN, False, 1)[0])
+                parts.append(run(attrs, p, xs, Mode.TRAIN, False, 1)[0])
             arr.flat[offset] = original
         values[nid] = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        for i in (*node.inputs, nid):
-            if last.get(i) == nid and i not in outputs:
-                values.pop(i, None)
+        for i in frees.get(nid, ()):
+            del values[i]
     return values, held
 
 

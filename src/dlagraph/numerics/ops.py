@@ -160,13 +160,14 @@ def batchnorm_train(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
 def batchnorm_train_grads(gy: np.ndarray, xmu: np.ndarray, ivar: np.ndarray,
                           scale: np.ndarray) -> np.ndarray:
     """Gradient of the input of one lane, from x - mean and the inverse
-    deviation, formed in one buffer; scale and shift take plain sums."""
+    deviation, formed in one buffer; scale and shift take plain sums. Sums
+    call ``np.add.reduce``, the reduction ``np.sum`` makes, directly."""
     m = xmu.shape[0] * xmu.shape[2] * xmu.shape[3]
     dxhat = gy * scale[None, :, None, None]
-    dvar = np.sum(dxhat * xmu, axis=(0, 2, 3), keepdims=True) * (-0.5) * ivar ** 3
+    dvar = np.add.reduce(dxhat * xmu, (0, 2, 3), keepdims=True) * (-0.5) * ivar ** 3
     dxhat *= ivar  # dxhat * ivar, formed once for the sum and for the result
-    dmean = (-np.sum(dxhat, axis=(0, 2, 3), keepdims=True)
-             + dvar * (-2.0 * np.sum(xmu, axis=(0, 2, 3), keepdims=True)) / m)
+    dmean = (-np.add.reduce(dxhat, (0, 2, 3), keepdims=True)
+             + dvar * (-2.0 * np.add.reduce(xmu, (0, 2, 3), keepdims=True)) / m)
     # dxhat + dvar * 2.0 * xmu / m + dmean / m, term by term in place
     out = np.multiply(dvar * 2.0, xmu)
     out /= m

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import naive_conv2d
 
-from dlagraph import ir
+from dlagraph import graphdoc, ir
 from dlagraph.aggregation import AggNodeSpec, build_aggregation_node
 from dlagraph.architectures import (build_toy_classifier, build_toy_dense_decoder,
                                     catalog_names)
@@ -833,6 +834,64 @@ def test_train_tape_keeps_only_what_backward_and_grad_check_read(name):
     _, tape = forward(g, init_params(g, 0), [x], Mode.TRAIN, update_running=False)
     assert set(tape.values) == want
     assert len(want) < len(g)
+
+
+def test_a_graph_is_planned_once_and_its_plan_dies_with_it(monkeypatch):
+    """forward, backward and grad_check walk one plan per graph, built on
+    its first execution; an equal graph gets its own, and a plan goes when
+    its graph does."""
+    planned = []
+    topo_order = executor.topo_order
+
+    def counted(graph):
+        planned.append(id(graph))
+        return topo_order(graph)
+
+    monkeypatch.setattr(executor, "topo_order", counted)
+    g = simple_net()
+    params = init_params(g, 0)
+    x = np.random.default_rng(1).standard_normal((2, 4, 8, 8))
+    outputs, tape = forward(g, params, [x])
+    backward(g, params, tape, [np.ones_like(outputs[0])])
+    grad_check(g, params, x, sample=6)
+    forward(g, params, [x], Mode.EVAL)
+    assert planned == [id(g)]
+    twin = graphdoc.parse(graphdoc.serialize(g))[0]
+    assert twin == g
+    forward(twin, params, [x])
+    assert planned == [id(g), id(twin)]
+    key = id(g)
+    assert key in executor._PLANS
+    del g, tape
+    gc.collect()
+    assert key not in executor._PLANS and id(twin) in executor._PLANS
+
+
+def test_an_input_after_a_compute_node_is_no_step_and_gets_its_gradient():
+    """In -> Conv -> Add(conv, In2) -> Output: both walks skip the second
+    Input, which sits between compute nodes, and Add hands it the output
+    gradient unchanged."""
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(3, 6, 6))
+    conv = b.add(ir.conv(3, 1, 1, 3, 3), [x])
+    x2 = b.add_input(TensorShape(3, 6, 6))
+    b.mark_output(b.add(ir.add(), [conv, x2]))
+    g = b.build()
+    assert g.inputs == (x, x2) and x < conv < x2
+    params = init_params(g, 2)
+    rng = np.random.default_rng(3)
+    xs = [rng.standard_normal((2, 3, 6, 6)) for _ in g.inputs]
+    outputs, tape = forward(g, params, xs)
+    w = params.tensors[conv]["weight"]
+    want = ops.conv_apply(xs[0], w, None, 1, 1, 1) + xs[1]
+    assert outputs[0].tobytes() == want.tobytes()
+    gy = rng.standard_normal(outputs[0].shape)
+    pgrads, input_grads = backward(g, params, tape, [gy], wrt={x, conv, x2})
+    assert set(input_grads) == {x, x2} and set(pgrads) == {conv}
+    assert input_grads[x2].tobytes() == gy.tobytes()
+    assert input_grads[x].tobytes() == ops.conv_apply_adjoint(gy, w, 1, 1, 1, (6, 6)).tobytes()
+    _, only_second = backward(g, params, tape, [gy], wrt={x2})
+    assert set(only_second) == {x2} and only_second[x2].tobytes() == gy.tobytes()
 
 
 def test_decoder_training_step_heap_peak_is_bounded():
