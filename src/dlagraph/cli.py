@@ -244,10 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except UnknownArchitecture as exc:
-        _diag(str(exc))
-        return 2
-    except ValueError as exc:
+    except (UnknownArchitecture, ValueError) as exc:
         _diag(str(exc))
         return 2
     except IndivisibleInput as exc:

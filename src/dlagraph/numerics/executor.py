@@ -8,20 +8,24 @@ bit-identical results across runs.
 ``KERNELS`` holds each op kind's forward and backward next to each other.
 Each graph is compiled once, on its first execution, into a plan: one step
 per non-Input node in ``topo_order``, holding its id, ``KERNELS`` entry,
-attrs, input ids and the values ``forward`` drops after it. ``forward``,
-``backward`` and ``grad_check`` walk that plan (see ``_plan``). Shapes,
-attributes and learnable-tensor shapes come from ``ir.OPS``.
+attrs, input ids, and the values ``forward`` and a probe pass drop after
+it. ``forward``, ``backward`` and ``grad_check`` walk that plan (see
+``_plan``). Shapes, attributes and learnable-tensor shapes come from
+``ir.OPS``.
 
 ``backward`` differentiates only what its ``wrt`` nodes sit at or upstream
 of. ``grad_check`` probes its sampled entries in groups of consecutive
-picks, one pass per group over the union of their downstream cones. A node
-carries a +/-epsilon pair of lanes, stacked on the batch axis, for every
-pick whose cone holds it, and each value is dropped after its last
-consumer in the pass unless it is a graph output. Each node's kernel
-runs once over all the lanes it carries. Only batch norm (per-lane
-statistics) and linear (one product per lane) see the lanes; every other
-kernel treats each sample alone, so a lane's bits equal those of a run at
-the plain batch. Two bounds keep a pass's memory down: a group holds at
+picks, one pass per group over the union of their downstream cones. Each
+value the pass reaches carries one range of picks: a +/-epsilon pair of
+lanes per pick, stacked on the batch axis in pick order, spanning its
+inputs' ranges and the picks rooted at it. A pick in a node's range whose
+cone misses the node gives the node's tape value. Every reader of a
+reached value is reached too, so a value is dropped after its last reader
+in the graph unless it is a graph output. Each node's kernel runs once
+over all the lanes it carries. Only batch norm (per-lane statistics) and
+linear (one product per lane) see the lanes; every other kernel treats
+each sample alone, so a lane's bits equal those of a run at the plain
+batch. Two bounds keep a pass's memory down: a group holds at
 most ``_PROBE_GROUP`` picks, and convolutions and upsamplings build their
 im2col or col2im blocks a bounded slice of samples at a time, however
 many lanes they get (see ``ops``).
@@ -158,7 +162,7 @@ def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
         raise ShapeMismatch("inputs disagree on batch size: %s" % sorted(batches))
     aux: dict[NodeId, object] = {}
     tensors = params.tensors
-    for nid, kernels, attrs, inputs, drops in _plan(graph):
+    for nid, kernels, attrs, inputs, drops, _ in _plan(graph):
         values[nid], kept = kernels.forward(attrs, tensors.get(nid),
                                             [values[i] for i in inputs],
                                             mode, update_running, 1)
@@ -329,6 +333,7 @@ class _Step(NamedTuple):
     attrs: dict
     inputs: tuple[NodeId, ...]
     drops: tuple[NodeId, ...]  # the values forward drops once this node has run
+    frees: tuple[NodeId, ...]  # the values a probe pass drops once this node has run
 
 
 _PLANS: dict[int, tuple[_Step, ...]] = {}  # by graph identity, while the graph lives
@@ -339,18 +344,20 @@ def _plan(graph: Graph) -> tuple[_Step, ...]:
     later one. ``Graph`` cannot be hashed, so the cache is keyed by
     identity, and its entry goes when the graph does.
 
-    One step per non-Input node in ``topo_order``, with the values
-    ``forward`` drops once it has run: those with no later reader, after
-    their last consumer (a value with none goes once made). A value stays
-    on the tape if it is a graph input or output, if its own backward reads
-    its output, or if a consumer's backward reads its inputs or the consumer
+    One step per non-Input node in ``topo_order``. Its ``frees`` are the
+    values it is the last to read (its own if none reads it), graph outputs
+    excepted; ``_probe_group`` drops them once it has run. ``forward``
+    drops those of them that the tape does not keep, in ``drops``. A value
+    stays on the tape if it is a graph input, if its own backward reads its
+    output, or if a consumer's backward reads its inputs or the consumer
     takes two or more inputs: ``_probe_group`` reads such an input from the
-    tape when a pick's cone holds the consumer but not the input."""
+    tape in the pairs its range lacks."""
     key = id(graph)
     steps = _PLANS.get(key)
     if steps is not None:
         return steps
-    keep = {*graph.inputs, *graph.outputs}
+    outputs = set(graph.outputs)
+    keep = set(graph.inputs)
     last: dict[NodeId, NodeId] = {}
     for node in graph.nodes:
         nid, inputs = node.id, node.inputs
@@ -365,11 +372,15 @@ def _plan(graph: Graph) -> tuple[_Step, ...]:
         if reads == INPUTS or len(inputs) > 1:
             keep.update(inputs)
     drops: dict[NodeId, list[NodeId]] = {}
+    frees: dict[NodeId, list[NodeId]] = {}
     for i, consumer in last.items():
-        if i not in keep:
-            drops.setdefault(consumer, []).append(i)
+        if i not in outputs:
+            frees.setdefault(consumer, []).append(i)
+            if i not in keep:
+                drops.setdefault(consumer, []).append(i)
     steps = _PLANS[key] = tuple(
-        _Step(nid, KERNELS[node.op.kind], node.op.attrs, node.inputs, tuple(drops.get(nid, ())))
+        _Step(nid, KERNELS[node.op.kind], node.op.attrs, node.inputs,
+              tuple(drops.get(nid, ())), tuple(frees.get(nid, ())))
         for nid in topo_order(graph)
         if (node := graph.nodes[nid]).op.kind is not OpKind.INPUT)
     weakref.finalize(graph, _PLANS.pop, key, None)
@@ -403,7 +414,7 @@ def backward(graph: Graph, params: ParamStore, tape: Tape,
     active = [False] * len(graph.nodes)
     for nid in wrt:
         active[nid] = True
-    for nid, _, _, inputs, _ in steps:
+    for nid, _, _, inputs, _, _ in steps:
         if not active[nid]:
             for i in inputs:  # a plain loop: any() over a generator costs 3x
                 if active[i]:
@@ -427,7 +438,7 @@ def backward(graph: Graph, params: ParamStore, tape: Tape,
 
     pgrads: GradStore = {}
     tensors, values, aux = params.tensors, tape.values, tape.aux
-    for nid, kernels, attrs, inputs, _ in reversed(steps):  # an Input is no step
+    for nid, kernels, attrs, inputs, _, _ in reversed(steps):  # an Input is no step
         if nid not in grads:
             continue
         gxs, named = kernels.backward(  # None for a value the tape dropped
@@ -503,70 +514,50 @@ _PROBE_GROUP = 6  # picks per probe pass: the widest that kept the heap peak dow
 
 def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
                  group: Sequence[tuple[NodeId, str, np.ndarray, int]], epsilon: float
-                 ) -> tuple[dict[NodeId, np.ndarray], dict[NodeId, tuple[int, ...]]]:
+                 ) -> tuple[dict[NodeId, np.ndarray], dict[NodeId, tuple[int, int]]]:
     """The probe pass of ``group``, picks given as (node, tensor name, tensor,
     flat offset) in pick order, so in ascending node order.
 
-    A pick's root runs twice at batch N with its entry moved, on tape
-    inputs. Each cone node's lanes of picks rooted upstream, which come
-    first, run once and unperturbed; an input gives its tape value in the
-    lanes of picks whose cone does not hold it. Returns the values still
-    held at the end, which are the graph outputs some cone holds, and the
-    picks whose lane pairs each cone node carries, in order."""
-    n = tape.values[graph.inputs[0]].shape[0]
+    Each value the pass reaches holds a +/- lane pair for each pick of one
+    range ``[lo, hi)``, in pick order, the span of its inputs' ranges and
+    the picks rooted at it. A pick's root runs twice at batch N with its
+    entry moved, on tape inputs; the node's other lanes run once, on its
+    inputs' lanes, an input giving its tape value in the pairs its range
+    lacks. A pick in the range whose cone misses the node gives the node's
+    tape value. Returns the values still held at the end, which are the
+    graph outputs some cone holds, and each reached node's range."""
     rooted: dict[NodeId, list[int]] = {}
-    masks: dict[NodeId, int] = {}  # per cone node, one bit per pick whose cone holds it
     for k, (nid, *_) in enumerate(group):
         rooted.setdefault(nid, []).append(k)
-        masks[nid] = masks.get(nid, 0) | 1 << k
-    picks_of = [tuple(k for k in range(len(group)) if mask >> k & 1)
-                for mask in range(1 << len(group))]
     steps = _plan(graph)
-    held: dict[NodeId, tuple[int, ...]] = {}
-    cone: list[tuple[_Step, tuple[int, ...]]] = []  # in plan order
-    last: dict[NodeId, NodeId] = {}  # each cone value's last consumer in the pass
-    # ids ascend along every edge, so no step before the first root is in a cone
-    for step in steps[bisect.bisect_left(steps, group[0][0], key=lambda s: s.id):]:
-        nid, inputs = step.id, step.inputs
-        mask = masks.get(nid, 0)
-        for i in inputs:
-            mask |= masks.get(i, 0)
-        if mask:
-            masks[nid] = mask
-            held[nid] = picks_of[mask]
-            cone.append((step, held[nid]))
-            for i in inputs:
-                last[i] = nid
-            last[nid] = nid
-    outputs = set(graph.outputs)
-    frees: dict[NodeId, list[NodeId]] = {}  # what to drop once each cone node has run
-    for i, consumer in last.items():
-        if i in held and i not in outputs:
-            frees.setdefault(consumer, []).append(i)
-
     values: dict[NodeId, np.ndarray] = {}
+    ranges: dict[NodeId, tuple[int, int]] = {}
 
-    def lanes_of(i: NodeId, picks: tuple[int, ...]) -> np.ndarray:
-        own = held.get(i, ())
-        if own == picks:
+    def lanes_of(i: NodeId, lo: int, hi: int) -> np.ndarray:
+        own_lo, own_hi = ranges.get(i, (hi, hi))
+        if own_lo == lo and own_hi == hi:
             return values[i]
-        parts = []
-        for k in picks:
-            if k in own:
-                j = own.index(k)
-                parts.append(values[i][2 * j * n:2 * (j + 1) * n])
-            else:
-                parts += (tape.values[i],) * 2
-        return np.concatenate(parts)
+        t = tape.values[i]
+        held = (values[i],) if i in ranges else ()
+        return np.concatenate((t,) * (2 * (own_lo - lo)) + held + (t,) * (2 * (hi - own_hi)))
 
-    for (nid, kernels, attrs, inputs, _), picks in cone:
-        run, p = kernels.forward, params.tensors.get(nid)
+    # ids ascend along every edge, so no step before the first root is reached
+    for nid, kernels, attrs, inputs, _, frees in steps[
+            bisect.bisect_left(steps, group[0][0], key=lambda s: s.id):]:
         here = rooted.get(nid, ())
-        upstream = picks[:len(picks) - len(here)]
+        spans = [ranges[i] for i in inputs if i in ranges]
+        if spans:  # the upstream lanes are picks lo..mid-1
+            lo = min(span[0] for span in spans)
+            mid = here[0] if here else max(span[1] for span in spans)
+        elif here:
+            lo = mid = here[0]
+        else:
+            continue
+        run, p = kernels.forward, params.tensors.get(nid)
         parts = []
-        if upstream:
-            parts.append(run(attrs, p, [lanes_of(i, upstream) for i in inputs],
-                             Mode.TRAIN, False, 2 * len(upstream))[0])
+        if lo < mid:
+            parts.append(run(attrs, p, [lanes_of(i, lo, mid) for i in inputs],
+                             Mode.TRAIN, False, 2 * (mid - lo))[0])
         xs = [tape.values[i] for i in inputs] if here else None
         for k in here:
             _, _, arr, offset = group[k]
@@ -576,9 +567,10 @@ def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
                 parts.append(run(attrs, p, xs, Mode.TRAIN, False, 1)[0])
             arr.flat[offset] = original
         values[nid] = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        for i in frees.get(nid, ()):
-            del values[i]
-    return values, held
+        ranges[nid] = (lo, mid + len(here))
+        for i in frees:  # every reader of a reached value is reached
+            values.pop(i, None)
+    return values, ranges
 
 
 def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
@@ -627,21 +619,22 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     pgrads, _ = backward(graph, params, tape, contraction, wrt={nid for nid, *_ in located})
     n = tape.values[graph.inputs[0]].shape[0]
 
-    def loss(values: dict[NodeId, np.ndarray], held: dict[NodeId, tuple[int, ...]],
+    def loss(values: dict[NodeId, np.ndarray], ranges: dict[NodeId, tuple[int, int]],
              pick: int, lane: int) -> float:
         def output(o: NodeId) -> np.ndarray:
-            if pick not in held.get(o, ()):
+            lo, hi = ranges.get(o, (0, 0))
+            if not lo <= pick < hi:
                 return tape.values[o]
-            j = 2 * held[o].index(pick) + lane
+            j = 2 * (pick - lo) + lane
             return values[o][j * n:(j + 1) * n]
         return float(sum(np.vdot(g, output(o)) for g, o in zip(contraction, graph.outputs)))
 
     entries: list[GradCheckEntry] = []
     for start in range(0, len(located), _PROBE_GROUP):
         group = located[start:start + _PROBE_GROUP]
-        values, held = _probe_group(graph, params, tape, group, epsilon)
+        values, ranges = _probe_group(graph, params, tape, group, epsilon)
         for k, (nid, name, arr, offset) in enumerate(group):
-            numeric = (loss(values, held, k, 0) - loss(values, held, k, 1)) / (2.0 * epsilon)
+            numeric = (loss(values, ranges, k, 0) - loss(values, ranges, k, 1)) / (2.0 * epsilon)
             node_grads = pgrads.get(nid, {})
             analytic = float(node_grads[name].flat[offset]) if name in node_grads else 0.0
             entries.append(GradCheckEntry(nid, name, int(offset), analytic, float(numeric),

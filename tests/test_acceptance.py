@@ -180,6 +180,18 @@ def test_criterion_gradient_correctness():
            % rep.max_rel_error)
 
 
+
+def test_toy_cases_are_nine_distinct_graphs():
+    """At width cap 16, toy DLA-X-60-C and DLA-X-60 serialize to the same
+    bytes, since their widths differ only above the cap, and share a pinned
+    point: the gradient criterion's ten cases check nine computations."""
+    docs = {name: serialize(build_toy_classifier(name, 16, 16, num_classes=10))
+            for name in catalog_names()}
+    docs["decoder"] = serialize(build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5))
+    assert len(docs) == 10 and len(set(docs.values())) == 9
+    assert docs["DLA-X-60-C"] == docs["DLA-X-60"]
+    assert GRADCHECK_POINTS["DLA-X-60-C"] == GRADCHECK_POINTS["DLA-X-60"]
+
 def _reference_bilinear(x, factor):
     n, c, h, w = x.shape
     out = np.zeros((n, c, h * factor, w * factor))

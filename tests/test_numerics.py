@@ -736,6 +736,100 @@ def test_probe_pass_runs_each_conv_node_once_over_its_upstream_lanes(monkeypatch
     assert kinds == {(False, False), (True, False), (False, True), (True, True)}
 
 
+
+def gap_net():
+    """A trunk conv A, a conv B on the input with its own output, and a conv
+    C on A's branch, each conv followed by batch norm."""
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(3, 6, 6))
+    trunk = b.add(ir.conv(3, 1, 1, 3, 2), [x])
+    trunk = b.add(ir.batch_norm(2), [trunk])
+    side = b.add(ir.conv(1, 1, 0, 3, 2), [x])
+    side = b.add(ir.batch_norm(2), [side])
+    b.mark_output(side)
+    y = b.add(ir.conv(3, 1, 1, 2, 2), [trunk])
+    y = b.add(ir.batch_norm(2), [y])
+    b.mark_output(y)
+    return b.build()
+
+
+def test_probe_pass_gives_the_tape_value_in_a_pair_whose_cone_misses_the_node():
+    """With picks at A, B and C in that order, C's range [0, 3) spans B's
+    pair, though B's cone misses C: that pair must run through C and its
+    batch norm to their tape values, bit for bit, and every pick's +/-
+    contraction must equal full-forward central differences."""
+    g = gap_net()
+    params = init_params(g, 4)
+    xval = np.random.default_rng(6).standard_normal((2, 3, 6, 6))
+    outs, tape = forward(g, params, [xval], Mode.TRAIN, update_running=False)
+    convs = [n.id for n in g.nodes if n.op.kind is OpKind.CONV]
+    group = [(nid, "weight", params.tensors[nid]["weight"], 5) for nid in convs]
+    eps = 1e-5
+    values, ranges = executor._probe_group(g, params, tape, group, eps)
+    side, out = g.outputs
+    assert ranges[side] == (1, 2) and ranges[out] == (0, 3)
+    assert values[out][4:8].tobytes() == np.concatenate([tape.values[out]] * 2).tobytes()
+
+    contraction = [np.random.default_rng(8).standard_normal(o.shape) for o in outs]
+
+    def probed(k, lane):
+        def output(o):
+            lo, hi = ranges[o]
+            if not lo <= k < hi:
+                return tape.values[o]
+            j = 2 * (k - lo) + lane
+            return values[o][2 * j:2 * (j + 1)]
+        return float(sum(np.vdot(c, output(o)) for c, o in zip(contraction, g.outputs)))
+
+    def full(arr, offset, value):
+        original = arr.flat[offset]
+        arr.flat[offset] = value
+        outs, _ = forward(g, params, [xval], Mode.TRAIN, update_running=False)
+        arr.flat[offset] = original
+        return float(sum(np.vdot(c, o) for c, o in zip(contraction, outs)))
+
+    for k, (_, _, arr, offset) in enumerate(group):
+        original = arr.flat[offset]
+        want = (full(arr, offset, original + eps) - full(arr, offset, original - eps)) / (2 * eps)
+        got = (probed(k, 0) - probed(k, 1)) / (2 * eps)
+        assert got.hex() == want.hex(), k
+
+
+@pytest.mark.parametrize("build, hw, point, sample, elements, calls", [
+    (lambda: build_toy_classifier("DLA-34", 16, 16, num_classes=10), 16, (7, 3, 1), 6,
+     104928, 77),
+    (lambda: build_toy_classifier("DLA-X-102", 16, 16, num_classes=10), 16, (1, 9, 1), 6,
+     139424, 213),
+    (lambda: build_toy_classifier("DLA-169", 16, 16, num_classes=10), 16, (11, 42, 1), 6,
+     145472, 339),
+    (lambda: build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5), 32, (8, 33, 5), 6,
+     385888, 81),
+    (lambda: build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5), 32, (8, 33, 5), 200,
+     10140192, 853),
+], ids=["DLA-34", "DLA-X-102", "DLA-169", "decoder", "decoder-200"])
+def test_grad_check_conv_work_is_pinned(monkeypatch, build, hw, point, sample, elements,
+                                        calls):
+    """The conv output elements and calls of one grad_check at the
+    benchmark's toy-gradcheck points (batch 2; init, data and check seeds)
+    at its 6 samples, and at 200 for the decoder. A probe layout that runs
+    lanes a node does not need, or splits a node's lanes over several
+    calls, moves them: the decoder at 200 samples runs 1.8% more conv
+    elements if every node carries the lanes of all earlier picks."""
+    g = build()
+    init_seed, data_seed, check_seed = point
+    params = init_params(g, init_seed)
+    x = np.random.default_rng(data_seed).standard_normal((2, 3, hw, hw))
+    conv_apply, sizes = ops.conv_apply, []
+
+    def counted(*args, **kwargs):
+        y = conv_apply(*args, **kwargs)
+        sizes.append(y.size)
+        return y
+
+    monkeypatch.setattr(ops, "conv_apply", counted)
+    grad_check(g, params, x, sample=sample, seed=check_seed)
+    assert (sum(sizes), len(sizes)) == (elements, calls)
+
 WRT_NETS = [
     pytest.param(lambda: build_toy_classifier("DLA-34", 16, 16, num_classes=10), 16,
                  id="DLA-34"),
