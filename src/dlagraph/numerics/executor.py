@@ -26,9 +26,10 @@ over all the lanes it carries. Only batch norm (per-lane statistics) and
 linear (one product per lane) see the lanes; every other kernel treats
 each sample alone, so a lane's bits equal those of a run at the plain
 batch. Two bounds keep a pass's memory down: a group holds at
-most ``_PROBE_GROUP`` picks, and convolutions and upsamplings build their
-im2col or col2im blocks a bounded slice of samples at a time, however
-many lanes they get (see ``ops``).
+most ``_PROBE_GROUP`` picks, and convolutions build their im2col or col2im
+blocks a bounded slice of samples at a time, however many lanes they get
+(see ``ops``); an upsampling builds no blocks, only temporaries the size of
+its result.
 
 Five rules bound the memory of a training step; none changes a bit.
 ``forward`` tapes only the values that ``backward`` and ``grad_check`` read
@@ -278,11 +279,7 @@ def _upsample_weight(a, p):  # a learned upsampling owns its kernel
 
 
 def _upsample(a, p, xs, *_):
-    f = a["factor"]
-    _, stride, padding = upsample_kernel_geometry(f)
-    out_hw = (xs[0].shape[2] * f, xs[0].shape[3] * f)
-    return ops.conv_apply_adjoint(xs[0], _upsample_weight(a, p), stride, padding,
-                                  a["channels"], out_hw), None
+    return ops.upsample_apply(xs[0], _upsample_weight(a, p), a["factor"]), None
 
 
 def _upsample_grad(a, p, gy, xs, y, kept, want_x, want_p):

@@ -2,8 +2,10 @@
 
 Convolution is realized through im2col plus batched matmul; the transposed
 convolution is the exact adjoint of the forward map (transposed matmul, then
-col2im), so <Ax, y> == <x, At y> holds to rounding error. All reductions
-have a fixed order, which keeps runs bit-identical.
+col2im into the unpadded result), so <Ax, y> == <x, At y> holds to rounding
+error. The upsampling has its own kernel with the adjoint's bits at its
+geometry, which needs no column tensor. All reductions have a fixed order,
+which keeps runs bit-identical.
 """
 
 from __future__ import annotations
@@ -31,20 +33,26 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray
                       (sn, sc, sh, sw, stride * sh, stride * sw)).copy()
 
 
-def _col2im(cols: np.ndarray, xp: np.ndarray, stride: int) -> None:
+def _col2im(cols: np.ndarray, x: np.ndarray, stride: int, padding: int) -> None:
     """Adjoint of _im2col: scatter-add (N, C, k, k, OH, OW) patches onto the
-    padded (N, C, H + 2p, W + 2p) grid ``xp`` in place. Taps i .. i + stride
-    - 1 hit disjoint rows, so one add per block offset (i, j) through a
-    stride-phase view keeps each cell's ascending tap order."""
-    kernel = cols.shape[2]
-    sn, sc, sh, sw = xp.strides
-    phase_strides = (sn, sc, sh, stride * sh, sw, stride * sw)
-    by_phase = cols.transpose(0, 1, 2, 4, 3, 5)
-    for i in range(0, kernel, stride):
-        for j in range(0, kernel, stride):
-            taps = by_phase[:, :, i:i + stride, :, j:j + stride]
-            phases = np.ndarray(taps.shape, xp.dtype, xp, i * sh + j * sw, phase_strides)
-            phases += taps
+    unpadded (N, C, H, W) result ``x`` in place. Each tap (i, j), in
+    ascending order, adds over the rows and columns it reaches inside ``x``
+    and drops those on the padding, so each cell takes its taps in
+    ascending order, as on a padded grid."""
+    rows, columns = ([_tap_reach(i, stride, padding, out, size) for i in range(cols.shape[2])]
+                     for out, size in ((cols.shape[4], x.shape[2]), (cols.shape[5], x.shape[3])))
+    for i, (taps_r, x_r) in enumerate(rows):
+        for j, (taps_c, x_c) in enumerate(columns):
+            x[:, :, x_r, x_c] += cols[:, :, i, j, taps_r, taps_c]
+
+
+def _tap_reach(i: int, stride: int, padding: int, out: int, size: int) -> tuple[slice, slice]:
+    """(window positions, result cells) that tap ``i`` of ``out`` windows
+    reaches inside an axis of ``size`` cells padded by ``padding``."""
+    first = max(0, -((i - padding) // stride))
+    count = max(0, min(out, -((i - padding - size) // stride)) - first)
+    start = first * stride + i - padding
+    return slice(first, first + count), slice(start, start + count * stride, stride)
 
 
 # Bytes of one column block that a convolution builds: a batch whose
@@ -101,18 +109,33 @@ def conv_apply_adjoint(z: np.ndarray, w: np.ndarray, stride: int, padding: int,
     zg = z.reshape(n, groups, oc // groups, oh * ow)
     wt = w.reshape(groups, oc // groups, icg * kernel * kernel).transpose(0, 2, 1)[None]
     dtype = np.result_type(z, w)
-    # Each slice of samples adds its taps into a padded grid of its own
-    # (without padding, its slice of the result), so no grid spans the batch.
-    x = (np.empty if padding else np.zeros)((n, c, h, wd), dtype=dtype)
+    x = np.zeros((n, c, h, wd), dtype=dtype)
     for s in _sample_blocks(n, x.itemsize * c * kernel * kernel * oh * ow):
         cols = np.matmul(wt, zg[s]).reshape(-1, c, kernel, kernel, oh, ow)
-        if padding:
-            xp = np.zeros((len(cols), c, h + 2 * padding, wd + 2 * padding), dtype=dtype)
-            _col2im(cols, xp, stride)
-            x[s] = xp[:, :, padding:-padding, padding:-padding]
-        else:
-            _col2im(cols, x[s], stride)
+        _col2im(cols, x[s], stride, padding)
     return x
+
+
+def upsample_apply(x: np.ndarray, w: np.ndarray, factor: int) -> np.ndarray:
+    """The x``factor`` upsampling: conv_apply_adjoint with kernel 2f, stride
+    f, padding f/2 and one channel per group, to the same bits. Each result
+    cell takes at most one tap from each half of the kernel along each axis,
+    so the result is four rectangles of products, added into zeros in
+    _col2im's tap order: a nearest repeat of ``x`` times one f x f block of
+    ``w`` tiled over the result."""
+    n, c, h, wd = x.shape
+    f, p = factor, factor // 2
+    oh, ow = f * h, f * wd
+    xr = x.repeat(f, axis=2).repeat(f, axis=3)
+    y = np.zeros((n, c, oh, ow), dtype=np.result_type(x, w))
+    # per kernel half: (cells of xr and of the tiled block read, cells of y written)
+    halves_r = ((slice(p, oh), slice(0, oh - p)), (slice(0, oh - p), slice(p, oh)))
+    halves_c = ((slice(p, ow), slice(0, ow - p)), (slice(0, ow - p), slice(p, ow)))
+    for a, (src_r, dst_r) in enumerate(halves_r):
+        for b, (src_c, dst_c) in enumerate(halves_c):
+            block = np.tile(w[:, 0, a * f:(a + 1) * f, b * f:(b + 1) * f], (h, wd))
+            y[:, :, dst_r, dst_c] += block[:, src_r, src_c] * xr[:, :, src_r, src_c]
+    return y
 
 
 def conv_weight_grad(z: np.ndarray, x: np.ndarray, kernel: int, stride: int,

@@ -72,19 +72,27 @@ def test_im2col_matches_np_pad_construction_bit_for_bit(kernel, stride, padding)
     assert np.array_equal(ops._im2col(x, kernel, stride, padding), want)
 
 
+def _per_tap_col2im(cols, stride, padding, hw):
+    """col2im as one add per tap onto a zeroed padded grid, cropped: the
+    reference for ops._col2im, which adds inside the result."""
+    n, c, kernel, _, oh, ow = cols.shape
+    h, w = hw
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for i in range(kernel):
+        for j in range(kernel):
+            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
+    return xp[:, :, padding:padding + h, padding:padding + w]
+
+
 @pytest.mark.parametrize("kernel,stride,padding", KERNEL_GRID, ids=KERNEL_GRID_IDS)
 def test_col2im_matches_per_tap_loop_bit_for_bit(kernel, stride, padding):
     h = _grid_extent(kernel, stride, padding)
     w = h + 1
     oh, ow = ir.window_out_hw(h, w, kernel, stride, padding)
     cols = np.random.default_rng(5).standard_normal((2, 3, kernel, kernel, oh, ow))
-    xp = np.zeros((2, 3, h + 2 * padding, w + 2 * padding))
-    for i in range(kernel):
-        for j in range(kernel):
-            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
-    got = np.zeros_like(xp)
-    ops._col2im(cols, got, stride)
-    assert np.array_equal(got, xp)
+    got = np.zeros((2, 3, h, w))
+    ops._col2im(cols, got, stride, padding)
+    assert got.tobytes() == _per_tap_col2im(cols, stride, padding, (h, w)).tobytes()
 
 
 @pytest.mark.parametrize("kernel,stride,padding", KERNEL_GRID, ids=KERNEL_GRID_IDS)
@@ -130,15 +138,13 @@ def _one_block_conv(x, w, bias, stride, padding, groups):
 
 def _one_grid_adjoint(z, w, stride, padding, groups, in_hw):
     """conv_apply_adjoint with padding as one padded grid over the whole
-    batch, cropped, kept as the reference for its per-slice grids."""
+    batch, cropped, kept as the reference for its sample slices."""
     n, _, oh, ow = z.shape
     oc, icg, kernel, _ = w.shape
-    h, wd = in_hw
     wt = w.reshape(groups, oc // groups, -1).transpose(0, 2, 1)[None]
     cols = np.matmul(wt, z.reshape(n, groups, oc // groups, oh * ow))
-    xp = np.zeros((n, groups * icg, h + 2 * padding, wd + 2 * padding))
-    ops._col2im(cols.reshape(n, groups * icg, kernel, kernel, oh, ow), xp, stride)
-    return xp[:, :, padding:-padding, padding:-padding]
+    return _per_tap_col2im(cols.reshape(n, groups * icg, kernel, kernel, oh, ow), stride,
+                           padding, in_hw)
 
 
 @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (3, 2, 1), (5, 1, 2),
@@ -165,6 +171,27 @@ def test_padded_adjoint_slices_match_one_grid_bit_for_bit(monkeypatch, kernel, s
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("factor", [2, 4, 6, 8, 16])
+def test_upsample_apply_matches_the_transposed_conv_bit_for_bit(factor):
+    # Batches 1-3 and 24 (a probe pass's lanes); a quarter of the entries
+    # are +/-0.0, +/-inf or NaN, so some cells also add inf - inf.
+    rng = np.random.default_rng(factor)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for h, w in ((1, 1), (3, 3), (2, 5), (4, 3)):
+        for n in (1, 2, 3, 24):
+            x = rng.standard_normal((n, 3, h, w))
+            picked = rng.random(x.shape) < 0.25
+            x[picked] = rng.choice(specials, int(picked.sum()))
+            for weight in (ops.bilinear_upsample_weight(3, factor),
+                           rng.standard_normal((3, 1, 2 * factor, 2 * factor))):
+                with np.errstate(invalid="ignore"):
+                    got = ops.upsample_apply(x, weight, factor)
+                    want = ops.conv_apply_adjoint(x, weight, factor, factor // 2, 3,
+                                                  (factor * h, factor * w))
+                assert got.flags.c_contiguous
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), (h, w, n)
+
+
 def _decoder_forward_at_batch_16():
     g = build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5)
     x = np.random.default_rng(5).standard_normal((16, 3, 32, 32))
@@ -188,11 +215,13 @@ def test_forward_conv_columns_fit_the_block_budget(monkeypatch):
 
 def test_probe_pass_columns_fit_the_block_budget(monkeypatch):
     """grad_check on the toy decoder at its benchmark point: every column
-    block a probe pass builds, im2col or col2im, fits the budget or holds
-    one sample, and the call peaks at about 7.7 MiB of heap. The bound
-    fails if an upsampling adds all its lanes' taps into one padded grid
-    (9.7 MiB) or if the budget is 2 MiB (9.2 MiB)."""
-    im2col, col2im, blocks = ops._im2col, ops._col2im, []
+    block it builds, im2col or col2im, fits the budget or holds one sample,
+    and the call peaks at about 6.9 MiB of heap. The bound fails with a
+    2 MiB budget (9.2 MiB) and with upsamplings that scatter their column
+    blocks onto padded grids (7.75 MiB). Upsamplings that go through
+    conv_apply_adjoint without a padded grid peak no higher, so a forward
+    must also call col2im zero times: only backward's conv adjoints do."""
+    im2col, col2im, blocks, scattered = ops._im2col, ops._col2im, [], []
 
     def recorded_im2col(x, *args):
         cols = im2col(x, *args)
@@ -200,7 +229,7 @@ def test_probe_pass_columns_fit_the_block_budget(monkeypatch):
         return cols
 
     def recorded_col2im(cols, *args):
-        blocks.append((len(cols), cols.nbytes))
+        scattered.append((len(cols), cols.nbytes))
         col2im(cols, *args)
 
     monkeypatch.setattr(ops, "_im2col", recorded_im2col)
@@ -215,9 +244,13 @@ def test_probe_pass_columns_fit_the_block_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert any(samples > 4 for samples, _ in blocks)  # more than one +/- lane pair
-    for samples, nbytes in blocks:  # one sample alone may exceed the budget
+    assert scattered  # grad_check's backward
+    for samples, nbytes in blocks + scattered:  # one sample alone may exceed the budget
         assert samples == 1 or nbytes <= ops._COL_BLOCK_BYTES, (samples, nbytes)
-    assert peak < 9 * 2**20, "heap peak %.2f MiB" % (peak / 2**20)
+    assert peak < 7.25 * 2**20, "heap peak %.2f MiB" % (peak / 2**20)
+    scattered.clear()
+    forward(g, params, [x], Mode.TRAIN, update_running=False)
+    assert scattered == []
 
 
 def test_forward_conv_slices_match_one_block_bit_for_bit(monkeypatch):
