@@ -3,12 +3,17 @@
 Convolution is realized through im2col plus batched matmul; the transposed
 convolution is the exact adjoint of the forward map (transposed matmul, then
 col2im into the unpadded result), so <Ax, y> == <x, At y> holds to rounding
-error. The upsampling has its own kernel with the adjoint's bits at its
-geometry, which needs no column tensor. All reductions have a fixed order,
-which keeps runs bit-identical.
+error. col2im adds one rectangle per tap that reaches the result, from a
+table built once per geometry; a tap that falls wholly on the padding, as
+most of a padded kernel's do on a 1x1 extent, adds nothing. The upsampling
+has its own kernel with the adjoint's bits at its geometry, which needs no
+column tensor. All reductions have a fixed order, which keeps runs
+bit-identical.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -35,15 +40,28 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray
 
 def _col2im(cols: np.ndarray, x: np.ndarray, stride: int, padding: int) -> None:
     """Adjoint of _im2col: scatter-add (N, C, k, k, OH, OW) patches onto the
-    unpadded (N, C, H, W) result ``x`` in place. Each tap (i, j), in
-    ascending order, adds over the rows and columns it reaches inside ``x``
-    and drops those on the padding, so each cell takes its taps in
-    ascending order, as on a padded grid."""
-    rows, columns = ([_tap_reach(i, stride, padding, out, size) for i in range(cols.shape[2])]
-                     for out, size in ((cols.shape[4], x.shape[2]), (cols.shape[5], x.shape[3])))
-    for i, (taps_r, x_r) in enumerate(rows):
-        for j, (taps_c, x_c) in enumerate(columns):
-            x[:, :, x_r, x_c] += cols[:, :, i, j, taps_r, taps_c]
+    unpadded (N, C, H, W) result ``x`` in place. Each tap (i, j) of the
+    geometry's _taps table, in ascending order, adds over the rows and
+    columns it reaches inside ``x`` and drops those on the padding, so each
+    cell takes its taps in ascending order, as on a padded grid; a tap that
+    reaches only padding is not in the table and adds nothing."""
+    for i, j, taps_r, x_r, taps_c, x_c in _taps(cols.shape[2], stride, padding,
+                                                cols.shape[4:], x.shape[2:]):
+        x[:, :, x_r, x_c] += cols[:, :, i, j, taps_r, taps_c]
+
+
+@functools.lru_cache(maxsize=256)
+def _taps(kernel: int, stride: int, padding: int, out_hw: tuple[int, int],
+          hw: tuple[int, int]) -> tuple[tuple[int, int, slice, slice, slice, slice], ...]:
+    """(i, j, window rows, result rows, window columns, result columns) of
+    every tap whose reach inside an ``hw`` result with ``out_hw`` windows is
+    non-empty along both axes, in ascending (i, j) order; built once per
+    geometry."""
+    rows, columns = ([(i, *_tap_reach(i, stride, padding, out, size)) for i in range(kernel)]
+                     for out, size in zip(out_hw, hw))
+    return tuple((i, j, taps_r, x_r, taps_c, x_c)
+                 for i, taps_r, x_r in rows if taps_r.stop > taps_r.start
+                 for j, taps_c, x_c in columns if taps_c.stop > taps_c.start)
 
 
 def _tap_reach(i: int, stride: int, padding: int, out: int, size: int) -> tuple[slice, slice]:

@@ -47,9 +47,12 @@ def test_bench_file_schema_and_ok_ratio(path):
                 for kind in ("scaled", "unscaled"):
                     q = summary["metrics"][metric["name"]][kind]
                     assert q["q1"] <= q["median"] <= q["q3"], (name, side, metric, kind)
-        wins = workload["wins"]
-        assert set(wins) == {m["name"] for m in END_TO_END}, name
-        assert all(0 <= n <= doc["pairs"] for n in wins.values()), name
+        assert "wins" in workload, name
+        # files written before unscaled wins were counted lack wins_unscaled
+        for key in sorted({"wins", "wins_unscaled"} & set(workload)):
+            wins = workload[key]
+            assert set(wins) == {m["name"] for m in END_TO_END}, (name, key)
+            assert all(0 <= n <= doc["pairs"] for n in wins.values()), (name, key)
         for side, traced in workload.get("traced", {}).items():  # optional per-layer data
             assert side in SIDES, (name, side)
             assert traced["correct"], (name, side)
@@ -64,16 +67,18 @@ def test_summary_counts_a_win_in_each_metric_direction():
     metrics = [{"name": "throughput_per_s", "better": "higher"},
                {"name": "latency_ms.p50", "better": "lower"}]
 
-    def run(throughput, latency):
+    def run(throughput, latency, unscaled_throughput=None):
         values = {"throughput_per_s": throughput, "latency_ms.p50": latency,
                   "ok_ratio": 1.0}
-        return {"scaled": values, "unscaled": values, "host_matches_refs": True,
+        unscaled = {**values, "throughput_per_s": unscaled_throughput or throughput}
+        return {"scaled": values, "unscaled": unscaled, "host_matches_refs": True,
                 "source_sha256": "0" * 64}
 
     runs = {"parent": [run(10.0, 5.0), run(10.0, 5.0), run(12.0, 4.0)],
-            "change": [run(11.0, 6.0), run(10.0, 4.0), run(13.0, 3.0)]}
+            "change": [run(11.0, 6.0, 9.0), run(10.0, 4.0, 11.0), run(13.0, 3.0, 11.0)]}
     summary = tool.summarize(runs, metrics)
     assert summary["wins"] == {"throughput_per_s": 2, "latency_ms.p50": 2}
+    assert summary["wins_unscaled"] == {"throughput_per_s": 1, "latency_ms.p50": 2}
     assert summary["parent"]["metrics"]["throughput_per_s"]["scaled"] == \
         {"q1": 10.0, "median": 10.0, "q3": 11.0}
     assert summary["change"]["ok_ratio"] == 1.0

@@ -171,17 +171,160 @@ def test_padded_adjoint_slices_match_one_grid_bit_for_bit(monkeypatch, kernel, s
         monkeypatch.undo()
 
 
+# (kernel, stride, padding, extent): DLA's deepest stages are 1x1 and 2x2 at
+# toy scale, where most taps of a padded kernel fall on the padding; at
+# 7-1-3 whole rows and columns of taps do up to a 3x3 extent.
+DEEP_GEOMETRIES = ([(k, s, p, hw) for k, s, p in ((3, 1, 1), (3, 2, 1), (1, 1, 0))
+                    for hw in (1, 2)] + [(7, 1, 3, hw) for hw in (1, 2, 3)])
+DEEP_IDS = ["%d-%d-k%d-%dx%d" % (p, s, k, hw, hw) for k, s, p, hw in DEEP_GEOMETRIES]
+
+
+def _with_specials(rng, a):
+    """``a`` with about a quarter of its entries set to +/-0.0, +/-inf or NaN."""
+    picked = rng.random(a.shape) < 0.25
+    a[picked] = rng.choice(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]), int(picked.sum()))
+    return a
+
+
+def _every_tap_col2im(cols, x, stride, padding):
+    """col2im as one add per tap of the kernel inside the unpadded result,
+    empty adds included: the tap table's adds plus the empty ones, so the
+    same bits, a NaN's sign included."""
+    kernel, oh, ow = cols.shape[2], cols.shape[4], cols.shape[5]
+    for i in range(kernel):
+        taps_r, x_r = ops._tap_reach(i, stride, padding, oh, x.shape[2])
+        for j in range(kernel):
+            taps_c, x_c = ops._tap_reach(j, stride, padding, ow, x.shape[3])
+            x[:, :, x_r, x_c] += cols[:, :, i, j, taps_r, taps_c]
+
+
+def _nan_signless(a):
+    """The bits of ``a`` with every NaN's sign bit cleared: numpy's in-place
+    add gives the first or the second operand's NaN by the length of its
+    inner loop, so a cell that sums NaNs of both signs on a padded grid may
+    differ from the same sum inside the result in that bit alone."""
+    a = np.ascontiguousarray(a)
+    bits = a.view(np.uint64).copy()
+    bits[np.isnan(a)] &= np.uint64(2**63 - 1)
+    return bits.tobytes()
+
+
+@pytest.mark.parametrize("kernel,stride,padding,hw", DEEP_GEOMETRIES, ids=DEEP_IDS)
+def test_deep_stage_col2im_matches_per_tap_loop_bit_for_bit(monkeypatch, kernel, stride,
+                                                            padding, hw):
+    # a quarter of the columns' and the adjoint operand's entries are
+    # +/-0.0, +/-inf or NaN, so some cells add inf - inf or NaNs of both signs
+    oh, ow = ir.window_out_hw(hw, hw, kernel, stride, padding)
+    rng = np.random.default_rng(kernel * 10 + hw)
+    cols = _with_specials(rng, rng.standard_normal((5, 3, kernel, kernel, oh, ow)))
+    z = _with_specials(rng, rng.standard_normal((5, 6, oh, ow)))
+    per_sample = z.itemsize * 3 * kernel * kernel * oh * ow  # column bytes of one sample
+    with np.errstate(invalid="ignore"):
+        got, every = np.zeros((5, 3, hw, hw)), np.zeros((5, 3, hw, hw))
+        ops._col2im(cols, got, stride, padding)
+        _every_tap_col2im(cols, every, stride, padding)
+        assert got.tobytes() == every.tobytes()
+        assert _nan_signless(got) == _nan_signless(_per_tap_col2im(cols, stride, padding,
+                                                                   (hw, hw)))
+        for groups in (1, 3):
+            weight = rng.standard_normal((6, 3 // groups, kernel, kernel))
+            grid = _one_grid_adjoint(z, weight, stride, padding, groups, (hw, hw))
+            for samples, blocks in ((1, 5), (2, 3), (5, 1)):
+                monkeypatch.setattr(ops, "_COL_BLOCK_BYTES", samples * per_sample)
+                ops._taps.cache_clear()
+                got = ops.conv_apply_adjoint(z, weight, stride, padding, groups, (hw, hw))
+                # one table, built by the first slice, serves every slice
+                assert ops._taps.cache_info()[:2] == (blocks - 1, 1)
+                monkeypatch.setattr(ops, "_col2im", _every_tap_col2im)
+                every = ops.conv_apply_adjoint(z, weight, stride, padding, groups, (hw, hw))
+                assert got.tobytes() == every.tobytes(), (groups, samples)
+                assert _nan_signless(got) == _nan_signless(grid), (groups, samples)
+                monkeypatch.undo()
+
+
+def _reached(i, stride, padding, out, size):
+    """(window positions, result cells) at which tap ``i`` lands inside an
+    axis of ``size`` cells, one window position at a time."""
+    hits = [(o, o * stride + i - padding) for o in range(out)
+            if 0 <= o * stride + i - padding < size]
+    return [o for o, _ in hits], [cell for _, cell in hits]
+
+
+def _expand(s, length):
+    return list(range(*s.indices(length)))
+
+
+@pytest.mark.parametrize("kernel,stride,padding,h,w",
+                         [(k, s, p, _grid_extent(k, s, p), _grid_extent(k, s, p) + 1)
+                          for k, s, p in KERNEL_GRID]
+                         + [(k, s, p, hw, hw) for k, s, p, hw in DEEP_GEOMETRIES],
+                         ids=KERNEL_GRID_IDS + DEEP_IDS)
+def test_tap_table_lists_exactly_the_taps_that_reach_the_result(kernel, stride, padding, h, w):
+    oh, ow = ir.window_out_hw(h, w, kernel, stride, padding)
+    want = []
+    for i in range(kernel):
+        taps_r, x_r = _reached(i, stride, padding, oh, h)
+        for j in range(kernel):
+            taps_c, x_c = _reached(j, stride, padding, ow, w)
+            if x_r and x_c:
+                want.append((i, j, taps_r, x_r, taps_c, x_c))
+    table = ops._taps(kernel, stride, padding, (oh, ow), (h, w))
+    assert [(i, j, _expand(tr, oh), _expand(xr, h), _expand(tc, ow), _expand(xc, w))
+            for i, j, tr, xr, tc, xc in table] == want
+    assert [(i, j) for i, j, *_ in table] == sorted((i, j) for i, j, *_ in table)
+
+
+def test_tap_table_of_a_padded_3x3_kernel_on_one_cell_is_its_centre():
+    assert [(i, j) for i, j, *_ in ops._taps(3, 1, 1, (1, 1), (1, 1))] == [(1, 1)]
+
+
+class _CountedAdds(np.ndarray):
+    """A view that counts the slice assignments, one per in-place add of
+    ``x[key] += ...``, made through it."""
+
+    adds = 0
+
+    def __setitem__(self, key, value):
+        type(self).adds += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("name,hw,seeds,adds,kernel_taps",
+                         [("DLA-34", 16, (7, 3, 1), 144, 240),
+                          ("DLA-X-102", 16, (1, 9, 1), 196, 340),
+                          ("DLA-169", 16, (11, 42, 1), 275, 547),
+                          ("decoder", 32, (8, 33, 5), 156, 188)])
+def test_col2im_adds_only_the_taps_that_reach_its_result(monkeypatch, name, hw, seeds, adds,
+                                                         kernel_taps):
+    """One 6-sample grad_check at the benchmark's toy-gradcheck point: the
+    adds col2im issues, counted without timing, are its tap tables' lengths,
+    fewer than the kernels' taps (one add per tap before the table)."""
+    col2im, tables, taps = ops._col2im, [0], [0]
+
+    def counted(cols, x, stride, padding):
+        tables[0] += len(ops._taps(cols.shape[2], stride, padding, cols.shape[4:],
+                                   x.shape[2:]))
+        taps[0] += cols.shape[2] * cols.shape[3]
+        col2im(cols, x.view(_CountedAdds), stride, padding)
+
+    monkeypatch.setattr(ops, "_col2im", counted)
+    monkeypatch.setattr(_CountedAdds, "adds", 0)
+    g = (build_toy_dense_decoder("DLA-34", 16, hw, num_classes=5) if name == "decoder"
+         else build_toy_classifier(name, 16, hw, num_classes=10))
+    init_seed, data_seed, check_seed = seeds
+    x = np.random.default_rng(data_seed).standard_normal((2, 3, hw, hw))
+    grad_check(g, init_params(g, init_seed), x, epsilon=1e-5, sample=6, seed=check_seed)
+    assert (_CountedAdds.adds, tables[0], taps[0]) == (adds, adds, kernel_taps)
+
+
 @pytest.mark.parametrize("factor", [2, 4, 6, 8, 16])
 def test_upsample_apply_matches_the_transposed_conv_bit_for_bit(factor):
     # Batches 1-3 and 24 (a probe pass's lanes); a quarter of the entries
     # are +/-0.0, +/-inf or NaN, so some cells also add inf - inf.
     rng = np.random.default_rng(factor)
-    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
     for h, w in ((1, 1), (3, 3), (2, 5), (4, 3)):
         for n in (1, 2, 3, 24):
-            x = rng.standard_normal((n, 3, h, w))
-            picked = rng.random(x.shape) < 0.25
-            x[picked] = rng.choice(specials, int(picked.sum()))
+            x = _with_specials(rng, rng.standard_normal((n, 3, h, w)))
             for weight in (ops.bilinear_upsample_weight(3, factor),
                            rng.standard_normal((3, 1, 2 * factor, 2 * factor))):
                 with np.errstate(invalid="ignore"):

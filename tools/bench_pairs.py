@@ -16,7 +16,8 @@ after every pair. Per workload and side it holds the median and quartiles
 of every end-to-end metric that ``BENCHMARK.json`` declares, scaled and
 unscaled (``bench/NOTES.md`` explains the host-speed scale; metrics that
 are not timings are the same in both), the lowest ``ok_ratio``, every
-run's values, and per metric the number of pairs the change won. After the
+run's values, and per metric the number of pairs the change won, on scaled
+values (``wins``) and on unscaled ones (``wins_unscaled``). After the
 pairs, one ``--trace 1`` run per side and workload, at seed 0, adds the
 per-layer metrics and the tracer's ``wrapper_self_check`` under the
 workload's ``traced`` key.
@@ -105,7 +106,8 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(runs: dict, metrics: list[dict]) -> dict:
     """Per side: quartiles of each metric, scaled and unscaled; per metric:
-    the pairs in which the change beat the parent."""
+    the pairs in which the change beat the parent, on scaled values
+    (``wins``) and on unscaled ones (``wins_unscaled``)."""
     out = {}
     for side in SIDES:
         side_runs = runs[side]
@@ -117,13 +119,13 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
                                     for kind in ("scaled", "unscaled")} for m in metrics},
             "runs": side_runs,
         }
-    wins = {}
-    for m in metrics:
-        sign = 1 if m["better"] == "higher" else -1
-        wins[m["name"]] = sum(
-            sign * (c["scaled"][m["name"]] - p["scaled"][m["name"]]) > 0
-            for p, c in zip(runs["parent"], runs["change"]))
-    out["wins"] = wins
+    for key, kind in (("wins", "scaled"), ("wins_unscaled", "unscaled")):
+        wins = {}
+        for m in metrics:
+            sign = 1 if m["better"] == "higher" else -1
+            wins[m["name"]] = sum(sign * (c[kind][m["name"]] - p[kind][m["name"]]) > 0
+                                  for p, c in zip(runs["parent"], runs["change"]))
+        out[key] = wins
     return out
 
 
