@@ -9,9 +9,9 @@ bit-identical results across runs.
 Each graph is compiled once, on its first execution, into a plan: one step
 per non-Input node in ``topo_order``, holding its id, ``KERNELS`` entry,
 attrs, input ids, and the values ``forward`` and a probe pass drop after
-it. ``forward``, ``backward`` and ``grad_check`` walk that plan (see
-``_plan``). Shapes, attributes and learnable-tensor shapes come from
-``ir.OPS``.
+it, and the per-sample shape of each graph output. ``forward``,
+``backward`` and ``grad_check`` walk that plan (see ``_plan``). Shapes,
+attributes and learnable-tensor shapes come from ``ir.OPS``.
 
 ``backward`` differentiates only what its ``wrt`` nodes sit at or upstream
 of. ``grad_check`` probes its sampled entries in groups of consecutive
@@ -22,10 +22,14 @@ inputs' ranges and the picks rooted at it. A pick in a node's range whose
 cone misses the node gives the node's tape value. Every reader of a
 reached value is reached too, so a value is dropped after its last reader
 in the graph unless it is a graph output. Each node's kernel runs once
-over all the lanes it carries. Only batch norm (per-lane statistics) and
-linear (one product per lane) see the lanes; every other kernel treats
-each sample alone, so a lane's bits equal those of a run at the plain
-batch. Two bounds keep a pass's memory down: a group holds at
+over all the lanes it carries. The first group's pass also makes the tape
+that ``backward`` and the other passes read: it walks the whole plan with
+the plain batch stacked as one more lane ahead of the pairs, and tapes
+that lane's part of each value and ``kept`` that ``forward`` would tape,
+so ``grad_check`` runs no separate forward. Only batch norm (per-lane
+statistics) and linear (one product per lane) see the lanes; every other
+kernel treats each sample alone, so a lane's bits equal those of a run at
+the plain batch. Two bounds keep a pass's memory down: a group holds at
 most ``_PROBE_GROUP`` picks, and convolutions build their im2col or col2im
 blocks a bounded slice of samples at a time, however many lanes they get
 (see ``ops``); an upsampling builds no blocks, only temporaries the size of
@@ -137,11 +141,22 @@ class Tape:
     aux: dict[NodeId, object]
 
 
-def _check_input_tensor(node, x: np.ndarray) -> None:
-    a = node.op.attrs
-    if x.ndim != 4 or x.shape[1:] != (a["channels"], a["height"], a["width"]):
-        raise ShapeMismatch("graph input expects (*, %d, %d, %d), got %s"
-                            % (a["channels"], a["height"], a["width"], x.shape))
+def _input_values(graph: Graph, inputs: Sequence[np.ndarray]) -> dict[NodeId, np.ndarray]:
+    """The graph inputs as float64 arrays by id. Raises ShapeMismatch unless
+    each fits the extents its Input node declares, at one batch size."""
+    if len(inputs) != len(graph.inputs):
+        raise ShapeMismatch("graph takes %d inputs, got %d"
+                            % (len(graph.inputs), len(inputs)))
+    values = {nid: np.asarray(x, dtype=np.float64) for nid, x in zip(graph.inputs, inputs)}
+    for nid, x in values.items():
+        a = graph.node(nid).op.attrs
+        if x.ndim != 4 or x.shape[1:] != (a["channels"], a["height"], a["width"]):
+            raise ShapeMismatch("graph input expects (*, %d, %d, %d), got %s"
+                                % (a["channels"], a["height"], a["width"], x.shape))
+    batches = {x.shape[0] for x in values.values()}
+    if len(batches) > 1:
+        raise ShapeMismatch("inputs disagree on batch size: %s" % sorted(batches))
+    return values
 
 
 def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
@@ -152,18 +167,10 @@ def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
     after its last consumer runs. Train mode normalizes with batch
     statistics (and by default refreshes the running ones); Eval mode uses
     running statistics and produces a tape that backward will refuse."""
-    if len(inputs) != len(graph.inputs):
-        raise ShapeMismatch("graph takes %d inputs, got %d"
-                            % (len(graph.inputs), len(inputs)))
-    values = {nid: np.asarray(x, dtype=np.float64) for nid, x in zip(graph.inputs, inputs)}
-    for nid, x in values.items():
-        _check_input_tensor(graph.node(nid), x)
-    batches = {x.shape[0] for x in values.values()}
-    if len(batches) > 1:
-        raise ShapeMismatch("inputs disagree on batch size: %s" % sorted(batches))
+    values = _input_values(graph, inputs)
     aux: dict[NodeId, object] = {}
     tensors = params.tensors
-    for nid, kernels, attrs, inputs, drops, _ in _plan(graph):
+    for nid, kernels, attrs, inputs, drops, _ in _plan(graph).steps:
         values[nid], kept = kernels.forward(attrs, tensors.get(nid),
                                             [values[i] for i in inputs],
                                             mode, update_running, 1)
@@ -180,10 +187,15 @@ class Kernels(NamedTuple):
     learnable tensors ``p`` (None if it owns none) first, and look ``ops``
     functions up when they run, so a wrapper put on the module takes effect.
 
-    ``forward`` gets the number of probe lanes stacked on the batch axis
-    (see ``grad_check``) and runs once over all of them; one that reduces
-    over the batch axis does so per lane, and one that builds im2col or
-    col2im blocks leaves their size to the sample slices in ``ops``.
+    ``forward`` gets the number of lanes stacked on the batch axis (see
+    ``_probe_group``) and runs once over all of them; one that reduces over
+    the batch axis does so per lane, and one that builds im2col or col2im
+    blocks leaves their size to the sample slices in ``ops``. ``base_kept``
+    takes a ``kept`` of such a run and the batch ``n`` of one lane, and
+    gives the ``kept`` of the first lane alone, which a run at batch ``n``
+    returns: ``grad_check``'s first probe pass stacks the plain batch
+    there and tapes it. It is None where ``kept`` holds nothing per sample
+    or per lane.
     ``backward`` gets whether the first input's gradient and the tensors'
     gradients are wanted; a kernel may skip what is not, and returns None
     or {} for it.
@@ -200,6 +212,7 @@ class Kernels(NamedTuple):
     backward: Callable  # (a, p, gy, xs, y, kept, want_x, want_p)
     #                     -> ([grad per input], {tensor: grad})
     reads: str | None = None
+    base_kept: Callable | None = None  # (kept, n) -> the first lane's kept
 
 
 INPUTS, OUTPUT = "inputs", "output"  # values of Kernels.reads
@@ -253,6 +266,11 @@ def _max_pool(a, p, xs, *_):
     return y, (winner, xs[0].shape)
 
 
+def _max_pool_base(kept, n):  # a copy: the aux entry outlives the stacked winners
+    winner, x_shape = kept
+    return winner[:n].copy(), (n,) + x_shape[1:]
+
+
 def _max_pool_grad(a, p, gy, xs, y, kept, *_):
     winner, x_shape = kept
     return [ops.maxpool_grad(gy, winner, x_shape, a["kernel"], a["stride"])], {}
@@ -296,13 +314,15 @@ def _upsample_grad(a, p, gy, xs, y, kept, want_x, want_p):
 
 KERNELS: dict[OpKind, Kernels] = {
     OpKind.CONV: Kernels(_conv, _conv_grad, INPUTS),
-    OpKind.BATCH_NORM: Kernels(_batch_norm, _batch_norm_grad, INPUTS),
+    OpKind.BATCH_NORM: Kernels(_batch_norm, _batch_norm_grad, INPUTS,
+                               lambda kept, n: tuple(stat[:1] for stat in kept)),
     OpKind.RELU: Kernels(lambda a, p, xs, *_: (np.maximum(xs[0], 0.0), None),
                          lambda a, p, gy, xs, y, *_: ([gy * (y > 0.0)], {}), OUTPUT),
-    OpKind.MAX_POOL: Kernels(_max_pool, _max_pool_grad),
+    OpKind.MAX_POOL: Kernels(_max_pool, _max_pool_grad, None, _max_pool_base),
     OpKind.GLOBAL_AVG_POOL: Kernels(
         lambda a, p, xs, *_: (ops.global_avg_pool(xs[0]), xs[0].shape),
-        lambda a, p, gy, xs, y, x_shape, *_: ([ops.global_avg_pool_grad(gy, x_shape)], {})),
+        lambda a, p, gy, xs, y, x_shape, *_: ([ops.global_avg_pool_grad(gy, x_shape)], {}),
+        None, lambda x_shape, n: (n,) + x_shape[1:]),
     OpKind.LINEAR: Kernels(
         lambda a, p, xs, mode, update_running, lanes: (
             ops.linear_apply(xs[0], p["weight"], p.get("bias"), lanes), None),
@@ -333,15 +353,22 @@ class _Step(NamedTuple):
     frees: tuple[NodeId, ...]  # the values a probe pass drops once this node has run
 
 
-_PLANS: dict[int, tuple[_Step, ...]] = {}  # by graph identity, while the graph lives
+class _Plan(NamedTuple):
+    steps: tuple[_Step, ...]
+    output_shapes: tuple[tuple[int, int, int], ...]  # per sample, per graph output
 
 
-def _plan(graph: Graph) -> tuple[_Step, ...]:
+_PLANS: dict[int, _Plan] = {}  # by graph identity, while the graph lives
+
+
+def _plan(graph: Graph) -> _Plan:
     """The graph's plan, built on its first execution and shared by every
     later one. ``Graph`` cannot be hashed, so the cache is keyed by
     identity, and its entry goes when the graph does.
 
-    One step per non-Input node in ``topo_order``. Its ``frees`` are the
+    One step per non-Input node in ``topo_order``, and the (C, H, W) of
+    each graph output, from which ``grad_check`` draws its contraction
+    before it runs the graph. Its ``frees`` are the
     values it is the last to read (its own if none reads it), graph outputs
     excepted; ``_probe_group`` drops them once it has run. ``forward``
     drops those of them that the tape does not keep, in ``drops``. A value
@@ -350,14 +377,16 @@ def _plan(graph: Graph) -> tuple[_Step, ...]:
     takes two or more inputs: ``_probe_group`` reads such an input from the
     tape in the pairs its range lacks."""
     key = id(graph)
-    steps = _PLANS.get(key)
-    if steps is not None:
-        return steps
+    plan = _PLANS.get(key)
+    if plan is not None:
+        return plan
     outputs = set(graph.outputs)
     keep = set(graph.inputs)
     last: dict[NodeId, NodeId] = {}
+    shapes: list[ir.TensorShape] = []
     for node in graph.nodes:
         nid, inputs = node.id, node.inputs
+        shapes.append(ir.infer_node_shape(node.op, [shapes[i] for i in inputs]))
         last[nid] = nid
         for i in inputs:
             last[i] = nid
@@ -375,13 +404,15 @@ def _plan(graph: Graph) -> tuple[_Step, ...]:
             frees.setdefault(consumer, []).append(i)
             if i not in keep:
                 drops.setdefault(consumer, []).append(i)
-    steps = _PLANS[key] = tuple(
+    steps = tuple(
         _Step(nid, KERNELS[node.op.kind], node.op.attrs, node.inputs,
               tuple(drops.get(nid, ())), tuple(frees.get(nid, ())))
         for nid in topo_order(graph)
         if (node := graph.nodes[nid]).op.kind is not OpKind.INPUT)
+    plan = _PLANS[key] = _Plan(steps, tuple((shapes[o].channels, shapes[o].height,
+                                             shapes[o].width) for o in graph.outputs))
     weakref.finalize(graph, _PLANS.pop, key, None)
-    return steps
+    return plan
 
 
 def backward(graph: Graph, params: ParamStore, tape: Tape,
@@ -405,7 +436,7 @@ def backward(graph: Graph, params: ParamStore, tape: Tape,
     if not wrt.issubset(range(len(graph))):
         raise ValueError("wrt names nodes the graph does not have: %s"
                          % sorted(wrt.difference(range(len(graph)))))
-    steps = _plan(graph)
+    steps = _plan(graph).steps
     # one pass in plan order marks all downstream of wrt; an Input is active
     # only if listed
     active = [False] * len(graph.nodes)
@@ -510,7 +541,8 @@ _PROBE_GROUP = 6  # picks per probe pass: the widest that kept the heap peak dow
 
 
 def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
-                 group: Sequence[tuple[NodeId, str, np.ndarray, int]], epsilon: float
+                 group: Sequence[tuple[NodeId, str, np.ndarray, int]], epsilon: float,
+                 fill: bool = False
                  ) -> tuple[dict[NodeId, np.ndarray], dict[NodeId, tuple[int, int]]]:
     """The probe pass of ``group``, picks given as (node, tensor name, tensor,
     flat offset) in pick order, so in ascending node order.
@@ -522,25 +554,45 @@ def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
     inputs' lanes, an input giving its tape value in the pairs its range
     lacks. A pick in the range whose cone misses the node gives the node's
     tape value. Returns the values still held at the end, which are the
-    graph outputs some cone holds, and each reached node's range."""
+    graph outputs some cone holds, and each reached node's range.
+
+    With ``fill``, ``tape`` holds only the graph inputs, and the pass fills
+    it in the same walk, as ``forward`` at ``update_running=False`` would:
+    it starts at the plan's first step and stacks the plain batch as one
+    lane ahead of every value's pairs, so each node runs once over the
+    plain batch and its upstream pairs, at the plain batch alone where it
+    carries no pick, and its plain lane stands in for the tape value. Each
+    node tapes its kernel's ``kept`` (``base_kept`` of a stacked run's),
+    and the plain lane of each value ``forward`` keeps once the pass drops
+    the value, or at the end for a graph output."""
     rooted: dict[NodeId, list[int]] = {}
     for k, (nid, *_) in enumerate(group):
         rooted.setdefault(nid, []).append(k)
-    steps = _plan(graph)
-    values: dict[NodeId, np.ndarray] = {}
+    steps = _plan(graph).steps
+    n = len(tape.values[graph.inputs[0]])
+    plain = int(fill)  # plain lanes ahead of the pairs
+    values: dict[NodeId, np.ndarray] = dict(tape.values) if fill else {}
     ranges: dict[NodeId, tuple[int, int]] = {}
+
+    def tape_value(i: NodeId) -> np.ndarray:
+        return values[i][:n] if fill else tape.values[i]
+
+    def plain_lane(i: NodeId) -> np.ndarray:  # what forward tapes, in its own array
+        v = values[i]
+        return v if len(v) == n else v[:n].copy()
 
     def lanes_of(i: NodeId, lo: int, hi: int) -> np.ndarray:
         own_lo, own_hi = ranges.get(i, (hi, hi))
         if own_lo == lo and own_hi == hi:
             return values[i]
-        t = tape.values[i]
-        held = (values[i],) if i in ranges else ()
-        return np.concatenate((t,) * (2 * (own_lo - lo)) + held + (t,) * (2 * (hi - own_hi)))
+        t = tape_value(i)
+        held = (values[i][plain * n:],) if i in ranges else ()
+        return np.concatenate((t,) * (plain + 2 * (own_lo - lo)) + held
+                              + (t,) * (2 * (hi - own_hi)))
 
     # ids ascend along every edge, so no step before the first root is reached
-    for nid, kernels, attrs, inputs, _, frees in steps[
-            bisect.bisect_left(steps, group[0][0], key=lambda s: s.id):]:
+    start = 0 if fill else bisect.bisect_left(steps, group[0][0], key=lambda s: s.id)
+    for nid, kernels, attrs, inputs, drops, frees in steps[start:]:
         here = rooted.get(nid, ())
         spans = [ranges[i] for i in inputs if i in ranges]
         if spans:  # the upstream lanes are picks lo..mid-1
@@ -548,14 +600,22 @@ def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
             mid = here[0] if here else max(span[1] for span in spans)
         elif here:
             lo = mid = here[0]
+        elif fill:  # no pick: the plain lane alone
+            lo = mid = 0
         else:
             continue
         run, p = kernels.forward, params.tensors.get(nid)
         parts = []
-        if lo < mid:
-            parts.append(run(attrs, p, [lanes_of(i, lo, mid) for i in inputs],
-                             Mode.TRAIN, False, 2 * (mid - lo))[0])
-        xs = [tape.values[i] for i in inputs] if here else None
+        if plain or lo < mid:
+            lanes = plain + 2 * (mid - lo)
+            y, kept = run(attrs, p, [lanes_of(i, lo, mid) for i in inputs],
+                          Mode.TRAIN, False, lanes)
+            parts.append(y)
+            if fill and kept is not None:
+                base_kept = kernels.base_kept
+                tape.aux[nid] = kept if lanes == 1 or base_kept is None else base_kept(kept, n)
+            del y, kept  # a stacked kept goes now
+        xs = [tape_value(i) for i in inputs] if here else None
         for k in here:
             _, _, arr, offset = group[k]
             original = arr.flat[offset]
@@ -564,9 +624,17 @@ def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
                 parts.append(run(attrs, p, xs, Mode.TRAIN, False, 1)[0])
             arr.flat[offset] = original
         values[nid] = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        ranges[nid] = (lo, mid + len(here))
+        if lo < mid or here:
+            ranges[nid] = (lo, mid + len(here))
+        xs = None  # views of values that may go now
         for i in frees:  # every reader of a reached value is reached
+            if fill and i not in drops:  # forward tapes it
+                tape.values[i] = plain_lane(i)
             values.pop(i, None)
+    if fill:
+        for o in graph.outputs:
+            tape.values[o] = plain_lane(o)
+        values = {o: values[o][n:] for o in graph.outputs if o in ranges}
     return values, ranges
 
 
@@ -582,9 +650,11 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     Each +/-epsilon pair re-evaluates only the downstream cone of the node
     that owns the perturbed parameter, as two lanes of a pass shared by up
     to ``_PROBE_GROUP`` consecutive picks (see ``_probe_group``), and reads
-    every other activation from the first forward's tape; that gives the
-    same bits as two full forwards. The backward pass differentiates only
-    with respect to the sampled nodes.
+    every other activation from the tape; that gives the same bits as two
+    full forwards. The first group's pass runs the whole plan with the
+    plain batch as one more lane and makes that tape, bit for bit
+    ``forward``'s, so no separate forward runs. The backward pass
+    differentiates only with respect to the sampled nodes.
     Raises ValueError for ``sample < 1``, an ``epsilon`` that is not finite
     and positive, a negative or NaN ``tolerance``, or parameters with no
     learnable entry."""
@@ -600,11 +670,12 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
         raise ValueError("the graph has no learnable parameters to check")
     total = ends[-1]
     rng = np.random.default_rng(seed)
-    outputs, tape = forward(graph, params, [x], Mode.TRAIN, update_running=False)
+    tape = Tape(graph, Mode.TRAIN, _input_values(graph, [x]), {})
+    n = len(tape.values[graph.inputs[0]])
     # Keep the contracted scalar small: central differences carry an
     # absolute roundoff of about |loss| * 1e-16 / epsilon, and that noise
     # must stay below the 1e-8 floor of the relative-error denominator.
-    contraction = [rng.standard_normal(o.shape) for o in outputs]
+    contraction = [rng.standard_normal((n,) + shape) for shape in _plan(graph).output_shapes]
     norm = np.sqrt(sum(float(np.vdot(c, c)) for c in contraction))
     contraction = [c * (0.01 / norm) for c in contraction]
     picks = sorted(rng.choice(total, size=min(sample, total), replace=False).tolist())
@@ -613,8 +684,10 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
         slot = bisect.bisect_right(ends, pick)
         nid, name, arr = flat[slot]
         located.append((nid, name, arr, pick - (ends[slot] - arr.size)))
+    groups = [located[start:start + _PROBE_GROUP]
+              for start in range(0, len(located), _PROBE_GROUP)]
+    first = _probe_group(graph, params, tape, groups[0], epsilon, fill=True)
     pgrads, _ = backward(graph, params, tape, contraction, wrt={nid for nid, *_ in located})
-    n = tape.values[graph.inputs[0]].shape[0]
 
     def loss(values: dict[NodeId, np.ndarray], ranges: dict[NodeId, tuple[int, int]],
              pick: int, lane: int) -> float:
@@ -627,9 +700,8 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
         return float(sum(np.vdot(g, output(o)) for g, o in zip(contraction, graph.outputs)))
 
     entries: list[GradCheckEntry] = []
-    for start in range(0, len(located), _PROBE_GROUP):
-        group = located[start:start + _PROBE_GROUP]
-        values, ranges = _probe_group(graph, params, tape, group, epsilon)
+    for i, group in enumerate(groups):
+        values, ranges = _probe_group(graph, params, tape, group, epsilon) if i else first
         for k, (nid, name, arr, offset) in enumerate(group):
             numeric = (loss(values, ranges, k, 0) - loss(values, ranges, k, 1)) / (2.0 * epsilon)
             node_grads = pgrads.get(nid, {})

@@ -26,3 +26,13 @@ def naive_conv2d(x, w, bias, stride, padding, groups):
             if bias is not None:
                 out[b, o] += bias[o]
     return out
+
+
+def kept_bits(kept):
+    """A tape value or a kernel's kept as comparable bits: every array by
+    its shape, dtype and bytes, every sequence by its type and items."""
+    if isinstance(kept, np.ndarray):
+        return kept.shape, kept.dtype.str, kept.tobytes()
+    if isinstance(kept, (tuple, list)):
+        return type(kept).__name__, [kept_bits(k) for k in kept]
+    return kept

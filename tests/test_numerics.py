@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import naive_conv2d
+from conftest import kept_bits, naive_conv2d
 
 from dlagraph import graphdoc, ir
 from dlagraph.aggregation import AggNodeSpec, build_aggregation_node
@@ -359,7 +359,7 @@ def test_forward_conv_columns_fit_the_block_budget(monkeypatch):
 def test_probe_pass_columns_fit_the_block_budget(monkeypatch):
     """grad_check on the toy decoder at its benchmark point: every column
     block it builds, im2col or col2im, fits the budget or holds one sample,
-    and the call peaks at about 6.9 MiB of heap. The bound fails with a
+    and the call peaks at about 6.6 MiB of heap. The bound fails with a
     2 MiB budget (9.2 MiB) and with upsamplings that scatter their column
     blocks onto padded grids (7.75 MiB). Upsamplings that go through
     conv_apply_adjoint without a padded grid peak no higher, so a forward
@@ -394,6 +394,34 @@ def test_probe_pass_columns_fit_the_block_budget(monkeypatch):
     scattered.clear()
     forward(g, params, [x], Mode.TRAIN, update_running=False)
     assert scattered == []
+
+
+@pytest.mark.parametrize("name, hw, point, sample, bound_mib", [
+    ("DLA-34", 16, (7, 3, 1), 6, 2.37),  # 2.26 MiB (1.98 with a separate forward)
+    ("DLA-X-102", 16, (1, 9, 1), 6, 2.38),  # 2.27 (2.18)
+    ("DLA-169", 16, (11, 42, 1), 6, 2.39),  # 2.27 (2.37)
+    ("decoder", 32, (8, 33, 5), 6, 6.92),  # 6.59 (6.83)
+    ("DLA-34", 16, (7, 3, 1), 200, 4.40),  # 4.20 (4.33)
+], ids=["DLA-34", "DLA-X-102", "DLA-169", "decoder", "DLA-34-200"])
+def test_grad_check_heap_peak_is_bounded(name, hw, point, sample, bound_mib):
+    """The tracemalloc peak of one grad_check at the benchmark's
+    toy-gradcheck points, and at 200 samples on toy DLA-34, stays within
+    5% of its measured value (in the comments, with the peak when a
+    separate forward made the tape). The plan is built by a one-sample
+    check first, outside the trace."""
+    g = (build_toy_dense_decoder("DLA-34", 16, hw, num_classes=5) if name == "decoder"
+         else build_toy_classifier(name, 16, hw, num_classes=10))
+    init_seed, data_seed, check_seed = point
+    params = init_params(g, init_seed)
+    x = np.random.default_rng(data_seed).standard_normal((2, 3, hw, hw))
+    grad_check(g, params, x, sample=1, seed=check_seed)
+    tracemalloc.start()
+    try:
+        grad_check(g, params, x, sample=sample, seed=check_seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, "heap peak %.3f MiB" % (peak / 2**20)
 
 
 def test_forward_conv_slices_match_one_block_bit_for_bit(monkeypatch):
@@ -875,7 +903,9 @@ def test_probe_pass_holds_only_the_graph_outputs_its_cones_reach():
 def test_probe_pass_runs_each_conv_node_once_over_its_upstream_lanes(monkeypatch):
     """In a probe pass, a conv node runs once over the lanes of every pick
     rooted upstream whose cone holds it, and twice per pick rooted at it:
-    no path splits a node's lanes over several calls."""
+    no path splits a node's lanes over several calls. The first pass runs
+    every conv once over the plain batch and its upstream lanes, and twice
+    per pick rooted at it; no forward runs besides."""
     g = build_toy_classifier("DLA-34", 16, 16, num_classes=10)
     params = init_params(g, 7)
     x = np.random.default_rng(3).standard_normal((2, 3, 16, 16))
@@ -892,24 +922,25 @@ def test_probe_pass_runs_each_conv_node_once_over_its_upstream_lanes(monkeypatch
         calls.append(owner[id(w)])
         return conv_apply(x, w, *args)
 
-    def recorded(graph, params, tape, group, epsilon):
-        calls.clear()  # made before this pass: by the first forward or the last pass
-        result = probe_group(graph, params, tape, group, epsilon)
-        passes.append(([nid for nid, *_ in group], list(calls)))
+    def recorded(graph, params, tape, group, epsilon, fill=False):
+        calls.clear()  # made before this pass: by backward or the last pass
+        result = probe_group(graph, params, tape, group, epsilon, fill)
+        passes.append(([nid for nid, *_ in group], fill, list(calls)))
         return result
 
     monkeypatch.setattr(ops, "conv_apply", counted)
     monkeypatch.setattr(executor, "_probe_group", recorded)
     grad_check(g, params, x, sample=24, seed=1)
-    assert len(passes) == 4
+    assert [fill for _, fill, _ in passes] == [True, False, False, False]
     kinds = set()
-    for roots, pass_calls in passes:
+    for roots, fill, pass_calls in passes:
         for nid in owner.values():
             upstream = any(nid in below[root] for root in roots)
-            want = upstream + 2 * roots.count(nid)
+            want = (fill or upstream) + 2 * roots.count(nid)
             assert pass_calls.count(nid) == want, (roots, nid)
-            kinds.add((upstream, nid in roots))
-    assert kinds == {(False, False), (True, False), (False, True), (True, True)}
+            kinds.add((fill, upstream, nid in roots))
+    assert {kind[1:] for kind in kinds if not kind[0]} == {
+        (False, False), (True, False), (False, True), (True, True)}
 
 
 
@@ -973,15 +1004,15 @@ def test_probe_pass_gives_the_tape_value_in_a_pair_whose_cone_misses_the_node():
 
 @pytest.mark.parametrize("build, hw, point, sample, elements, calls", [
     (lambda: build_toy_classifier("DLA-34", 16, 16, num_classes=10), 16, (7, 3, 1), 6,
-     104928, 77),
+     104928, 45),
     (lambda: build_toy_classifier("DLA-X-102", 16, 16, num_classes=10), 16, (1, 9, 1), 6,
-     139424, 213),
+     139424, 113),
     (lambda: build_toy_classifier("DLA-169", 16, 16, num_classes=10), 16, (11, 42, 1), 6,
-     145472, 339),
+     145472, 176),
     (lambda: build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5), 32, (8, 33, 5), 6,
-     385888, 81),
+     385888, 56),
     (lambda: build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5), 32, (8, 33, 5), 200,
-     10140192, 853),
+     10140192, 811),
 ], ids=["DLA-34", "DLA-X-102", "DLA-169", "decoder", "decoder-200"])
 def test_grad_check_conv_work_is_pinned(monkeypatch, build, hw, point, sample, elements,
                                         calls):
@@ -990,7 +1021,10 @@ def test_grad_check_conv_work_is_pinned(monkeypatch, build, hw, point, sample, e
     at its 6 samples, and at 200 for the decoder. A probe layout that runs
     lanes a node does not need, or splits a node's lanes over several
     calls, moves them: the decoder at 200 samples runs 1.8% more conv
-    elements if every node carries the lanes of all earlier picks."""
+    elements if every node carries the lanes of all earlier picks. The
+    first pass makes the tape with the plain batch as one more lane, so
+    the elements are those of a separate forward and the passes, in fewer
+    calls (77, 213, 339, 81 and 853 with a separate forward)."""
     g = build()
     init_seed, data_seed, check_seed = point
     params = init_params(g, init_seed)
@@ -1104,6 +1138,92 @@ def test_train_tape_keeps_only_what_backward_and_grad_check_read(name):
     _, tape = forward(g, init_params(g, 0), [x], Mode.TRAIN, update_running=False)
     assert set(tape.values) == want
     assert len(want) < len(g)
+
+
+FIRST_PASS_NETS = {"join": (join_net, 6), "gap": (gap_net, 6),
+                   "two-output": (two_output_net, 6), "dead-end": (dead_end_net, 16)}
+
+
+@pytest.mark.parametrize("name", catalog_names() + ("decoder",) + tuple(FIRST_PASS_NETS))
+def test_first_probe_pass_tapes_what_forward_tapes_bit_for_bit(name):
+    """The first probe pass, run with the plain batch as one more lane,
+    fills the tape: every value and every kernel's kept (batch-norm
+    statistics shaped (1, C, 1, 1), max-pool winners and shapes,
+    global-pool shapes, concat widths) equals that of a plain forward, and
+    backward over it gives the same gradient bytes. The group starts at the
+    first learnable node, so every kernel below it runs stacked."""
+    if name == "decoder":
+        g, hw = build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5), 32
+    elif name in FIRST_PASS_NETS:
+        build, hw = FIRST_PASS_NETS[name]
+        g = build()
+    else:
+        g, hw = build_toy_classifier(name, 16, 16, num_classes=10), 16
+    params = init_params(g, 3)
+    x = np.random.default_rng(4).standard_normal((2, 3, hw, hw))
+    entries = list(params.learnable_entries())
+    first = entries[0]
+    group = [first + (0,), first + (first[2].size - 1,)] + [
+        entries[k] + (0,) for k in sorted({len(entries) // 3, 2 * len(entries) // 3,
+                                           len(entries) - 1} - {0})]
+    tape = executor.Tape(g, Mode.TRAIN, {g.inputs[0]: x}, {})
+    executor._probe_group(g, params, tape, group, 1e-5, fill=True)
+    outputs, want = forward(g, params, [x], Mode.TRAIN, update_running=False)
+    assert {nid: kept_bits(v) for nid, v in tape.values.items()} == \
+        {nid: kept_bits(v) for nid, v in want.values.items()}
+    assert {nid: kept_bits(k) for nid, k in tape.aux.items()} == \
+        {nid: kept_bits(k) for nid, k in want.aux.items()}
+    kinds = {g.nodes[nid].op.kind for nid in want.aux}
+    if name in catalog_names():
+        assert kinds == {OpKind.BATCH_NORM, OpKind.MAX_POOL, OpKind.GLOBAL_AVG_POOL,
+                         OpKind.CONCAT}
+    gys = [np.random.default_rng(5).standard_normal(o.shape) for o in outputs]
+    wrt = {nid for nid, *_ in entries} | set(g.inputs)
+    got_grads, got_inputs = backward(g, params, tape, gys, wrt)
+    want_grads, want_inputs = backward(g, params, want, gys, wrt)
+    assert _bytes(got_grads) == _bytes(want_grads)
+    assert {i: v.tobytes() for i, v in got_inputs.items()} == \
+        {i: v.tobytes() for i, v in want_inputs.items()}
+
+
+def _entry_bits(e):
+    return e.node_id, e.name, e.index, e.analytic.hex(), e.numeric.hex(), e.rel_error.hex()
+
+
+def test_grad_check_runs_no_forward_and_keeps_its_input_checks(monkeypatch):
+    """grad_check runs no forward, and still rejects what forward rejects
+    before any probe: a graph with two inputs and an input of the wrong
+    shape raise ShapeMismatch; an integer input gives the report of its
+    float64 copy, bit for bit."""
+    g = simple_net()
+    params = init_params(g, 5)
+    xval = np.random.default_rng(2).integers(-3, 4, (2, 4, 8, 8))
+    probes = []
+    probe_group = executor._probe_group
+
+    def recorded(*args, **kwargs):
+        probes.append(args[3])
+        return probe_group(*args, **kwargs)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("grad_check ran forward")
+
+    monkeypatch.setattr(executor, "_probe_group", recorded)
+    monkeypatch.setattr(executor, "forward", no_forward)
+    report = grad_check(g, params, xval, sample=20, seed=3)
+    assert probes
+    again = grad_check(g, params, xval.astype(np.float64), sample=20, seed=3)
+    assert [_entry_bits(e) for e in report.entries] == [_entry_bits(e) for e in again.entries]
+    probes.clear()
+    with pytest.raises(ShapeMismatch, match="expects"):
+        grad_check(g, params, xval[:, :3], sample=20, seed=3)
+    b = GraphBuilder()
+    left, right = b.add_input(TensorShape(4, 8, 8)), b.add_input(TensorShape(4, 8, 8))
+    b.mark_output(b.add(ir.conv(1, 1, 0, 4, 2), [b.add(ir.add(), [left, right])]))
+    two = b.build()
+    with pytest.raises(ShapeMismatch, match="takes 2 inputs"):
+        grad_check(two, init_params(two, 5), xval, sample=20, seed=3)
+    assert probes == []
 
 
 def test_a_graph_is_planned_once_and_its_plan_dies_with_it(monkeypatch):

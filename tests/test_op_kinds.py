@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+from conftest import kept_bits
+
 from dlagraph import ir
 from dlagraph.graphdoc import to_dot
 from dlagraph.ir import GraphBuilder, OpKind, TensorShape, UpsampleMode
@@ -87,3 +89,30 @@ def test_each_backward_reads_only_the_values_its_kind_declares(upsample_mode):
             node.op.attrs, p, gy, xs if kernels.reads == executor.INPUTS else [None] * len(xs),
             y if kernels.reads == executor.OUTPUT else None, kept, True, True)
         assert _bits(declared) == _bits(full), node.op.kind
+
+
+@pytest.mark.parametrize("upsample_mode", list(UpsampleMode), ids=lambda m: m.value)
+def test_each_kinds_base_kept_is_the_plain_forwards_kept(upsample_mode):
+    """Every forward runs over three lanes stacked on the batch axis, the
+    plain batch first, and its kind's ``base_kept`` of that run's kept
+    equals the kept of a plain run, bit for bit, as does the first lane of
+    the value: a kind that keeps something per sample or per lane and
+    declares no slice fails here."""
+    graph = every_kind_graph(upsample_mode)
+    params = executor.init_params(graph, 1)
+    rng = np.random.default_rng(3)
+    values = {graph.inputs[0]: rng.standard_normal((2, 4, 8, 8))}
+    kinds = set()
+    for node in graph.nodes[1:]:
+        kernels = executor.KERNELS[node.op.kind]
+        p, xs = params.tensors.get(node.id), [values[i] for i in node.inputs]
+        y, kept = kernels.forward(node.op.attrs, p, xs, executor.Mode.TRAIN, False, 1)
+        stacked = [np.concatenate([x, rng.standard_normal(x.shape), rng.standard_normal(x.shape)])
+                   for x in xs]
+        y3, kept3 = kernels.forward(node.op.attrs, p, stacked, executor.Mode.TRAIN, False, 3)
+        base = kept3 if kernels.base_kept is None else kernels.base_kept(kept3, len(y))
+        assert kept_bits(base) == kept_bits(kept), node.op.kind
+        assert y3[:len(y)].tobytes() == y.tobytes(), node.op.kind
+        values[node.id] = y
+        kinds.add(node.op.kind)
+    assert kinds == set(executor.KERNELS)
