@@ -6,44 +6,43 @@ not a performance runtime: identical (graph, seed, input) triples produce
 bit-identical results across runs.
 
 ``KERNELS`` holds each op kind's forward and backward next to each other.
-Each graph is compiled once, on its first execution, into a plan: one step
-per non-Input node in ``topo_order``, holding its id, ``KERNELS`` entry,
-attrs, input ids, and the values ``forward`` and a probe pass drop after
-it, and the per-sample shape of each graph output. ``forward``,
-``backward`` and ``grad_check`` walk that plan (see ``_plan``). Shapes,
-attributes and learnable-tensor shapes come from ``ir.OPS``.
+Each graph is compiled once, on its first execution, into a plan (see
+``_plan``). Shapes, attributes and learnable-tensor shapes come from
+``ir.OPS``. One walk of the plan, ``_walk``, runs every forward kernel, and
+``forward`` is that walk with no picks. ``backward`` walks the plan in
+reverse and differentiates only what its ``wrt`` nodes sit at or upstream
+of.
 
-``backward`` differentiates only what its ``wrt`` nodes sit at or upstream
-of. ``grad_check`` probes its sampled entries in groups of consecutive
-picks, one pass per group over the union of their downstream cones. Each
-value the pass reaches carries one range of picks: a +/-epsilon pair of
-lanes per pick, stacked on the batch axis in pick order, spanning its
-inputs' ranges and the picks rooted at it. A pick in a node's range whose
-cone misses the node gives the node's tape value. Every reader of a
-reached value is reached too, so a value is dropped after its last reader
-in the graph unless it is a graph output. Each node's kernel runs once
-over all the lanes it carries. The first group's pass also makes the tape
-that ``backward`` and the other passes read: it walks the whole plan with
-the plain batch stacked as one more lane ahead of the pairs, and tapes
-that lane's part of each value and ``kept`` that ``forward`` would tape,
-so ``grad_check`` runs no separate forward. Only batch norm (per-lane
-statistics) and linear (one product per lane) see the lanes; every other
-kernel treats each sample alone, so a lane's bits equal those of a run at
-the plain batch. Two bounds keep a pass's memory down: a group holds at
-most ``_PROBE_GROUP`` picks, and convolutions build their im2col or col2im
-blocks a bounded slice of samples at a time, however many lanes they get
-(see ``ops``); an upsampling builds no blocks, only temporaries the size of
-its result.
+``grad_check`` probes its sampled entries in groups of consecutive picks,
+one walk per group over the union of their downstream cones. Each value
+the walk reaches carries one range of picks: a +/-epsilon pair of lanes
+per pick, stacked on the batch axis in pick order, spanning its inputs'
+ranges and the picks rooted at it. A pick in a node's range whose cone
+misses the node gives the node's tape value. Every reader of a reached
+value is reached too, so a value is dropped after its last reader in the
+graph unless it is a graph output. Each node's kernel runs once over all
+the lanes it carries. The first group's walk also fills the tape that
+``backward`` and the other walks read, as ``forward``'s does: it walks the
+whole plan with the plain batch stacked as one more lane ahead of the
+pairs and tapes that lane, so ``grad_check`` runs no separate forward. Only
+batch norm (per-lane statistics) and linear (one product per lane) see the
+lanes; every other kernel treats each sample alone, so a lane's bits equal
+those of a run at the plain batch. Two bounds keep a walk's memory down: a
+group holds at most ``_PROBE_GROUP`` picks, and convolutions build their
+im2col or col2im blocks a bounded slice of samples at a time, however many
+lanes they get (see ``ops``); an upsampling builds no blocks, only
+temporaries the size of its result.
 
-Five rules bound the memory of a training step; none changes a bit.
-``forward`` tapes only the values that ``backward`` and ``grad_check`` read
-(see ``_plan``) and drops every other value after its last consumer.
+Five rules bound the memory of a training step; none changes a bit. The
+walk tapes only the values that ``backward`` and ``grad_check`` read (the
+plan's ``keep``) and drops every value after its last consumer.
 ``backward`` drops each node's gradient once that node's kernel has used
 it, so it holds only the frontier and the graph inputs' gradients. Batch
 norm tapes only its per-lane statistics (ivar, mean, var), and its backward
 forms x - mean again and its input gradient in one buffer. Every
 convolution, forward and backward, builds its im2col and col2im blocks a
-bounded slice of samples at a time (see ``ops``).
+bounded slice of samples at a time, and frees each block before it builds
+the next (see ``ops``).
 """
 
 from __future__ import annotations
@@ -166,20 +165,11 @@ def forward(graph: Graph, params: ParamStore, inputs: Sequence[np.ndarray],
     that backward and grad_check read, and every other value is dropped
     after its last consumer runs. Train mode normalizes with batch
     statistics (and by default refreshes the running ones); Eval mode uses
-    running statistics and produces a tape that backward will refuse."""
-    values = _input_values(graph, inputs)
-    aux: dict[NodeId, object] = {}
-    tensors = params.tensors
-    for nid, kernels, attrs, inputs, drops, _ in _plan(graph).steps:
-        values[nid], kept = kernels.forward(attrs, tensors.get(nid),
-                                            [values[i] for i in inputs],
-                                            mode, update_running, 1)
-        if kept is not None:
-            aux[nid] = kept
-        for i in drops:
-            del values[i]
-    outputs = [values[o] for o in graph.outputs]
-    return outputs, Tape(graph, mode, values, aux)
+    running statistics and produces a tape that backward will refuse. This
+    is the plan's walk with no picks (see ``_walk``)."""
+    tape = Tape(graph, mode, _input_values(graph, inputs), {})
+    _walk(graph, params, tape, (), 0.0, True, update_running)
+    return [tape.values[o] for o in graph.outputs], tape
 
 
 class Kernels(NamedTuple):
@@ -188,14 +178,13 @@ class Kernels(NamedTuple):
     functions up when they run, so a wrapper put on the module takes effect.
 
     ``forward`` gets the number of lanes stacked on the batch axis (see
-    ``_probe_group``) and runs once over all of them; one that reduces over
-    the batch axis does so per lane, and one that builds im2col or col2im
-    blocks leaves their size to the sample slices in ``ops``. ``base_kept``
-    takes a ``kept`` of such a run and the batch ``n`` of one lane, and
-    gives the ``kept`` of the first lane alone, which a run at batch ``n``
-    returns: ``grad_check``'s first probe pass stacks the plain batch
-    there and tapes it. It is None where ``kept`` holds nothing per sample
-    or per lane.
+    ``_walk``) and runs once over all of them; one that reduces over the
+    batch axis does so per lane, and one that builds im2col or col2im
+    blocks leaves their size to the sample slices in ``ops``. Besides its
+    value it returns a ``kept`` for its backward: None or a tuple, in which
+    each array holds samples or lanes on axis 0 and nothing else depends
+    on the batch, so that the first rows of a stacked run's arrays are the
+    ``kept`` of a run over its first lane alone (see ``_first_lane``).
     ``backward`` gets whether the first input's gradient and the tensors'
     gradients are wanted; a kernel may skip what is not, and returns None
     or {} for it.
@@ -212,7 +201,6 @@ class Kernels(NamedTuple):
     backward: Callable  # (a, p, gy, xs, y, kept, want_x, want_p)
     #                     -> ([grad per input], {tensor: grad})
     reads: str | None = None
-    base_kept: Callable | None = None  # (kept, n) -> the first lane's kept
 
 
 INPUTS, OUTPUT = "inputs", "output"  # values of Kernels.reads
@@ -240,13 +228,12 @@ def _batch_norm(a, p, xs, mode, update_running, lanes):
     if mode != Mode.TRAIN:
         return ops.batchnorm_eval(xs[0], p["scale"], p["shift"], p["running_mean"],
                                   p["running_var"], a["epsilon"]), None
-    y, (_, ivar, mean, var) = ops.batchnorm_train(xs[0], p["scale"], p["shift"],
-                                                  a["epsilon"], lanes)
+    y, kept = ops.batchnorm_train(xs[0], p["scale"], p["shift"], a["epsilon"], lanes)
     if update_running:
-        for name, batch_stat in (("running_mean", mean), ("running_var", var)):
+        for name, batch_stat in (("running_mean", kept[1]), ("running_var", kept[2])):
             p[name] *= 1.0 - BN_MOMENTUM
             p[name] += BN_MOMENTUM * batch_stat.reshape(-1)
-    return y, (ivar, mean, var)  # not xhat: backward forms it again
+    return y, kept  # (ivar, mean, var); not xhat: backward forms it again
 
 
 def _batch_norm_grad(a, p, gy, xs, y, kept, want_x, want_p):
@@ -263,17 +250,12 @@ def _batch_norm_grad(a, p, gy, xs, y, kept, want_x, want_p):
 
 def _max_pool(a, p, xs, *_):
     y, winner = ops.maxpool(xs[0], a["kernel"], a["stride"], a["ceil_mode"])
-    return y, (winner, xs[0].shape)
-
-
-def _max_pool_base(kept, n):  # a copy: the aux entry outlives the stacked winners
-    winner, x_shape = kept
-    return winner[:n].copy(), (n,) + x_shape[1:]
+    return y, (winner, xs[0].shape[2:])
 
 
 def _max_pool_grad(a, p, gy, xs, y, kept, *_):
-    winner, x_shape = kept
-    return [ops.maxpool_grad(gy, winner, x_shape, a["kernel"], a["stride"])], {}
+    winner, hw = kept
+    return [ops.maxpool_grad(gy, winner, gy.shape[:2] + hw, a["kernel"], a["stride"])], {}
 
 
 def _linear_grad(a, p, gy, xs, y, kept, want_x, want_p):
@@ -314,21 +296,20 @@ def _upsample_grad(a, p, gy, xs, y, kept, want_x, want_p):
 
 KERNELS: dict[OpKind, Kernels] = {
     OpKind.CONV: Kernels(_conv, _conv_grad, INPUTS),
-    OpKind.BATCH_NORM: Kernels(_batch_norm, _batch_norm_grad, INPUTS,
-                               lambda kept, n: tuple(stat[:1] for stat in kept)),
+    OpKind.BATCH_NORM: Kernels(_batch_norm, _batch_norm_grad, INPUTS),
     OpKind.RELU: Kernels(lambda a, p, xs, *_: (np.maximum(xs[0], 0.0), None),
                          lambda a, p, gy, xs, y, *_: ([gy * (y > 0.0)], {}), OUTPUT),
-    OpKind.MAX_POOL: Kernels(_max_pool, _max_pool_grad, None, _max_pool_base),
+    OpKind.MAX_POOL: Kernels(_max_pool, _max_pool_grad),
     OpKind.GLOBAL_AVG_POOL: Kernels(
-        lambda a, p, xs, *_: (ops.global_avg_pool(xs[0]), xs[0].shape),
-        lambda a, p, gy, xs, y, x_shape, *_: ([ops.global_avg_pool_grad(gy, x_shape)], {}),
-        None, lambda x_shape, n: (n,) + x_shape[1:]),
+        lambda a, p, xs, *_: (ops.global_avg_pool(xs[0]), xs[0].shape[2:]),
+        lambda a, p, gy, xs, y, hw, *_: ([ops.global_avg_pool_grad(gy, gy.shape[:2] + hw)],
+                                         {})),
     OpKind.LINEAR: Kernels(
         lambda a, p, xs, mode, update_running, lanes: (
             ops.linear_apply(xs[0], p["weight"], p.get("bias"), lanes), None),
         _linear_grad, INPUTS),
     OpKind.CONCAT: Kernels(
-        lambda a, p, xs, *_: (np.concatenate(xs, axis=1), [x.shape[1] for x in xs]),
+        lambda a, p, xs, *_: (np.concatenate(xs, axis=1), tuple(x.shape[1] for x in xs)),
         _concat_grad),
     OpKind.ADD: Kernels(lambda a, p, xs, *_: (xs[0] + xs[1], None),
                         lambda a, p, gy, *_: ([gy, gy], {})),
@@ -349,12 +330,12 @@ class _Step(NamedTuple):
     kernels: Kernels
     attrs: dict
     inputs: tuple[NodeId, ...]
-    drops: tuple[NodeId, ...]  # the values forward drops once this node has run
-    frees: tuple[NodeId, ...]  # the values a probe pass drops once this node has run
+    frees: tuple[NodeId, ...]  # the values the walk drops once this node has run
 
 
 class _Plan(NamedTuple):
     steps: tuple[_Step, ...]
+    keep: frozenset[NodeId]  # the values a tape holds
     output_shapes: tuple[tuple[int, int, int], ...]  # per sample, per graph output
 
 
@@ -366,22 +347,22 @@ def _plan(graph: Graph) -> _Plan:
     later one. ``Graph`` cannot be hashed, so the cache is keyed by
     identity, and its entry goes when the graph does.
 
-    One step per non-Input node in ``topo_order``, and the (C, H, W) of
-    each graph output, from which ``grad_check`` draws its contraction
-    before it runs the graph. Its ``frees`` are the
-    values it is the last to read (its own if none reads it), graph outputs
-    excepted; ``_probe_group`` drops them once it has run. ``forward``
-    drops those of them that the tape does not keep, in ``drops``. A value
-    stays on the tape if it is a graph input, if its own backward reads its
-    output, or if a consumer's backward reads its inputs or the consumer
-    takes two or more inputs: ``_probe_group`` reads such an input from the
-    tape in the pairs its range lacks."""
+    One step per non-Input node in ``topo_order``, the values the tape
+    keeps, and the (C, H, W) of each graph output, from which
+    ``grad_check`` draws its contraction before it runs the graph. A step's
+    ``frees`` are the values it is the last to read (its own if none reads
+    it), graph outputs excepted; ``_walk`` drops them once it has run, and
+    tapes those in ``keep`` first. A value is kept if it is a graph input
+    or output, if its own backward reads its output, or if a consumer's
+    backward reads its inputs or the consumer takes two or more inputs:
+    ``_walk`` reads such an input from the tape in the pairs its range
+    lacks."""
     key = id(graph)
     plan = _PLANS.get(key)
     if plan is not None:
         return plan
     outputs = set(graph.outputs)
-    keep = set(graph.inputs)
+    keep = set(graph.inputs) | outputs
     last: dict[NodeId, NodeId] = {}
     shapes: list[ir.TensorShape] = []
     for node in graph.nodes:
@@ -397,20 +378,17 @@ def _plan(graph: Graph) -> _Plan:
             keep.add(nid)
         if reads == INPUTS or len(inputs) > 1:
             keep.update(inputs)
-    drops: dict[NodeId, list[NodeId]] = {}
     frees: dict[NodeId, list[NodeId]] = {}
     for i, consumer in last.items():
         if i not in outputs:
             frees.setdefault(consumer, []).append(i)
-            if i not in keep:
-                drops.setdefault(consumer, []).append(i)
     steps = tuple(
         _Step(nid, KERNELS[node.op.kind], node.op.attrs, node.inputs,
-              tuple(drops.get(nid, ())), tuple(frees.get(nid, ())))
+              tuple(frees.get(nid, ())))
         for nid in topo_order(graph)
         if (node := graph.nodes[nid]).op.kind is not OpKind.INPUT)
-    plan = _PLANS[key] = _Plan(steps, tuple((shapes[o].channels, shapes[o].height,
-                                             shapes[o].width) for o in graph.outputs))
+    plan = _PLANS[key] = _Plan(steps, frozenset(keep), tuple(
+        (shapes[o].channels, shapes[o].height, shapes[o].width) for o in graph.outputs))
     weakref.finalize(graph, _PLANS.pop, key, None)
     return plan
 
@@ -442,7 +420,7 @@ def backward(graph: Graph, params: ParamStore, tape: Tape,
     active = [False] * len(graph.nodes)
     for nid in wrt:
         active[nid] = True
-    for nid, _, _, inputs, _, _ in steps:
+    for nid, _, _, inputs, _ in steps:
         if not active[nid]:
             for i in inputs:  # a plain loop: any() over a generator costs 3x
                 if active[i]:
@@ -466,7 +444,7 @@ def backward(graph: Graph, params: ParamStore, tape: Tape,
 
     pgrads: GradStore = {}
     tensors, values, aux = params.tensors, tape.values, tape.aux
-    for nid, kernels, attrs, inputs, _, _ in reversed(steps):  # an Input is no step
+    for nid, kernels, attrs, inputs, _ in reversed(steps):  # an Input is no step
         if nid not in grads:
             continue
         gxs, named = kernels.backward(  # None for a value the tape dropped
@@ -540,12 +518,21 @@ def _worst(entries: Sequence[GradCheckEntry]) -> GradCheckEntry:
 _PROBE_GROUP = 6  # picks per probe pass: the widest that kept the heap peak down
 
 
-def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
-                 group: Sequence[tuple[NodeId, str, np.ndarray, int]], epsilon: float,
-                 fill: bool = False
-                 ) -> tuple[dict[NodeId, np.ndarray], dict[NodeId, tuple[int, int]]]:
-    """The probe pass of ``group``, picks given as (node, tensor name, tensor,
-    flat offset) in pick order, so in ascending node order.
+def _first_lane(kept: tuple, lanes: int) -> tuple:
+    """The ``kept`` of a run over the first of ``lanes`` stacked lanes
+    alone: each array's first ``len // lanes`` rows, as a copy, which the
+    tape can hold without the stacked run's arrays."""
+    return tuple(a[:len(a) // lanes].copy() if isinstance(a, np.ndarray) else a for a in kept)
+
+
+def _walk(graph: Graph, params: ParamStore, tape: Tape,
+          group: Sequence[tuple[NodeId, str, np.ndarray, int]], epsilon: float,
+          fill: bool = False, update_running: bool = False
+          ) -> tuple[dict[NodeId, np.ndarray], dict[NodeId, tuple[int, int]]]:
+    """The plan's one forward walk: the probe pass of ``group``, picks given
+    as (node, tensor name, tensor, flat offset) in pick order, so in
+    ascending node order. ``forward`` is the walk with ``fill`` and no
+    picks.
 
     Each value the pass reaches holds a +/- lane pair for each pick of one
     range ``[lo, hi)``, in pick order, the span of its inputs' ranges and
@@ -556,20 +543,21 @@ def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
     tape value. Returns the values still held at the end, which are the
     graph outputs some cone holds, and each reached node's range.
 
-    With ``fill``, ``tape`` holds only the graph inputs, and the pass fills
-    it in the same walk, as ``forward`` at ``update_running=False`` would:
-    it starts at the plan's first step and stacks the plain batch as one
-    lane ahead of every value's pairs, so each node runs once over the
+    With ``fill``, ``tape`` holds only the graph inputs, and the walk fills
+    it: it starts at the plan's first step and stacks the plain batch as
+    one lane ahead of every value's pairs, so each node runs once over the
     plain batch and its upstream pairs, at the plain batch alone where it
-    carries no pick, and its plain lane stands in for the tape value. Each
-    node tapes its kernel's ``kept`` (``base_kept`` of a stacked run's),
-    and the plain lane of each value ``forward`` keeps once the pass drops
-    the value, or at the end for a graph output."""
+    carries no pick, and its plain lane stands in for the tape value. That
+    run gets ``tape.mode`` and ``update_running``; a root's runs get Train
+    mode and no update. Each node tapes its kernel's ``kept``, cut to the
+    plain lane (``_first_lane``) where the run was stacked, and the plain
+    lane of each value in the plan's ``keep`` once the walk drops the
+    value, or at the end for a graph output."""
     rooted: dict[NodeId, list[int]] = {}
     for k, (nid, *_) in enumerate(group):
         rooted.setdefault(nid, []).append(k)
-    steps = _plan(graph).steps
-    n = len(tape.values[graph.inputs[0]])
+    steps, keep, _ = _plan(graph)
+    n = len(tape.values[graph.inputs[0]]) if group else 0  # rows per lane, read with picks
     plain = int(fill)  # plain lanes ahead of the pairs
     values: dict[NodeId, np.ndarray] = dict(tape.values) if fill else {}
     ranges: dict[NodeId, tuple[int, int]] = {}
@@ -577,9 +565,8 @@ def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
     def tape_value(i: NodeId) -> np.ndarray:
         return values[i][:n] if fill else tape.values[i]
 
-    def plain_lane(i: NodeId) -> np.ndarray:  # what forward tapes, in its own array
-        v = values[i]
-        return v if len(v) == n else v[:n].copy()
+    def plain_lane(i: NodeId) -> np.ndarray:  # what the tape holds, in its own array
+        return values[i][:n].copy() if i in ranges else values[i]
 
     def lanes_of(i: NodeId, lo: int, hi: int) -> np.ndarray:
         own_lo, own_hi = ranges.get(i, (hi, hi))
@@ -592,7 +579,8 @@ def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
 
     # ids ascend along every edge, so no step before the first root is reached
     start = 0 if fill else bisect.bisect_left(steps, group[0][0], key=lambda s: s.id)
-    for nid, kernels, attrs, inputs, drops, frees in steps[start:]:
+    tensors, mode, taped, aux = params.tensors, tape.mode, tape.values, tape.aux
+    for nid, kernels, attrs, inputs, frees in steps[start:]:
         here = rooted.get(nid, ())
         spans = [ranges[i] for i in inputs if i in ranges]
         if spans:  # the upstream lanes are picks lo..mid-1
@@ -604,16 +592,15 @@ def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
             lo = mid = 0
         else:
             continue
-        run, p = kernels.forward, params.tensors.get(nid)
+        run, p = kernels.forward, tensors.get(nid)
         parts = []
         if plain or lo < mid:
             lanes = plain + 2 * (mid - lo)
             y, kept = run(attrs, p, [lanes_of(i, lo, mid) for i in inputs],
-                          Mode.TRAIN, False, lanes)
+                          mode, update_running, lanes)
             parts.append(y)
             if fill and kept is not None:
-                base_kept = kernels.base_kept
-                tape.aux[nid] = kept if lanes == 1 or base_kept is None else base_kept(kept, n)
+                aux[nid] = kept if lanes == 1 else _first_lane(kept, lanes)
             del y, kept  # a stacked kept goes now
         xs = [tape_value(i) for i in inputs] if here else None
         for k in here:
@@ -628,12 +615,12 @@ def _probe_group(graph: Graph, params: ParamStore, tape: Tape,
             ranges[nid] = (lo, mid + len(here))
         xs = None  # views of values that may go now
         for i in frees:  # every reader of a reached value is reached
-            if fill and i not in drops:  # forward tapes it
-                tape.values[i] = plain_lane(i)
+            if fill and i in keep:
+                taped[i] = plain_lane(i)
             values.pop(i, None)
     if fill:
         for o in graph.outputs:
-            tape.values[o] = plain_lane(o)
+            taped[o] = plain_lane(o)
         values = {o: values[o][n:] for o in graph.outputs if o in ranges}
     return values, ranges
 
@@ -649,11 +636,11 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
 
     Each +/-epsilon pair re-evaluates only the downstream cone of the node
     that owns the perturbed parameter, as two lanes of a pass shared by up
-    to ``_PROBE_GROUP`` consecutive picks (see ``_probe_group``), and reads
+    to ``_PROBE_GROUP`` consecutive picks (see ``_walk``), and reads
     every other activation from the tape; that gives the same bits as two
-    full forwards. The first group's pass runs the whole plan with the
-    plain batch as one more lane and makes that tape, bit for bit
-    ``forward``'s, so no separate forward runs. The backward pass
+    full forwards. The first group's walk runs the whole plan with the
+    plain batch as one more lane and fills the tape as ``forward``'s walk
+    does, so no separate forward runs. The backward pass
     differentiates only with respect to the sampled nodes.
     Raises ValueError for ``sample < 1``, an ``epsilon`` that is not finite
     and positive, a negative or NaN ``tolerance``, or parameters with no
@@ -686,7 +673,7 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
         located.append((nid, name, arr, pick - (ends[slot] - arr.size)))
     groups = [located[start:start + _PROBE_GROUP]
               for start in range(0, len(located), _PROBE_GROUP)]
-    first = _probe_group(graph, params, tape, groups[0], epsilon, fill=True)
+    first = _walk(graph, params, tape, groups[0], epsilon, fill=True)
     pgrads, _ = backward(graph, params, tape, contraction, wrt={nid for nid, *_ in located})
 
     def loss(values: dict[NodeId, np.ndarray], ranges: dict[NodeId, tuple[int, int]],
@@ -701,7 +688,7 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
 
     entries: list[GradCheckEntry] = []
     for i, group in enumerate(groups):
-        values, ranges = _probe_group(graph, params, tape, group, epsilon) if i else first
+        values, ranges = _walk(graph, params, tape, group, epsilon) if i else first
         for k, (nid, name, arr, offset) in enumerate(group):
             numeric = (loss(values, ranges, k, 0) - loss(values, ranges, k, 1)) / (2.0 * epsilon)
             node_grads = pgrads.get(nid, {})

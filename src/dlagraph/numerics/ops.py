@@ -102,6 +102,7 @@ def conv_apply(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     for s in _sample_blocks(n, x.itemsize * c * kernel * kernel * oh * ow):
         cols = _im2col(x[s], kernel, stride, padding)
         np.matmul(wg, cols.reshape(-1, groups, icg * kernel * kernel, oh * ow), out=y[s])
+        del cols  # before the next slice's block is built
     y = y.reshape(n, oc, oh, ow)
     if bias is not None:
         y += bias[None, :, None, None]
@@ -168,6 +169,7 @@ def conv_weight_grad(z: np.ndarray, x: np.ndarray, kernel: int, stride: int,
         cols = _im2col(x[s], kernel, stride, padding)
         cols = cols.reshape(-1, groups, icg * kernel * kernel, oh * ow)
         prods = np.matmul(zg[s], cols.transpose(0, 1, 3, 2))
+        del cols  # before the next slice's block is built
         if gw is None:  # a sum over the outer axis adds sample by sample
             gw = prods.sum(axis=0)
         else:
@@ -178,9 +180,10 @@ def conv_weight_grad(z: np.ndarray, x: np.ndarray, kernel: int, stride: int,
 
 def batchnorm_train(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
                     eps: float, lanes: int = 1) -> tuple[np.ndarray, tuple]:
-    """Normalize with biased batch statistics over (N, H, W) per channel.
-    The batch axis holds ``lanes`` equal batches side by side, each with its
-    own statistics, shaped (lanes, C, 1, 1)."""
+    """Normalize with biased batch statistics over (N, H, W) per channel;
+    returns y and (ivar, mean, var). The batch axis holds ``lanes`` equal
+    batches side by side, each with its own statistics, shaped
+    (lanes, C, 1, 1)."""
     # the reductions and divisions of x.mean and x.var, with the mean and
     # x - mean formed once; xhat is x - mean until it is scaled in place
     n, c, h, w = x.shape
@@ -191,11 +194,10 @@ def batchnorm_train(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
     var = np.add.reduce(np.square(xhat), (1, 3, 4), keepdims=True) / m
     ivar = 1.0 / np.sqrt(var + eps)
     xhat *= ivar
-    xhat = xhat.reshape(x.shape)
-    y = scale[None, :, None, None] * xhat
+    y = scale[None, :, None, None] * xhat.reshape(x.shape)
     y += shift[None, :, None, None]  # in place: one full-size temporary fewer
     per_lane = (lanes, c, 1, 1)
-    return y, (xhat, ivar.reshape(per_lane), mean.reshape(per_lane), var.reshape(per_lane))
+    return y, (ivar.reshape(per_lane), mean.reshape(per_lane), var.reshape(per_lane))
 
 
 def batchnorm_train_grads(gy: np.ndarray, xmu: np.ndarray, ivar: np.ndarray,

@@ -1,5 +1,7 @@
 import numpy as np
 
+from dlagraph.numerics import executor
+
 
 def naive_conv2d(x, w, bias, stride, padding, groups):
     """Direct-loop convolution oracle, independent of the im2col path."""
@@ -36,3 +38,23 @@ def kept_bits(kept):
     if isinstance(kept, (tuple, list)):
         return type(kept).__name__, [kept_bits(k) for k in kept]
     return kept
+
+
+def reference_forward(graph, params, inputs, mode, update_running):
+    """A forward as its own loop over the executor's plan, the reference
+    for the walk that makes every tape: each node runs once over the batch
+    and tapes its kernel's kept, and each value the plan does not keep goes
+    after its last reader."""
+    values = executor._input_values(graph, inputs)
+    aux = {}
+    plan = executor._plan(graph)
+    for nid, kernels, attrs, node_inputs, frees in plan.steps:
+        values[nid], kept = kernels.forward(attrs, params.tensors.get(nid),
+                                            [values[i] for i in node_inputs],
+                                            mode, update_running, 1)
+        if kept is not None:
+            aux[nid] = kept
+        for i in frees:
+            if i not in plan.keep:
+                del values[i]
+    return [values[o] for o in graph.outputs], executor.Tape(graph, mode, values, aux)

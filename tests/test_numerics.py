@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import kept_bits, naive_conv2d
+from conftest import kept_bits, naive_conv2d, reference_forward
 
 from dlagraph import graphdoc, ir
 from dlagraph.aggregation import AggNodeSpec, build_aggregation_node
@@ -356,10 +356,34 @@ def test_forward_conv_columns_fit_the_block_budget(monkeypatch):
         assert samples == 1 or nbytes <= ops._COL_BLOCK_BYTES, (samples, nbytes)
 
 
+@pytest.mark.parametrize("kernel", ["conv_apply", "conv_weight_grad"])
+def test_a_sliced_convolution_holds_one_column_block_at_a_time(kernel):
+    """A batch-64 3x3 convolution over 16 channels at 16x16 builds its
+    columns three samples at a time, and peaks below its result plus one
+    column block plus 256 KiB for a slice's padded grid and the small
+    temporaries: conv_apply at 2.97 MiB, conv_weight_grad at 1.04 MiB. A
+    slice's block kept while the next is built peaks at 3.81 and 1.88 MiB."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((64, 16, 16, 16))
+    w = rng.standard_normal((16, 16, 3, 3))
+    z = rng.standard_normal((64, 16, 16, 16))
+    assert len(ops._sample_blocks(64, x.itemsize * 16 * 9 * 16 * 16)) > 1
+    run = {"conv_apply": lambda: ops.conv_apply(x, w, None, 1, 1, 1),
+           "conv_weight_grad": lambda: ops.conv_weight_grad(z, x, 3, 1, 1, 1)}[kernel]
+    tracemalloc.start()
+    try:
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = result.nbytes + ops._COL_BLOCK_BYTES + 256 * 2**10
+    assert peak < bound, "heap peak %.2f MiB" % (peak / 2**20)
+
+
 def test_probe_pass_columns_fit_the_block_budget(monkeypatch):
     """grad_check on the toy decoder at its benchmark point: every column
     block it builds, im2col or col2im, fits the budget or holds one sample,
-    and the call peaks at about 6.6 MiB of heap. The bound fails with a
+    and the call peaks at about 6.5 MiB of heap. The bound fails with a
     2 MiB budget (9.2 MiB) and with upsamplings that scatter their column
     blocks onto padded grids (7.75 MiB). Upsamplings that go through
     conv_apply_adjoint without a padded grid peak no higher, so a forward
@@ -397,18 +421,18 @@ def test_probe_pass_columns_fit_the_block_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("name, hw, point, sample, bound_mib", [
-    ("DLA-34", 16, (7, 3, 1), 6, 2.37),  # 2.26 MiB (1.98 with a separate forward)
-    ("DLA-X-102", 16, (1, 9, 1), 6, 2.38),  # 2.27 (2.18)
-    ("DLA-169", 16, (11, 42, 1), 6, 2.39),  # 2.27 (2.37)
-    ("decoder", 32, (8, 33, 5), 6, 6.92),  # 6.59 (6.83)
-    ("DLA-34", 16, (7, 3, 1), 200, 4.40),  # 4.20 (4.33)
+    ("DLA-34", 16, (7, 3, 1), 6, 1.77),  # 1.69 MiB (2.26 with two column blocks live)
+    ("DLA-X-102", 16, (1, 9, 1), 6, 1.78),  # 1.70 (2.27)
+    ("DLA-169", 16, (11, 42, 1), 6, 1.80),  # 1.71 (2.27)
+    ("decoder", 32, (8, 33, 5), 6, 6.84),  # 6.51 (6.59)
+    ("DLA-34", 16, (7, 3, 1), 200, 3.66),  # 3.49 (4.20)
 ], ids=["DLA-34", "DLA-X-102", "DLA-169", "decoder", "DLA-34-200"])
 def test_grad_check_heap_peak_is_bounded(name, hw, point, sample, bound_mib):
     """The tracemalloc peak of one grad_check at the benchmark's
     toy-gradcheck points, and at 200 samples on toy DLA-34, stays within
     5% of its measured value (in the comments, with the peak when a
-    separate forward made the tape). The plan is built by a one-sample
-    check first, outside the trace."""
+    convolution kept one slice's column block while it built the next).
+    The plan is built by a one-sample check first, outside the trace."""
     g = (build_toy_dense_decoder("DLA-34", 16, hw, num_classes=5) if name == "decoder"
          else build_toy_classifier(name, 16, hw, num_classes=10))
     init_seed, data_seed, check_seed = point
@@ -453,18 +477,17 @@ def test_batchnorm_train_matches_two_pass_statistics_bit_for_bit(shape, crop):
     mean = x.mean(axis=(0, 2, 3), keepdims=True)
     var = x.var(axis=(0, 2, 3), keepdims=True)
     ivar = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x - mean) * ivar
-    y = scale[None, :, None, None] * xhat + shift[None, :, None, None]
-    got_y, got_aux = ops.batchnorm_train(x, scale, shift, 1e-5)
-    for got, want in zip((got_y,) + got_aux, (y, xhat, ivar, mean, var), strict=True):
+    y = scale[None, :, None, None] * ((x - mean) * ivar) + shift[None, :, None, None]
+    got_y, got_kept = ops.batchnorm_train(x, scale, shift, 1e-5)
+    for got, want in zip((got_y,) + got_kept, (y, ivar, mean, var), strict=True):
         assert np.array_equal(got, want)
 
 
-def _batchnorm_input_grad_reference(gy, x, aux, scale):
+def _batchnorm_input_grad_reference(gy, x, kept, scale):
     """The input gradient in its textbook form, kept as the reference:
     -dxhat * ivar and -2 * xmu are summed as such, and dxhat * ivar is
     formed twice."""
-    _, ivar, mean, _ = aux
+    ivar, mean, _ = kept
     m = x.shape[0] * x.shape[2] * x.shape[3]
     dxhat = gy * scale[None, :, None, None]
     xmu = x - mean
@@ -483,9 +506,9 @@ def test_batchnorm_input_grad_matches_reference_formula_bit_for_bit():
         x = 3.0 + 25.0 * rng.standard_normal((n, 16, hw, hw))
         gy = rng.standard_normal(x.shape)
         scale, shift = rng.standard_normal(16), rng.standard_normal(16)
-        _, aux = ops.batchnorm_train(x, scale, shift, 1e-5)
-        want = _batchnorm_input_grad_reference(gy, x, aux, scale)
-        got = ops.batchnorm_train_grads(gy, x - aux[2], aux[1], scale)
+        _, kept = ops.batchnorm_train(x, scale, shift, 1e-5)
+        want = _batchnorm_input_grad_reference(gy, x, kept, scale)
+        got = ops.batchnorm_train_grads(gy, x - kept[1], kept[0], scale)
         assert got.tobytes() == want.tobytes(), (n, hw)
 
 
@@ -497,13 +520,12 @@ def test_batchnorm_lanes_match_separate_batches_bit_for_bit(shape):
     n = shape[0]
     for count in (2, 12):  # a probe pass stacks up to 12 lanes
         lanes = [3.0 + 25.0 * rng.standard_normal(shape) for _ in range(count)]
-        y, (xhat, ivar, mean, var) = ops.batchnorm_train(np.concatenate(lanes), scale,
-                                                         shift, 1e-5, lanes=count)
+        y, stats = ops.batchnorm_train(np.concatenate(lanes), scale, shift, 1e-5,
+                                       lanes=count)
         for k, x in enumerate(lanes):
-            want_y, (want_xhat, *want_stats) = ops.batchnorm_train(x, scale, shift, 1e-5)
+            want_y, want_stats = ops.batchnorm_train(x, scale, shift, 1e-5)
             assert y[k * n:(k + 1) * n].tobytes() == want_y.tobytes(), (count, k)
-            assert xhat[k * n:(k + 1) * n].tobytes() == want_xhat.tobytes(), (count, k)
-            for got, want in zip((ivar, mean, var), want_stats, strict=True):
+            for got, want in zip(stats, want_stats, strict=True):
                 assert got[k:k + 1].tobytes() == want.tobytes(), (count, k)
 
 
@@ -893,10 +915,10 @@ def test_probe_pass_holds_only_the_graph_outputs_its_cones_reach():
     def picks(nid, *offsets):
         return [(nid, "weight", params.tensors[nid]["weight"], o) for o in offsets]
 
-    values, _ = executor._probe_group(g, params, tape, picks(trunk, 0, 7), 1e-5)
+    values, _ = executor._walk(g, params, tape, picks(trunk, 0, 7), 1e-5)
     assert set(values) == set(g.outputs)
     assert all(v.shape[0] == 2 * 2 * 2 for v in values.values())
-    values, _ = executor._probe_group(g, params, tape, picks(dense, 3), 1e-5)
+    values, _ = executor._walk(g, params, tape, picks(dense, 3), 1e-5)
     assert set(values) == {g.outputs[0]}
 
 
@@ -915,21 +937,21 @@ def test_probe_pass_runs_each_conv_node_once_over_its_upstream_lanes(monkeypatch
     for node in reversed(g.nodes):  # ids ascend along every edge
         for i in node.inputs:
             below[i] |= {node.id} | below[node.id]
-    conv_apply, probe_group = ops.conv_apply, executor._probe_group
+    conv_apply, walk = ops.conv_apply, executor._walk
     calls, passes = [], []
 
     def counted(x, w, *args):
         calls.append(owner[id(w)])
         return conv_apply(x, w, *args)
 
-    def recorded(graph, params, tape, group, epsilon, fill=False):
+    def recorded(graph, params, tape, group, epsilon, fill=False, update_running=False):
         calls.clear()  # made before this pass: by backward or the last pass
-        result = probe_group(graph, params, tape, group, epsilon, fill)
+        result = walk(graph, params, tape, group, epsilon, fill, update_running)
         passes.append(([nid for nid, *_ in group], fill, list(calls)))
         return result
 
     monkeypatch.setattr(ops, "conv_apply", counted)
-    monkeypatch.setattr(executor, "_probe_group", recorded)
+    monkeypatch.setattr(executor, "_walk", recorded)
     grad_check(g, params, x, sample=24, seed=1)
     assert [fill for _, fill, _ in passes] == [True, False, False, False]
     kinds = set()
@@ -972,7 +994,7 @@ def test_probe_pass_gives_the_tape_value_in_a_pair_whose_cone_misses_the_node():
     convs = [n.id for n in g.nodes if n.op.kind is OpKind.CONV]
     group = [(nid, "weight", params.tensors[nid]["weight"], 5) for nid in convs]
     eps = 1e-5
-    values, ranges = executor._probe_group(g, params, tape, group, eps)
+    values, ranges = executor._walk(g, params, tape, group, eps)
     side, out = g.outputs
     assert ranges[side] == (1, 2) and ranges[out] == (0, 3)
     assert values[out][4:8].tobytes() == np.concatenate([tape.values[out]] * 2).tobytes()
@@ -1148,8 +1170,9 @@ FIRST_PASS_NETS = {"join": (join_net, 6), "gap": (gap_net, 6),
 def test_first_probe_pass_tapes_what_forward_tapes_bit_for_bit(name):
     """The first probe pass, run with the plain batch as one more lane,
     fills the tape: every value and every kernel's kept (batch-norm
-    statistics shaped (1, C, 1, 1), max-pool winners and shapes,
-    global-pool shapes, concat widths) equals that of a plain forward, and
+    statistics shaped (1, C, 1, 1), max-pool winners and input extents,
+    global-pool input extents, concat widths) equals that of a plain
+    forward, and
     backward over it gives the same gradient bytes. The group starts at the
     first learnable node, so every kernel below it runs stacked."""
     if name == "decoder":
@@ -1167,7 +1190,7 @@ def test_first_probe_pass_tapes_what_forward_tapes_bit_for_bit(name):
         entries[k] + (0,) for k in sorted({len(entries) // 3, 2 * len(entries) // 3,
                                            len(entries) - 1} - {0})]
     tape = executor.Tape(g, Mode.TRAIN, {g.inputs[0]: x}, {})
-    executor._probe_group(g, params, tape, group, 1e-5, fill=True)
+    executor._walk(g, params, tape, group, 1e-5, fill=True)
     outputs, want = forward(g, params, [x], Mode.TRAIN, update_running=False)
     assert {nid: kept_bits(v) for nid, v in tape.values.items()} == \
         {nid: kept_bits(v) for nid, v in want.values.items()}
@@ -1186,6 +1209,33 @@ def test_first_probe_pass_tapes_what_forward_tapes_bit_for_bit(name):
         {i: v.tobytes() for i, v in want_inputs.items()}
 
 
+@pytest.mark.parametrize("mode, update_running", [(Mode.TRAIN, True), (Mode.TRAIN, False),
+                                                  (Mode.EVAL, False)],
+                         ids=["train-update", "train", "eval"])
+@pytest.mark.parametrize("name", catalog_names() + ("decoder",))
+def test_forward_matches_the_reference_walk_bit_for_bit(name, mode, update_running):
+    """forward, the plan's walk with no picks, gives what a loop of its
+    own over the plan gives: the outputs, the tape's mode and values, every
+    kernel's kept, and the running statistics it writes, bit for bit."""
+    if name == "decoder":
+        g, hw = build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5), 32
+    else:
+        g, hw = build_toy_classifier(name, 16, 16, num_classes=10), 16
+    params = init_params(g, 2)
+    want_params = params.copy()
+    x = np.random.default_rng(6).standard_normal((2, 3, hw, hw))
+    outputs, tape = forward(g, params, [x], mode, update_running)
+    want_outputs, want = reference_forward(g, want_params, [x], mode, update_running)
+    assert [kept_bits(o) for o in outputs] == [kept_bits(o) for o in want_outputs]
+    assert tape.mode is want.mode is mode
+    assert {nid: kept_bits(v) for nid, v in tape.values.items()} == \
+        {nid: kept_bits(v) for nid, v in want.values.items()}
+    assert {nid: kept_bits(k) for nid, k in tape.aux.items()} == \
+        {nid: kept_bits(k) for nid, k in want.aux.items()}
+    assert _bytes(params.tensors) == _bytes(want_params.tensors)
+    assert (_bytes(params.tensors) != _bytes(init_params(g, 2).tensors)) is update_running
+
+
 def _entry_bits(e):
     return e.node_id, e.name, e.index, e.analytic.hex(), e.numeric.hex(), e.rel_error.hex()
 
@@ -1199,16 +1249,16 @@ def test_grad_check_runs_no_forward_and_keeps_its_input_checks(monkeypatch):
     params = init_params(g, 5)
     xval = np.random.default_rng(2).integers(-3, 4, (2, 4, 8, 8))
     probes = []
-    probe_group = executor._probe_group
+    walk = executor._walk
 
     def recorded(*args, **kwargs):
         probes.append(args[3])
-        return probe_group(*args, **kwargs)
+        return walk(*args, **kwargs)
 
     def no_forward(*args, **kwargs):
         raise AssertionError("grad_check ran forward")
 
-    monkeypatch.setattr(executor, "_probe_group", recorded)
+    monkeypatch.setattr(executor, "_walk", recorded)
     monkeypatch.setattr(executor, "forward", no_forward)
     report = grad_check(g, params, xval, sample=20, seed=3)
     assert probes

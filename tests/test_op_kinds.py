@@ -92,12 +92,12 @@ def test_each_backward_reads_only_the_values_its_kind_declares(upsample_mode):
 
 
 @pytest.mark.parametrize("upsample_mode", list(UpsampleMode), ids=lambda m: m.value)
-def test_each_kinds_base_kept_is_the_plain_forwards_kept(upsample_mode):
+def test_each_kinds_lane_cut_kept_is_its_plain_kept(upsample_mode):
     """Every forward runs over three lanes stacked on the batch axis, the
-    plain batch first, and its kind's ``base_kept`` of that run's kept
-    equals the kept of a plain run, bit for bit, as does the first lane of
-    the value: a kind that keeps something per sample or per lane and
-    declares no slice fails here."""
+    plain batch first, and the walk's lane cut of that run's kept equals
+    the kept of a plain run, bit for bit, as does the first lane of the
+    value. Every kept is None or a tuple: a kind that keeps a bare array or
+    a list, or something per sample or per lane off axis 0, fails here."""
     graph = every_kind_graph(upsample_mode)
     params = executor.init_params(graph, 1)
     rng = np.random.default_rng(3)
@@ -110,8 +110,10 @@ def test_each_kinds_base_kept_is_the_plain_forwards_kept(upsample_mode):
         stacked = [np.concatenate([x, rng.standard_normal(x.shape), rng.standard_normal(x.shape)])
                    for x in xs]
         y3, kept3 = kernels.forward(node.op.attrs, p, stacked, executor.Mode.TRAIN, False, 3)
-        base = kept3 if kernels.base_kept is None else kernels.base_kept(kept3, len(y))
-        assert kept_bits(base) == kept_bits(kept), node.op.kind
+        assert kept is None or type(kept) is tuple, node.op.kind
+        assert kept3 is None or type(kept3) is tuple, node.op.kind
+        cut = None if kept3 is None else executor._first_lane(kept3, 3)
+        assert kept_bits(cut) == kept_bits(kept), node.op.kind
         assert y3[:len(y)].tobytes() == y.tobytes(), node.op.kind
         values[node.id] = y
         kinds.add(node.op.kind)
