@@ -10,12 +10,11 @@ activations, pooling, and concatenation contribute zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from . import ir
-from .ir import (Graph, GraphNode, NodeId, OpKind, TensorShape, infer_node_shape,
-                 param_shapes, topo_order)
+from .ir import Graph, GraphNode, NodeId, OpKind, TensorShape, param_shapes, topo_order
 
 ShapeMap = dict[NodeId, TensorShape]
 
@@ -23,20 +22,23 @@ ShapeMap = dict[NodeId, TensorShape]
 def infer_shapes(graph: Graph, input_shape: TensorShape) -> ShapeMap:
     """Shape of every node given the single graph input's shape.
 
-    Every graph fits the extents its Input node declares; raises
-    ShapeConflict when ``input_shape`` is other extents that do not fit.
+    At the extents the Input node declares these are ``graph.shapes``; at
+    other extents, those of the graph built again with its Input at
+    ``input_shape``, whose construction raises ShapeConflict, naming the
+    node, when they do not fit.
     """
     if len(graph.inputs) != 1:
         raise ir.ShapeConflict("expected exactly one graph input, found %d"
                                % len(graph.inputs))
-    shapes: ShapeMap = {}
-    for nid in topo_order(graph):
-        node = graph.node(nid)
-        if node.op.kind == OpKind.INPUT:
-            shapes[nid] = input_shape
-        else:
-            shapes[nid] = infer_node_shape(node.op, [shapes[i] for i in node.inputs])
-    return shapes
+    shapes = graph.shapes
+    nid = graph.inputs[0]
+    if input_shape != shapes[nid]:
+        nodes = list(graph.nodes)
+        nodes[nid] = replace(nodes[nid], op=ir.input_op(
+            input_shape.channels, input_shape.height, input_shape.width))
+        shapes = Graph(tuple(nodes), graph.inputs, graph.outputs).shapes
+    # ids are topological already; topo_order stays while bench/workloads.py lists it
+    return {i: shapes[i] for i in topo_order(graph)}
 
 
 def _param_count(learnable: dict[str, tuple[int, ...]]) -> int:

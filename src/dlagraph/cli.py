@@ -27,7 +27,7 @@ from .architectures import (DenseHeadSpec, IndivisibleInput, UnknownArchitecture
                             arch_spec, build_classifier, build_dense_decoder,
                             build_toy_classifier, build_toy_dense_decoder, catalog_names)
 from .graphdoc import ParseError, parse, serialize, to_dot
-from .ir import Graph, ShapeConflict, TensorShape, infer_node_shape, validate
+from .ir import Graph, ShapeConflict, TensorShape, validate
 from .numerics import grad_check, init_params
 
 FMA_CONVENTION = ("fused multiply-adds of convolution, linear, and learned "
@@ -99,8 +99,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     graph = _read_document(args.graph)
     # the --input override, else the Input node's extents, never the metadata
-    shape = (infer_node_shape(graph.node(graph.inputs[0]).op, []) if args.input is None
-             else _parse_hwc(args.input))
+    shape = graph.shapes[graph.inputs[0]] if args.input is None else _parse_hwc(args.input)
     try:
         costs = cost_report(graph, shape)
     except ShapeConflict as exc:  # a parsed document fits its declared extents

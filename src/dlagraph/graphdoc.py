@@ -15,8 +15,10 @@ that node declares, so every document that parses can be analyzed.
 ``parse`` checks each distinct attrs record and each distinct tags record
 once: within one parse, nodes whose records are equal, value types and
 key order included, share one ``PrimOp`` or one ``Tags``. So a parsed
-graph costs what its distinct ops cost, and ``PrimOp.attrs`` must not be
-mutated.
+graph costs what its distinct ops cost, as a built one does, and
+``PrimOp.attrs`` must not be mutated. The cache lives for one parse only:
+documents come from outside the program, so they must not fill the
+process-wide table that ``ir``'s op helpers keep.
 """
 
 from __future__ import annotations

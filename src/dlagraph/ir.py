@@ -7,10 +7,16 @@ topological order. Every node takes as many inputs as its kind allows, so
 node 0 is an Input and every node is reachable from an Input, and every
 node's shape rule holds from the extents its graph's Input nodes declare.
 Construction rejects any graph for which this fails; ``validate`` checks
-only what it leaves open, that the graph declares an output. Static shapes
-are one sample's CHW extents; the batch extent is the executor's. The
+only what it leaves open, that the graph declares an output, and keeps the
+shape it infers for each node in ``Graph.shapes``. Static shapes are one
+sample's CHW extents; the batch extent is the executor's. The
 ``GraphBuilder`` is the single-writer construction API; built graphs are
 safe to share between any number of readers.
+
+The op helpers (``conv``, ``relu`` and the rest) return one shared, checked
+``PrimOp`` per distinct argument set, so the nodes of a built graph share
+their ops as those of a parsed one do, and ``PrimOp.attrs`` must not be
+mutated.
 
 What each op kind means statically is one ``OpDef`` entry in ``OPS``: its
 attribute schema, arity, shape rule, learnable-tensor shapes and DOT label.
@@ -97,11 +103,15 @@ def window_out_hw(h: int, w: int, kernel: int, stride: int, padding: int,
                   ceil_mode: bool = False) -> tuple[int, int]:
     """Output extent of a kernel x kernel window sliding by ``stride`` over an
     h x w input padded by ``padding``: floor((extent + 2*padding - kernel) /
-    stride) + 1, or the ceiling with ``ceil_mode``; below 1 the window does
-    not fit. Convolution and pooling share it, in shape rules and kernels."""
+    stride) + 1, or the ceiling with ``ceil_mode``, less a last window that
+    would start at or past ``extent + padding`` (PyTorch's rule); below 1 the
+    window does not fit. Convolution and pooling share it, in shape rules
+    and kernels."""
     span_h, span_w = h + 2 * padding - kernel, w + 2 * padding - kernel
     if ceil_mode:
-        return -(-span_h // stride) + 1, -(-span_w // stride) + 1
+        oh, ow = -(-span_h // stride) + 1, -(-span_w // stride) + 1
+        return (oh - ((oh - 1) * stride >= h + padding),
+                ow - ((ow - 1) * stride >= w + padding))
     return span_h // stride + 1, span_w // stride + 1
 
 
@@ -283,9 +293,35 @@ def param_shapes(op: PrimOp) -> dict[str, tuple[int, ...]]:
     return OPS[op.kind].params(op.attrs)
 
 
+# The op helpers return one shared, checked PrimOp per distinct argument
+# set, so a built graph, like a parsed one, costs what its distinct ops cost.
+# Keys hold the values' types, since ``True == 1 == 1.0``. Only ops that
+# pass their checks are kept; the table is cleared when it reaches
+# _INTERNED_MAX, which no catalog build comes near.
+_INTERNED: dict[tuple, PrimOp] = {}
+_INTERNED_MAX = 4096
+
+
+def _interned(kind: OpKind, attrs: dict[str, Any]) -> PrimOp:
+    """The kept op of ``kind`` with ``attrs``, checked when first made;
+    raises what ``PrimOp`` raises."""
+    values = tuple(attrs.values())
+    key = (kind, *values, *map(type, values))
+    try:
+        op = _INTERNED.get(key)
+    except TypeError:  # an unhashable value, which PrimOp rejects
+        return PrimOp(kind, attrs)
+    if op is None:
+        op = PrimOp(kind, attrs)
+        if len(_INTERNED) >= _INTERNED_MAX:
+            _INTERNED.clear()
+        _INTERNED[key] = op
+    return op
+
+
 def conv(kernel: int, stride: int, padding: int, in_channels: int,
          out_channels: int, groups: int = 1, has_bias: bool = False) -> PrimOp:
-    return PrimOp(OpKind.CONV, {
+    return _interned(OpKind.CONV, {
         "kernel": kernel, "stride": stride, "padding": padding,
         "in_channels": in_channels, "out_channels": out_channels,
         "groups": groups, "has_bias": has_bias,
@@ -293,50 +329,52 @@ def conv(kernel: int, stride: int, padding: int, in_channels: int,
 
 
 def batch_norm(channels: int, epsilon: float = 1e-5) -> PrimOp:
-    return PrimOp(OpKind.BATCH_NORM, {"channels": channels, "epsilon": epsilon})
+    return _interned(OpKind.BATCH_NORM, {"channels": channels, "epsilon": epsilon})
 
 
 def relu() -> PrimOp:
-    return PrimOp(OpKind.RELU)
+    return _interned(OpKind.RELU, {})
 
 
 def max_pool(kernel: int, stride: int, ceil_mode: bool = False) -> PrimOp:
-    return PrimOp(OpKind.MAX_POOL, {"kernel": kernel, "stride": stride, "ceil_mode": ceil_mode})
+    return _interned(OpKind.MAX_POOL,
+                     {"kernel": kernel, "stride": stride, "ceil_mode": ceil_mode})
 
 
 def global_avg_pool() -> PrimOp:
-    return PrimOp(OpKind.GLOBAL_AVG_POOL)
+    return _interned(OpKind.GLOBAL_AVG_POOL, {})
 
 
 def linear(in_features: int, out_features: int, has_bias: bool = True) -> PrimOp:
-    return PrimOp(OpKind.LINEAR, {
+    return _interned(OpKind.LINEAR, {
         "in_features": in_features, "out_features": out_features, "has_bias": has_bias,
     })
 
 
 def concat() -> PrimOp:
     # Concatenation is defined along the channel axis only.
-    return PrimOp(OpKind.CONCAT, {"axis": 1})
+    return _interned(OpKind.CONCAT, {"axis": 1})
 
 
 def add() -> PrimOp:
-    return PrimOp(OpKind.ADD)
+    return _interned(OpKind.ADD, {})
 
 
 def upsample(factor: int, mode: UpsampleMode, channels: int) -> PrimOp:
-    return PrimOp(OpKind.UPSAMPLE, {"factor": factor, "mode": mode.value, "channels": channels})
+    return _interned(OpKind.UPSAMPLE,
+                     {"factor": factor, "mode": mode.value, "channels": channels})
 
 
 def softmax() -> PrimOp:
-    return PrimOp(OpKind.SOFTMAX, {"axis": 1})
+    return _interned(OpKind.SOFTMAX, {"axis": 1})
 
 
 def input_op(channels: int, height: int, width: int) -> PrimOp:
-    return PrimOp(OpKind.INPUT, {"channels": channels, "height": height, "width": width})
+    return _interned(OpKind.INPUT, {"channels": channels, "height": height, "width": width})
 
 
 def output_op() -> PrimOp:
-    return PrimOp(OpKind.OUTPUT)
+    return _interned(OpKind.OUTPUT, {})
 
 
 def upsample_kernel_geometry(factor: int) -> tuple[int, int, int]:
@@ -403,11 +441,12 @@ class Graph:
     Construction raises UnknownInput unless ``nodes[i].id == i``, ``inputs``
     lists the Input node ids in id order, and every output id names a node,
     then ShapeConflict unless every node's shape rule holds in id order from
-    the extents each Input node declares."""
+    the extents each Input node declares; ``shapes`` keeps those shapes."""
 
     nodes: tuple[GraphNode, ...]
     inputs: tuple[NodeId, ...]
     outputs: tuple[NodeId, ...]
+    shapes: tuple[TensorShape, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         input_ids: list[NodeId] = []
@@ -427,6 +466,7 @@ class Graph:
                 shapes.append(infer_node_shape(node.op, [shapes[i] for i in node.inputs]))
             except ShapeConflict as exc:
                 raise ShapeConflict("node %d: %s" % (node.id, exc)) from None
+        object.__setattr__(self, "shapes", tuple(shapes))
 
     def node(self, nid: NodeId) -> GraphNode:
         return self.nodes[nid]

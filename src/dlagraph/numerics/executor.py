@@ -364,10 +364,8 @@ def _plan(graph: Graph) -> _Plan:
     outputs = set(graph.outputs)
     keep = set(graph.inputs) | outputs
     last: dict[NodeId, NodeId] = {}
-    shapes: list[ir.TensorShape] = []
     for node in graph.nodes:
         nid, inputs = node.id, node.inputs
-        shapes.append(ir.infer_node_shape(node.op, [shapes[i] for i in inputs]))
         last[nid] = nid
         for i in inputs:
             last[i] = nid
@@ -382,11 +380,13 @@ def _plan(graph: Graph) -> _Plan:
     for i, consumer in last.items():
         if i not in outputs:
             frees.setdefault(consumer, []).append(i)
+    # ids are topological already; topo_order stays while bench/workloads.py lists it
     steps = tuple(
         _Step(nid, KERNELS[node.op.kind], node.op.attrs, node.inputs,
               tuple(frees.get(nid, ())))
         for nid in topo_order(graph)
         if (node := graph.nodes[nid]).op.kind is not OpKind.INPUT)
+    shapes = graph.shapes
     plan = _PLANS[key] = _Plan(steps, frozenset(keep), tuple(
         (shapes[o].channels, shapes[o].height, shapes[o].width) for o in graph.outputs))
     weakref.finalize(graph, _PLANS.pop, key, None)

@@ -231,7 +231,8 @@ def maxpool(x: np.ndarray, kernel: int, stride: int,
             ceil_mode: bool) -> tuple[np.ndarray, np.ndarray]:
     """Returns (pooled, winner) where winner holds the flat in-window index
     of each maximum; ties resolve to the first window cell. Ceil mode
-    clips trailing windows at the border instead of dropping them."""
+    clips trailing windows at the border instead of dropping them, and
+    ``window_out_hw`` drops a window that would start past the input."""
     n, c, h, w = x.shape
     oh, ow = window_out_hw(h, w, kernel, stride, 0, ceil_mode)
     stack = np.full((kernel * kernel, n, c, oh, ow), -np.inf, dtype=x.dtype)

@@ -3,7 +3,8 @@ import pytest
 from dlagraph import analysis, ir
 from dlagraph.analysis import (StructureStats, cost_report, count_fmas, count_params,
                                infer_shapes, node_params, structure_stats)
-from dlagraph.architectures import arch_spec, build_classifier
+from dlagraph.architectures import (DenseHeadSpec, arch_spec, build_classifier,
+                                    build_dense_decoder, catalog_names)
 from dlagraph.blocks import BlockKind, BlockSpec
 from dlagraph.aggregation import HdaSpec, build_hda, build_unmerged_hda
 from dlagraph.graphdoc import graph_to_document, parse, serialize
@@ -86,6 +87,30 @@ def test_cost_report_stage_breakdown_sums_to_totals():
     assert set(report.per_stage) == {"1", "2", "3", "4", "5", "6", "head"}
 
 
+def _shapes_node_by_node(graph):
+    """Each node's shape from its own rule, in id order."""
+    shapes = []
+    for node in graph.nodes:
+        shapes.append(ir.infer_node_shape(node.op, [shapes[i] for i in node.inputs]))
+    return shapes
+
+
+@pytest.mark.parametrize("name", catalog_names() + ("DLA-34-dense",))
+def test_graph_shapes_are_what_infer_shapes_and_the_rules_give(name):
+    """Shape witness on the catalog documents, built and parsed."""
+    if name == "DLA-34-dense":
+        declared = TensorShape(3, 864, 864)
+        g = build_dense_decoder(arch_spec("DLA-34"), DenseHeadSpec(num_classes=19), declared)
+    else:
+        declared = SHAPE224
+        g = build_classifier(arch_spec(name), 1000, declared)
+    parsed, _ = parse(serialize(g))
+    for graph in (g, parsed):
+        assert infer_shapes(graph, declared) == dict(enumerate(graph.shapes))
+        assert list(graph.shapes) == _shapes_node_by_node(graph)
+    assert parsed.shapes == g.shapes
+
+
 def test_cost_report_reads_each_nodes_parameter_shapes_once(monkeypatch):
     g = build_classifier(arch_spec("DLA-46-C"), 1000, SHAPE224)
     seen = []
@@ -96,11 +121,13 @@ def test_cost_report_reads_each_nodes_parameter_shapes_once(monkeypatch):
 
     monkeypatch.setattr(analysis, "param_shapes", counted)
     report = cost_report(g, SHAPE224)
-    assert len(seen) == len(g.nodes)  # a builder makes a new op for every node
-    # a parsed graph shares one op per distinct attrs record, read once
+    # built and parsed graphs alike share one op per distinct attrs set, read once
+    built = {id(node.op) for node in g.nodes}
+    assert len(built) < len(g.nodes) / 3
+    assert sorted(map(id, seen)) == sorted(built)
     parsed, _ = parse(serialize(g))
     distinct = {id(node.op) for node in parsed.nodes}
-    assert len(distinct) < len(parsed.nodes) / 3
+    assert len(distinct) == len(built)
     seen.clear()
     assert cost_report(parsed, SHAPE224) == report
     assert sorted(map(id, seen)) == sorted(distinct)

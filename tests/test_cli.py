@@ -312,9 +312,18 @@ def test_report_input_override_rescales_fmas(capsys, doc_path):
 
 
 def test_report_input_override_with_wrong_channels_exits_3(capsys, doc_path):
-    code, _, err = run(capsys, "report", str(doc_path), "--input", "224x224x4")
-    assert code == 3
-    assert "--input" in err
+    code, out, err = run(capsys, "report", str(doc_path), "--input", "224x224x4")
+    assert (code, out) == (3, "")
+    # the graph built again at those extents names the first node that does not fit
+    assert err == ("dlagraph: --input 224x224x4 does not fit the document: "
+                   "node 1: conv expects 3 channels, got 4\n")
+
+
+def test_report_input_at_the_documents_own_extents_prints_plain_reports_bytes(capsys,
+                                                                              doc_path):
+    plain = run(capsys, "report", str(doc_path))
+    assert run(capsys, "report", str(doc_path), "--input", "224x224x3") == plain
+    assert plain[0] == 0
 
 
 def test_build_output_is_byte_identical_across_runs(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -12,6 +11,7 @@ from dlagraph.architectures import DenseHeadSpec, arch_spec, build_classifier, \
 from dlagraph.blocks import BlockKind, BlockSpec
 from dlagraph.graphdoc import ParseError, graph_to_document, parse, serialize, to_dot
 from dlagraph.ir import GraphBuilder, TensorShape
+from conftest import RANDOM_GRAPH_SEEDS, random_graph, random_string
 from test_cli_fuzz import MUTANTS_PER_DOCUMENT, build_documents, mutants, nudged
 
 SHAPE224 = TensorShape(3, 224, 224)
@@ -350,18 +350,8 @@ def test_serialize_matches_reference_on_every_fuzz_mutant_that_parses(tmp_path):
     assert parsed >= MUTANTS_PER_DOCUMENT // 2
 
 
-# Characters that json escapes, or spells as a surrogate pair, or passes through.
-ALPHABET = ("a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
-            "\u2028", "\ufeff", "\u65e5", "\U0001f600", "\ud800")
 NUMBERS = (0, 1, -7, 2 ** 70, 1e-05, -0.0, 0.0, 1.0, 1e300)
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
-# Tag ids and batch-norm epsilons a document can carry; 1 and 1.0 render apart.
-TAG_INTS = (0, 1, -7, 2 ** 70)
-EPSILONS = (1, 1.0, 2, 0.5, 1e-05, 1e300)
-
-
-def random_string(rng):
-    return "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(5)))
 
 
 def random_json(rng, depth):
@@ -379,74 +369,11 @@ def random_json(rng, depth):
     return {random_string(rng): random_json(rng, depth - 1) for _ in range(rng.randrange(4))}
 
 
-def random_tags(rng):
-    """Valid tags: each None or an int up to 2**70, and the stage also a
-    string with escapes and non-ASCII."""
-    stage = rng.choice((None, rng.choice(TAG_INTS), random_string(rng)))
-    return ir.Tags(stage, rng.choice((None,) + TAG_INTS), rng.choice((None,) + TAG_INTS))
-
-
-def random_op(rng, kind, shapes):
-    """An op of ``kind`` applied to the last node, and its inputs, which fit
-    the node ``shapes`` so far; Concat and Add draw further operands among
-    the earlier nodes that fit. Linear needs a 1x1 extent."""
-    x, s = len(shapes) - 1, shapes[-1]
-    c = s.channels
-    if kind is ir.OpKind.CONV:
-        k, groups = rng.choice((1, 3)), rng.choice([g for g in (1, 2, 3) if c % g == 0])
-        return ir.conv(k, rng.choice((1, 2)), k // 2, c, groups * rng.randrange(1, 3), groups,
-                       rng.choice((True, False))), [x]
-    if kind is ir.OpKind.BATCH_NORM:
-        return ir.batch_norm(c, rng.choice(EPSILONS)), [x]
-    if kind is ir.OpKind.MAX_POOL:
-        kernel = rng.choice([k for k in (1, 2, 3) if k <= min(s.spatial)])
-        return ir.max_pool(kernel, rng.choice((1, 2)), rng.choice((True, False))), [x]
-    if kind is ir.OpKind.LINEAR:
-        return ir.linear(c, rng.randrange(1, 4), rng.choice((True, False))), [x]
-    if kind is ir.OpKind.CONCAT:
-        fits = [i for i, t in enumerate(shapes) if t.spatial == s.spatial]
-        return ir.concat(), [x] + rng.choices(fits, k=rng.randrange(1, 3))
-    if kind is ir.OpKind.ADD:
-        return ir.add(), [x, rng.choice([i for i, t in enumerate(shapes) if t == s])]
-    if kind is ir.OpKind.UPSAMPLE:
-        return ir.upsample(2, rng.choice(list(ir.UpsampleMode)), c), [x]
-    return {ir.OpKind.RELU: ir.relu, ir.OpKind.GLOBAL_AVG_POOL: ir.global_avg_pool,
-            ir.OpKind.SOFTMAX: ir.softmax}[kind](), [x]
-
-
-def random_graph(rng):
-    """A single-Input graph over every op kind, in random order with random
-    repeats, whose nodes carry random valid tags (the Output nodes none)."""
-    b = GraphBuilder()
-    shapes = []
-    tags = []
-
-    def add(op, inputs):
-        shapes.append(ir.infer_node_shape(op, [shapes[i] for i in inputs]))
-        tags.append(random_tags(rng))
-        return b.add(op, inputs)
-
-    add(ir.input_op(rng.randrange(1, 4), 8, 8), [])
-    kinds = [k for k in ir.OpKind if k not in (ir.OpKind.INPUT, ir.OpKind.OUTPUT)]
-    kinds += rng.choices(kinds, k=rng.randrange(6))
-    rng.shuffle(kinds)
-    for kind in kinds:
-        if kind is ir.OpKind.LINEAR and shapes[-1].spatial != (1, 1):
-            add(ir.global_avg_pool(), [len(shapes) - 1])
-        add(*random_op(rng, kind, shapes))
-    for nid in {len(shapes) - 1, rng.randrange(len(shapes))}:
-        b.mark_output(nid)
-    g = b.build()
-    # a builder's scopes hand out dense ids; a document may hold any int
-    nodes = [dataclasses.replace(n, tags=t) for n, t in zip(g.nodes, tags)]
-    return ir.Graph((*nodes, *g.nodes[len(tags):]), g.inputs, g.outputs)
-
-
 def _reject_constant(name):
     raise AssertionError("not strict JSON: %s" % name)
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", RANDOM_GRAPH_SEEDS)
 def test_serialize_matches_reference_on_random_tags_and_metadata(seed):
     rng = random.Random(seed)
     g = random_graph(rng)

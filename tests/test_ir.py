@@ -4,6 +4,7 @@ from dlagraph import ir
 from dlagraph.ir import (ArityMismatch, Graph, GraphBuilder, GraphNode,
                          PrimOp, OpKind, ShapeConflict, Tags, TensorShape, UnknownInput,
                          infer_node_shape, topo_order, validate)
+from dlagraph.architectures import arch_spec, build_classifier
 
 
 def test_tensor_shape_rejects_nonpositive_extents():
@@ -156,6 +157,12 @@ def test_shape_rule_maxpool_floor_and_ceil():
     assert infer_node_shape(ceil_pool, [TensorShape(8, 1, 1)]).spatial == (1, 1)
     with pytest.raises(ShapeConflict):
         infer_node_shape(floor_pool, [TensorShape(8, 1, 1)])
+    # a ceil-mode window that would start at or past the input is dropped
+    # (PyTorch's rule): kernel 1, stride 2 over 2 cells has one window
+    pool = ir.max_pool(1, 2, ceil_mode=True)
+    assert infer_node_shape(pool, [TensorShape(1, 2, 2)]) == TensorShape(1, 1, 1)
+    assert ir.window_out_hw(2, 5, 1, 2, 0, True) == (1, 3)
+    assert ir.window_out_hw(5, 5, 1, 3, 0, True) == (2, 2)  # windows at 0 and 3
 
 
 def test_conv_rejects_indivisible_groups():
@@ -233,3 +240,52 @@ def test_linear_rejects_a_map_larger_than_1x1():
     x = b.add_input(TensorShape(4, 2, 2))
     with pytest.raises(ShapeConflict, match="linear expects 1x1 spatial extent, got 2x2"):
         b.add(ir.linear(4, 3), [x])
+
+
+def _typed(op):
+    return op.kind, tuple((name, type(v), v) for name, v in op.attrs.items())
+
+
+def test_a_built_graph_holds_one_op_per_distinct_helper_call(monkeypatch):
+    monkeypatch.setattr(ir, "_INTERNED", {})
+    g = build_classifier(arch_spec("DLA-169"), 1000, TensorShape(3, 224, 224))
+    ops = {id(n.op): n.op for n in g.nodes}
+    assert len(ops) == len({_typed(op) for op in ops.values()}) < len(g.nodes) / 10
+    assert ir.conv(3, 1, 1, 8, 8) is ir.conv(3, 1, 1, 8, 8, groups=1, has_bias=False)
+    assert ir.relu() is ir.relu() and ir.relu() is not ir.output_op()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ir.conv(3.0, 1, 1, 8, 8), "Conv attr 'kernel' must be a int, got 3.0"),
+    (lambda: ir.conv(True, 1, 1, 8, 8), "Conv attr 'kernel' must be a int, got True"),
+    (lambda: ir.conv([3], 1, 1, 8, 8), "Conv attr 'kernel' must be a int, got [3]"),
+    (lambda: ir.batch_norm(4, float("nan")), "BatchNorm attr 'epsilon' is out of range: nan"),
+    (lambda: ir.conv(3, 1, 1, 6, 8, groups=4), "channels (6 -> 8) not divisible by groups=4"),
+], ids=["float", "bool", "unhashable", "nan", "groups"])
+def test_op_helpers_raise_what_primop_raises_on_every_call(call, message):
+    # ops equal to the bad ones but for a value's type are kept first
+    ir.conv(3, 1, 1, 8, 8)
+    ir.conv(1, 1, 1, 8, 8)
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert info.type is ValueError and str(info.value) == message
+
+
+def test_op_helpers_keep_int_float_and_bool_attrs_apart():
+    by_int, by_float = ir.batch_norm(4, 1), ir.batch_norm(4, 1.0)
+    assert by_int is not by_float
+    assert type(by_int.attrs["epsilon"]) is int and type(by_float.attrs["epsilon"]) is float
+    assert ir.batch_norm(4, 1) is by_int and ir.batch_norm(4, 1.0) is by_float
+    ir.conv(1, 1, 0, 2, 2, has_bias=True)
+    with pytest.raises(ValueError, match="has_bias"):  # 1 == True, but no bool
+        ir.conv(1, 1, 0, 2, 2, has_bias=1)
+
+
+def test_op_table_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(ir, "_INTERNED", {})
+    monkeypatch.setattr(ir, "_INTERNED_MAX", 3)
+    ops = [ir.batch_norm(c) for c in range(1, 8)]
+    assert len(ir._INTERNED) <= 3
+    assert [op.attrs["channels"] for op in ops] == list(range(1, 8))
+    assert ir.batch_norm(7) is ops[-1]

@@ -1,14 +1,18 @@
 import gc
 import math
+import random
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from conftest import kept_bits, naive_conv2d, reference_forward
+from conftest import (RANDOM_GRAPH_SEEDS, kept_bits, naive_conv2d, random_graph,
+                      reference_forward)
 
 from dlagraph import graphdoc, ir
 from dlagraph.aggregation import AggNodeSpec, build_aggregation_node
+from dlagraph.analysis import infer_shapes
 from dlagraph.architectures import (build_toy_classifier, build_toy_dense_decoder,
                                     catalog_names)
 from dlagraph.ir import GraphBuilder, OpKind, TensorShape, UpsampleMode
@@ -718,6 +722,61 @@ def test_maxpool_ceil_window_clipping():
     np.testing.assert_array_equal(pooled[0, 0], [[4.0, 5.0], [7.0, 8.0]])
     gx = ops.maxpool_grad(np.ones((1, 1, 2, 2)), _, (1, 1, 3, 3), 2, 2)
     assert gx.sum() == 4.0
+    # a window that would start past the input is dropped, not filled with -inf
+    pooled, winner = ops.maxpool(x[:, :, :2, :2], 1, 2, ceil_mode=True)
+    np.testing.assert_array_equal(pooled, [[[[0.0]]]])
+    gx = ops.maxpool_grad(np.ones((1, 1, 1, 1)), winner, (1, 1, 2, 2), 1, 2)
+    np.testing.assert_array_equal(gx, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+
+@pytest.mark.parametrize("ceil_mode", [False, True])
+def test_maxpool_of_a_finite_input_is_finite(ceil_mode):
+    rng = np.random.default_rng(0)
+    for h in range(1, 8):
+        for w in range(1, 8):
+            x = rng.standard_normal((1, 2, h, w))
+            for kernel in range(1, 4):
+                for stride in range(1, 4):
+                    oh, ow = ir.window_out_hw(h, w, kernel, stride, 0, ceil_mode)
+                    if oh < 1 or ow < 1:
+                        continue
+                    pooled, winner = ops.maxpool(x, kernel, stride, ceil_mode)
+                    assert pooled.shape == (1, 2, oh, ow)
+                    assert np.isfinite(pooled).all(), (h, w, kernel, stride)
+                    gx = ops.maxpool_grad(np.ones_like(pooled), winner, x.shape,
+                                          kernel, stride)
+                    assert gx.sum() == pooled.size
+
+
+@pytest.mark.parametrize("name", catalog_names() + ("decoder",))
+def test_executed_shapes_equal_the_graphs_shapes(name):
+    """Shape witness on the ten toy cases: the shapes construction keeps
+    are what ``infer_shapes`` gives, and what a batch-2 forward makes."""
+    g = (build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5) if name == "decoder"
+         else build_toy_classifier(name, 16, 16, num_classes=10))
+    declared = g.shapes[g.inputs[0]]
+    assert infer_shapes(g, declared) == dict(enumerate(g.shapes))
+    x = np.random.default_rng(0).standard_normal((2,) + astuple(declared))
+    outs, tape = forward(g, init_params(g, 0), [x])
+    assert set(tape.values) >= set(g.outputs)
+    for nid, value in tape.values.items():
+        assert value.shape == (2,) + astuple(g.shapes[nid]), nid
+    for o, y in zip(g.outputs, outs):
+        assert y.shape == (2,) + astuple(g.shapes[o])
+
+
+@pytest.mark.parametrize("seed", RANDOM_GRAPH_SEEDS)
+def test_random_graphs_run_forward_and_backward_to_finite_values(seed):
+    g = random_graph(random.Random(seed))
+    params = init_params(g, seed)
+    x = np.random.default_rng(seed).standard_normal((2,) + astuple(g.shapes[0]))
+    outs, tape = forward(g, params, [x])
+    grads, input_grads = backward(g, params, tape, [np.ones_like(y) for y in outs],
+                                  wrt=range(len(g)))
+    for y, o in zip(outs, g.outputs):
+        assert y.shape == (2,) + astuple(g.shapes[o]) and np.isfinite(y).all()
+    assert np.isfinite(input_grads[0]).all()
+    assert all(np.isfinite(t).all() for store in grads.values() for t in store.values())
 
 
 def test_grad_check_single_layer_tight_tolerance():
