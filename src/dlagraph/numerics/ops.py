@@ -3,12 +3,16 @@
 Convolution is realized through im2col plus batched matmul; the transposed
 convolution is the exact adjoint of the forward map (transposed matmul, then
 col2im into the unpadded result), so <Ax, y> == <x, At y> holds to rounding
-error. col2im adds one rectangle per tap that reaches the result, from a
-table built once per geometry; a tap that falls wholly on the padding, as
-most of a padded kernel's do on a 1x1 extent, adds nothing. The upsampling
-has its own kernel with the adjoint's bits at its geometry, which needs no
-column tensor. All reductions have a fixed order, which keeps runs
-bit-identical.
+error. im2col only copies, so its bits are the input's and the padding's
++0.0 whichever copy it makes: at stride 1 and kernel 2p+1 on maps wider
+than one cell, one run of whole rows per tap, with the columns that wrap
+into a neighbouring row set to +0.0. col2im adds one rectangle per tap that
+reaches the result, from a table built once per geometry; a tap that falls
+wholly on the padding, as most of a padded kernel's do on a 1x1 extent,
+adds nothing. The upsampling has its own kernel with the adjoint's bits at
+its geometry, which needs no column tensor; on a 1x1 input it is one
+product per cell plus an in-place ``+= 0.0``. All reductions have a fixed
+order, which keeps runs bit-identical.
 """
 
 from __future__ import annotations
@@ -23,6 +27,24 @@ from ..ir import window_out_hw
 def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     """(N, C, H, W) -> (N, C, k, k, OH, OW) patch tensor."""
     n, c, h, w = x.shape
+    if stride == 1 and kernel == 2 * padding + 1 and padding and w > 1:
+        # Each channel's rows laid end to end between p zero rows plus p
+        # zero cells at either end: tap (i, j)'s columns are then the run of
+        # H*W cells from cell i*W + j, one strided copy for all taps. A run's
+        # cells whose column falls off its row read the next or previous row
+        # instead; those, at most p columns per tap, get the padding's +0.0.
+        # (On 1-wide maps the runs are no longer than the rows, and the
+        # strided copy below is faster; without padding it copies one run.)
+        p = padding
+        flat = np.zeros((n, c, (h + 2 * p) * w + 2 * p), dtype=x.dtype)
+        flat[:, :, p * (w + 1):p * (w + 1) + h * w] = x.reshape(n, c, h * w)
+        sn, sc, s = flat.strides
+        cols = np.ndarray((n, c, kernel, kernel, h * w), flat.dtype, flat, 0,
+                          (sn, sc, w * s, s, s)).copy().reshape(n, c, kernel, kernel, h, w)
+        for j in range(p):  # the taps p - j columns left and right of the centre
+            cols[:, :, :, j, :, :p - j] = 0.0
+            cols[:, :, :, kernel - 1 - j, :, max(0, w - p + j):] = 0.0
+        return cols
     oh, ow = window_out_hw(h, w, kernel, stride, padding)
     if padding:
         # Zeros plus one slice assignment: the same bits as np.pad, at a
@@ -141,9 +163,17 @@ def upsample_apply(x: np.ndarray, w: np.ndarray, factor: int) -> np.ndarray:
     cell takes at most one tap from each half of the kernel along each axis,
     so the result is four rectangles of products, added into zeros in
     _col2im's tap order: a nearest repeat of ``x`` times one f x f block of
-    ``w`` tiled over the result."""
+    ``w`` tiled over the result. On a 1x1 input the rectangles do not
+    overlap, and the result is the central f x f block of ``w`` times ``x``,
+    added to zero."""
     n, c, h, wd = x.shape
     f, p = factor, factor // 2
+    if h == wd == 1:
+        # Cell (r, s) takes the one tap (p + r, p + s): one product each,
+        # added to zero in place for the zeroed result's -0.0 -> +0.0.
+        y = np.multiply(w[None, :, 0, p:p + f, p:p + f], x, order="C")
+        y += 0.0
+        return y
     oh, ow = f * h, f * wd
     xr = x.repeat(f, axis=2).repeat(f, axis=3)
     y = np.zeros((n, c, oh, ow), dtype=np.result_type(x, w))

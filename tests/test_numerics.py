@@ -63,17 +63,32 @@ def _grid_extent(kernel, stride, padding):
     return max(1, kernel + stride + stride // 2 - 2 * padding)
 
 
-@pytest.mark.parametrize("kernel,stride,padding", KERNEL_GRID, ids=KERNEL_GRID_IDS)
-def test_im2col_matches_np_pad_construction_bit_for_bit(kernel, stride, padding):
-    h = _grid_extent(kernel, stride, padding)
-    x = np.random.default_rng(4).standard_normal((2, 3, h, h + 1))
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh, ow = ir.window_out_hw(h, h + 1, kernel, stride, padding)
-    want = np.empty((2, 3, kernel, kernel, oh, ow))
-    for i in range(kernel):
-        for j in range(kernel):
-            want[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    assert np.array_equal(ops._im2col(x, kernel, stride, padding), want)
+# Every stride-1 kernel 2p+1 of the grid at widths 1 and 2 and wider than
+# the kernel: the plane copy serves widths above 1, the strided one width 1.
+PLANE_GRID = list(dict.fromkeys((k, 1, p, h, w) for k, s, p in KERNEL_GRID
+                                if s == 1 and k == 2 * p + 1
+                                for h, w in ((3, 1), (3, 2), (1, k + 1), (k, k + 2))))
+IM2COL_GRID = ([(k, s, p, _grid_extent(k, s, p), _grid_extent(k, s, p) + 1)
+                for k, s, p in KERNEL_GRID] + PLANE_GRID)
+IM2COL_IDS = KERNEL_GRID_IDS + ["%d-%d-k%d-%dx%d" % (p, s, k, h, w)
+                                 for k, s, p, h, w in PLANE_GRID]
+
+
+@pytest.mark.parametrize("kernel,stride,padding,h,w", IM2COL_GRID, ids=IM2COL_IDS)
+def test_im2col_matches_np_pad_construction_bit_for_bit(kernel, stride, padding, h, w):
+    # a quarter of the entries are +/-0.0, +/-inf or NaN, so a column that
+    # reads a neighbouring row where the padding's +0.0 belongs shows
+    rng = np.random.default_rng(4)
+    for x in (_operand(rng, (2, 3, h, w), False, True), _operand(rng, (2, 3, h, w), True, True)):
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        oh, ow = ir.window_out_hw(h, w, kernel, stride, padding)
+        want = np.empty((2, 3, kernel, kernel, oh, ow), dtype=x.dtype)
+        for i in range(kernel):
+            for j in range(kernel):
+                want[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+        got = ops._im2col(x, kernel, stride, padding)
+        assert got.flags.c_contiguous
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def _per_tap_col2im(cols, stride, padding, hw):
@@ -188,6 +203,19 @@ def _with_specials(rng, a):
     picked = rng.random(a.shape) < 0.25
     a[picked] = rng.choice(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]), int(picked.sum()))
     return a
+
+
+def _operand(rng, shape, is_complex, special):
+    """Standard normals, complex with parts drawn apart if ``is_complex``,
+    each part passed through _with_specials if ``special``."""
+    parts = [rng.standard_normal(shape) for _ in range(1 + is_complex)]
+    if special:
+        parts = [_with_specials(rng, part) for part in parts]
+    if not is_complex:
+        return parts[0]
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = parts
+    return z
 
 
 def _every_tap_col2im(cols, x, stride, padding):
@@ -339,6 +367,48 @@ def test_upsample_apply_matches_the_transposed_conv_bit_for_bit(factor):
                 assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), (h, w, n)
 
 
+def _four_rectangle_upsample(x, w, factor):
+    """upsample_apply's path for inputs larger than one cell: four
+    rectangles of products added into zeros."""
+    n, c, h, wd = x.shape
+    f, p = factor, factor // 2
+    oh, ow = f * h, f * wd
+    xr = x.repeat(f, axis=2).repeat(f, axis=3)
+    y = np.zeros((n, c, oh, ow), dtype=np.result_type(x, w))
+    halves_r = ((slice(p, oh), slice(0, oh - p)), (slice(0, oh - p), slice(p, oh)))
+    halves_c = ((slice(p, ow), slice(0, ow - p)), (slice(0, ow - p), slice(p, ow)))
+    for a, (src_r, dst_r) in enumerate(halves_r):
+        for b, (src_c, dst_c) in enumerate(halves_c):
+            block = np.tile(w[:, 0, a * f:(a + 1) * f, b * f:(b + 1) * f], (h, wd))
+            y[:, :, dst_r, dst_c] += block[:, src_r, src_c] * xr[:, :, src_r, src_c]
+    return y
+
+
+@pytest.mark.parametrize("factor", [2, 4, 8, 16])
+def test_upsample_apply_of_complex_operands_keeps_the_general_paths_bits(factor):
+    # complex inputs, complex weights or both, finite or with a quarter of
+    # each part special; with one operand real and finite the transposed
+    # conv gives the same bits too (with both complex its matmul rounds the
+    # products otherwise, and with specials it can give a NaN the other sign)
+    rng = np.random.default_rng(40 + factor)
+    for h, w in ((1, 1), (2, 3)):
+        for n in (1, 24):
+            for special in (False, True):
+                for cx, cw in ((True, False), (False, True), (True, True)):
+                    x = _operand(rng, (n, 3, h, w), cx, special)
+                    weight = _operand(rng, (3, 1, 2 * factor, 2 * factor), cw, special)
+                    with np.errstate(invalid="ignore"):
+                        got = ops.upsample_apply(x, weight, factor)
+                        want = _four_rectangle_upsample(x, weight, factor)
+                        adjoint = ops.conv_apply_adjoint(x, weight, factor, factor // 2, 3,
+                                                         (factor * h, factor * w))
+                    assert got.flags.c_contiguous
+                    assert (got.dtype, got.shape, got.tobytes()) == \
+                        (want.dtype, want.shape, want.tobytes()), (h, w, n, special)
+                    if not (special or cx and cw):
+                        assert got.tobytes() == adjoint.tobytes(), (h, w, n)
+
+
 def _decoder_forward_at_batch_16():
     g = build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5)
     x = np.random.default_rng(5).standard_normal((16, 3, 32, 32))
@@ -358,6 +428,18 @@ def test_forward_conv_columns_fit_the_block_budget(monkeypatch):
     assert any(samples < 16 for samples, _ in blocks)  # some convolution was sliced
     for samples, nbytes in blocks:  # one sample alone may exceed the budget
         assert samples == 1 or nbytes <= ops._COL_BLOCK_BYTES, (samples, nbytes)
+    # Every column block comes from _im2col, which the benchmark's tracer
+    # wraps: one call per sample slice of each of the 43 convolutions, and
+    # 86.0 MiB in all. Columns built some other way would drop out of both.
+    g, calls, nbytes = build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5), 0, 0
+    for node in g.nodes:
+        if node.op.kind is OpKind.CONV:
+            a, s = node.op.attrs, g.shapes[node.inputs[0]]
+            oh, ow = ir.window_out_hw(s.height, s.width, a["kernel"], a["stride"], a["padding"])
+            per_sample = 8 * s.channels * a["kernel"] ** 2 * oh * ow
+            calls += len(ops._sample_blocks(16, per_sample))
+            nbytes += 16 * per_sample
+    assert (len(blocks), sum(n for _, n in blocks)) == (calls, nbytes) == (142, 90218496)
 
 
 @pytest.mark.parametrize("kernel", ["conv_apply", "conv_weight_grad"])
