@@ -3,9 +3,10 @@
 Documents are canonical JSON: keys sorted, two-space indent, nodes listed
 by ascending id. ``serialize`` writes these bytes itself, rendering each
 distinct attrs and tags object once, and tests pin them to
-``json.dumps(graph_to_document(...), sort_keys=True, indent=2)``, whose
-indenting encoder is pure Python. Serializing a graph twice yields
-identical bytes, and parse followed by serialize is byte-idempotent.
+``json.dumps(document, sort_keys=True, indent=2)``, whose indenting encoder
+is pure Python, over the document that ``graph_to_document`` in
+tests/conftest.py builds. Serializing a graph twice yields identical bytes,
+and parse followed by serialize is byte-idempotent.
 Documents are strict JSON: ``PrimOp`` and ``Tags`` admit only strs, bools,
 ints and finite floats; ``serialize`` raises ValueError and ``parse``
 ParseError on a NaN or infinite metadata value. A document holds exactly
@@ -47,25 +48,6 @@ def _tags_to_json(tags: Tags) -> dict[str, Any]:
     return out
 
 
-def graph_to_document(graph: Graph, metadata: dict[str, Any] | None = None) -> dict:
-    nodes = []
-    for node in graph.nodes:
-        nodes.append({
-            "id": node.id,
-            "kind": node.op.kind.value,
-            "attrs": dict(node.op.attrs),
-            "inputs": list(node.inputs),
-            "tags": _tags_to_json(node.tags),
-        })
-    return {
-        "format_version": FORMAT_VERSION,
-        "metadata": dict(metadata or {}),
-        "inputs": list(graph.inputs),
-        "outputs": list(graph.outputs),
-        "nodes": nodes,
-    }
-
-
 _quote = json.encoder.encode_basestring_ascii
 _KIND_TEXT = {kind: _quote(kind.value) for kind in OpKind}
 _KIND_OF_TEXT = {kind.value: kind for kind in OpKind}
@@ -104,8 +86,9 @@ def _block(cache: dict, key: tuple, pairs: Any) -> str:
 
 
 def serialize(graph: Graph, metadata: dict[str, Any] | None = None) -> str:
-    """The bytes of ``json.dumps(graph_to_document(graph, metadata),
-    sort_keys=True, indent=2) + "\\n"``, written without building the document."""
+    """The bytes of ``json.dumps(document, sort_keys=True, indent=2) +
+    "\\n"`` for the document of ``graph`` and ``metadata`` (tests/conftest.py's
+    ``graph_to_document``), written without building the document."""
     attr_blocks: dict[tuple, str] = {}
     tag_blocks: dict[tuple, str] = {}
     records = []

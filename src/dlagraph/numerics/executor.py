@@ -41,8 +41,9 @@ it, so it holds only the frontier and the graph inputs' gradients. Batch
 norm tapes only its per-lane statistics (ivar, mean, var), and its backward
 forms x - mean again and its input gradient in one buffer. Every
 convolution, forward and backward, builds its im2col and col2im blocks a
-bounded slice of samples at a time, and frees each block before it builds
-the next (see ``ops``).
+bounded slice of samples at a time, a col2im block together with the copy
+its gather makes, and frees each block before it builds the next (see
+``ops``).
 """
 
 from __future__ import annotations

@@ -6,13 +6,20 @@ col2im into the unpadded result), so <Ax, y> == <x, At y> holds to rounding
 error. im2col only copies, so its bits are the input's and the padding's
 +0.0 whichever copy it makes: at stride 1 and kernel 2p+1 on maps wider
 than one cell, one run of whole rows per tap, with the columns that wrap
-into a neighbouring row set to +0.0. col2im adds one rectangle per tap that
-reaches the result, from a table built once per geometry; a tap that falls
-wholly on the padding, as most of a padded kernel's do on a 1x1 extent,
-adds nothing. The upsampling has its own kernel with the adjoint's bits at
-its geometry, which needs no column tensor; on a 1x1 input it is one
-product per cell plus an in-place ``+= 0.0``. All reductions have a fixed
-order, which keeps runs bit-identical.
+into a neighbouring row set to +0.0. col2im is a gather: each result cell
+pulls in the columns of the taps that reach it, in ascending tap order,
+from an index built once per geometry, and one reduction adds each cell's
+list in order from +0.0. Lists shorter than the longest are padded with a
++0.0 that closes each sample's columns; a partial sum that starts at +0.0
+is never -0.0, so adding +0.0 to it changes no bit, and each cell gets the
+adds it would get tap by tap on a zeroed padded grid; only a NaN's sign
+can differ from those, where a cell sums NaNs of both signs. A sample
+slice's columns and their gathered copy together fit _COL_BLOCK_BYTES.
+The adjoint of an unpadded 1x1 kernel is its product, added to zero in
+place. The upsampling has its own kernel with the adjoint's bits at its
+geometry for real operands, which needs no column tensor; on a 1x1 input
+it is one product per cell plus an in-place ``+= 0.0``. All reductions
+have a fixed order, which keeps runs bit-identical.
 """
 
 from __future__ import annotations
@@ -60,39 +67,51 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray
                       (sn, sc, sh, sw, stride * sh, stride * sw)).copy()
 
 
-def _col2im(cols: np.ndarray, x: np.ndarray, stride: int, padding: int) -> None:
-    """Adjoint of _im2col: scatter-add (N, C, k, k, OH, OW) patches onto the
-    unpadded (N, C, H, W) result ``x`` in place. Each tap (i, j) of the
-    geometry's _taps table, in ascending order, adds over the rows and
-    columns it reaches inside ``x`` and drops those on the padding, so each
-    cell takes its taps in ascending order, as on a padded grid; a tap that
-    reaches only padding is not in the table and adds nothing."""
-    for i, j, taps_r, x_r, taps_c, x_c in _taps(cols.shape[2], stride, padding,
-                                                cols.shape[4:], x.shape[2:]):
-        x[:, :, x_r, x_c] += cols[:, :, i, j, taps_r, taps_c]
+def _col2im(cols: np.ndarray, index: np.ndarray, x: np.ndarray) -> None:
+    """Adjoint of _im2col, written into the unpadded (N, C, H, W) result
+    ``x``. ``cols`` holds one row per sample: its (C, k, k, OH, OW) columns
+    and then one +0.0. One take gathers, for every cell, the column entries
+    that _gather_index lists for it, and one reduction adds each cell's list
+    in order from +0.0, as adding each tap over a zeroed padded grid
+    would."""
+    if index.shape[1] == 1:
+        # One cell per sample: its list would be the reduction's inner loop,
+        # which numpy adds pairwise from eight entries up, so add it here.
+        cells = x.reshape(-1)
+        cells[...] = 0.0
+        for entry in np.take(cols, index[:, 0], axis=1, mode="clip").T:
+            cells += entry
+        return
+    # (N, T, C*H*W): the reduced axis is not the innermost, so numpy adds
+    # each cell's list one entry at a time rather than pairwise. The index
+    # is in range by construction; "clip" skips take's per-entry check.
+    np.add.reduce(np.take(cols, index, axis=1, mode="clip"), axis=1, initial=0.0,
+                  out=x.reshape(len(x), -1))
 
 
-@functools.lru_cache(maxsize=256)
-def _taps(kernel: int, stride: int, padding: int, out_hw: tuple[int, int],
-          hw: tuple[int, int]) -> tuple[tuple[int, int, slice, slice, slice, slice], ...]:
-    """(i, j, window rows, result rows, window columns, result columns) of
-    every tap whose reach inside an ``hw`` result with ``out_hw`` windows is
-    non-empty along both axes, in ascending (i, j) order; built once per
-    geometry."""
-    rows, columns = ([(i, *_tap_reach(i, stride, padding, out, size)) for i in range(kernel)]
-                     for out, size in zip(out_hw, hw))
-    return tuple((i, j, taps_r, x_r, taps_c, x_c)
-                 for i, taps_r, x_r in rows if taps_r.stop > taps_r.start
-                 for j, taps_c, x_c in columns if taps_c.stop > taps_c.start)
-
-
-def _tap_reach(i: int, stride: int, padding: int, out: int, size: int) -> tuple[slice, slice]:
-    """(window positions, result cells) that tap ``i`` of ``out`` windows
-    reaches inside an axis of ``size`` cells padded by ``padding``."""
-    first = max(0, -((i - padding) // stride))
-    count = max(0, min(out, -((i - padding - size) // stride)) - first)
-    start = first * stride + i - padding
-    return slice(first, first + count), slice(start, start + count * stride, stride)
+@functools.lru_cache(maxsize=32)
+def _gather_index(channels: int, kernel: int, stride: int, padding: int,
+                  out_hw: tuple[int, int], hw: tuple[int, int]) -> np.ndarray:
+    """(T, C*H*W) positions, in one sample's row of _col2im's ``cols``, of
+    the entries each result cell sums: the columns of the taps that reach
+    it, in ascending tap order, then the row's closing +0.0 up to T, the
+    most taps any cell takes. Built once per geometry; an entry holds
+    T*C*H*W indices (1.2 MB for a 3x3 kernel at stride 1 over 16 channels
+    of 32x32), and the cache keeps at most 32."""
+    (oh, ow), (h, w) = out_hw, hw
+    # every tap and window in ascending tap order: flat positions in a channel's columns
+    i, j, oy, ox = np.indices((kernel, kernel, oh, ow)).reshape(4, -1)
+    y, x = oy * stride + i - padding, ox * stride + j - padding
+    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)
+    cell = (y * w + x)[inside]
+    order = np.argsort(cell, kind="stable")  # by cell, each cell's taps still ascending
+    pos, cell = np.flatnonzero(inside)[order], cell[order]
+    counts = np.bincount(cell, minlength=h * w)
+    slot = np.arange(len(cell)) - np.repeat(np.cumsum(counts) - counts, counts)
+    per_channel = kernel * kernel * oh * ow
+    index = np.full((counts.max(initial=0), channels, h * w), channels * per_channel)
+    index[slot, :, cell] = pos[:, None] + per_channel * np.arange(channels)
+    return index.reshape(len(index), channels * h * w)
 
 
 # Bytes of one column block that a convolution builds: a batch whose
@@ -149,23 +168,37 @@ def conv_apply_adjoint(z: np.ndarray, w: np.ndarray, stride: int, padding: int,
     c = groups * icg
     zg = z.reshape(n, groups, oc // groups, oh * ow)
     wt = w.reshape(groups, oc // groups, icg * kernel * kernel).transpose(0, 2, 1)[None]
-    dtype = np.result_type(z, w)
-    x = np.zeros((n, c, h, wd), dtype=dtype)
-    for s in _sample_blocks(n, x.itemsize * c * kernel * kernel * oh * ow):
-        cols = np.matmul(wt, zg[s]).reshape(-1, c, kernel, kernel, oh, ow)
-        _col2im(cols, x[s], stride, padding)
+    x = np.empty((n, c, h, wd), dtype=np.result_type(z, w))
+    if kernel == 1 and stride == 1 and not padding:
+        # the columns are the result, each cell's one tap added to zero in place
+        np.matmul(wt, zg, out=x.reshape(n, groups, icg, h * wd))
+        x += 0.0
+        return x
+    size = c * kernel * kernel * oh * ow  # one sample's columns
+    index = _gather_index(c, kernel, stride, padding, (oh, ow), (h, wd))
+    # a block's columns and their gathered copy together fit the budget
+    for s in _sample_blocks(n, x.itemsize * (size + 1 + index.size)):
+        block = zg[s]
+        cols = np.empty((len(block), size + 1), dtype=x.dtype)
+        cols[:, size] = 0.0
+        np.matmul(wt, block, out=cols[:, :size].reshape(
+            len(block), groups, icg * kernel * kernel, oh * ow))
+        _col2im(cols, index, x[s])
+        del cols  # before the next slice's block is built
     return x
 
 
 def upsample_apply(x: np.ndarray, w: np.ndarray, factor: int) -> np.ndarray:
     """The x``factor`` upsampling: conv_apply_adjoint with kernel 2f, stride
-    f, padding f/2 and one channel per group, to the same bits. Each result
-    cell takes at most one tap from each half of the kernel along each axis,
-    so the result is four rectangles of products, added into zeros in
-    _col2im's tap order: a nearest repeat of ``x`` times one f x f block of
-    ``w`` tiled over the result. On a 1x1 input the rectangles do not
-    overlap, and the result is the central f x f block of ``w`` times ``x``,
-    added to zero."""
+    f, padding f/2 and one channel per group, to the same bits for real
+    operands (and for finite ones with only one complex; with both complex
+    the adjoint's matmul forms the products otherwise, and the last bits can
+    differ). Each result cell takes at most one tap from each half of the
+    kernel along each axis, so the result is four rectangles of products,
+    added into zeros in ascending tap order: a nearest repeat of ``x`` times
+    one f x f block of ``w`` tiled over the result. On a 1x1 input the
+    rectangles do not overlap, and the result is the central f x f block of
+    ``w`` times ``x``, added to zero."""
     n, c, h, wd = x.shape
     f, p = factor, factor // 2
     if h == wd == 1:

@@ -2,9 +2,26 @@ import dataclasses
 
 import numpy as np
 
-from dlagraph import ir
+from dlagraph import graphdoc, ir
 from dlagraph.ir import GraphBuilder
 from dlagraph.numerics import executor
+
+
+def graph_to_document(graph, metadata=None):
+    """The document of ``graph`` as plain JSON values: the reference that
+    ``graphdoc.serialize``'s bytes are pinned to through ``json.dumps``."""
+    return {
+        "format_version": graphdoc.FORMAT_VERSION,
+        "metadata": dict(metadata or {}),
+        "inputs": list(graph.inputs),
+        "outputs": list(graph.outputs),
+        "nodes": [{"id": node.id, "kind": node.op.kind.value, "attrs": dict(node.op.attrs),
+                   "inputs": list(node.inputs),
+                   "tags": {key: getattr(node.tags, key)
+                            for key in ("stage", "block_id", "agg_node_id")
+                            if getattr(node.tags, key) is not None}}
+                  for node in graph.nodes],
+    }
 
 
 def naive_conv2d(x, w, bias, stride, padding, groups):

@@ -7,8 +7,10 @@ from dlagraph.architectures import (DenseHeadSpec, arch_spec, build_classifier,
                                     build_dense_decoder, catalog_names)
 from dlagraph.blocks import BlockKind, BlockSpec
 from dlagraph.aggregation import HdaSpec, build_hda, build_unmerged_hda
-from dlagraph.graphdoc import graph_to_document, parse, serialize
+from dlagraph.graphdoc import parse, serialize
 from dlagraph.ir import GraphBuilder, ShapeConflict, TensorShape
+
+from conftest import graph_to_document
 
 SHAPE224 = TensorShape(3, 224, 224)
 

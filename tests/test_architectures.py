@@ -6,8 +6,9 @@ from dlagraph.architectures import (ArchSpec, DenseHeadSpec, IndivisibleInput,
                                     build_dense_decoder, build_toy_classifier,
                                     catalog_names, list_architectures, toy_spec)
 from dlagraph.blocks import BlockKind
-from dlagraph.graphdoc import graph_to_document
 from dlagraph.ir import OpKind, TensorShape
+
+from conftest import graph_to_document
 
 SHAPE224 = TensorShape(3, 224, 224)
 

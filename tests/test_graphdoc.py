@@ -9,9 +9,9 @@ from dlagraph.aggregation import HdaSpec, build_hda
 from dlagraph.architectures import DenseHeadSpec, arch_spec, build_classifier, \
     build_dense_decoder, build_toy_classifier, build_toy_dense_decoder, catalog_names
 from dlagraph.blocks import BlockKind, BlockSpec
-from dlagraph.graphdoc import ParseError, graph_to_document, parse, serialize, to_dot
+from dlagraph.graphdoc import ParseError, parse, serialize, to_dot
 from dlagraph.ir import GraphBuilder, TensorShape
-from conftest import RANDOM_GRAPH_SEEDS, random_graph, random_string
+from conftest import RANDOM_GRAPH_SEEDS, graph_to_document, random_graph, random_string
 from test_cli_fuzz import MUTANTS_PER_DOCUMENT, build_documents, mutants, nudged
 
 SHAPE224 = TensorShape(3, 224, 224)

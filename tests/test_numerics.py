@@ -103,14 +103,33 @@ def _per_tap_col2im(cols, stride, padding, hw):
     return xp[:, :, padding:padding + h, padding:padding + w]
 
 
+def _gathered_col2im(cols, stride, padding, hw):
+    """ops._col2im on (N, C, k, k, OH, OW) columns: each sample's columns
+    laid out in one row closed by +0.0, gathered into a result that starts
+    as NaN, so a cell the gather leaves out shows."""
+    n, c, kernel, _, oh, ow = cols.shape
+    rows = np.zeros((n, cols[0].size + 1), dtype=cols.dtype)
+    rows[:, :-1] = cols.reshape(n, -1)
+    x = np.full((n, c) + hw, np.nan, dtype=cols.dtype)
+    ops._col2im(rows, ops._gather_index(c, kernel, stride, padding, (oh, ow), hw), x)
+    return x
+
+
+def _adjoint_bytes_per_sample(z, channels, kernel, stride, padding, hw):
+    """What conv_apply_adjoint counts against the block budget per sample:
+    its columns, their closing +0.0 and their gathered copy."""
+    oh, ow = z.shape[2:]
+    index = ops._gather_index(channels, kernel, stride, padding, (oh, ow), hw)
+    return z.itemsize * (channels * kernel * kernel * oh * ow + 1 + index.size)
+
+
 @pytest.mark.parametrize("kernel,stride,padding", KERNEL_GRID, ids=KERNEL_GRID_IDS)
 def test_col2im_matches_per_tap_loop_bit_for_bit(kernel, stride, padding):
     h = _grid_extent(kernel, stride, padding)
     w = h + 1
     oh, ow = ir.window_out_hw(h, w, kernel, stride, padding)
     cols = np.random.default_rng(5).standard_normal((2, 3, kernel, kernel, oh, ow))
-    got = np.zeros((2, 3, h, w))
-    ops._col2im(cols, got, stride, padding)
+    got = _gathered_col2im(cols, stride, padding, (h, w))
     assert got.tobytes() == _per_tap_col2im(cols, stride, padding, (h, w)).tobytes()
 
 
@@ -176,7 +195,7 @@ def test_padded_adjoint_slices_match_one_grid_bit_for_bit(monkeypatch, kernel, s
     oh, ow = ir.window_out_hw(h, w, kernel, stride, padding)
     rng = np.random.default_rng(12)
     z = rng.standard_normal((5, 6, oh, ow))
-    per_sample = z.itemsize * 3 * kernel * kernel * oh * ow  # column bytes of one sample
+    per_sample = _adjoint_bytes_per_sample(z, 3, kernel, stride, padding, (h, w))
     for groups in (1, 3):
         weight = rng.standard_normal((6, 3 // groups, kernel, kernel))
         want = _one_grid_adjoint(z, weight, stride, padding, groups, (h, w))
@@ -218,135 +237,178 @@ def _operand(rng, shape, is_complex, special):
     return z
 
 
-def _every_tap_col2im(cols, x, stride, padding):
-    """col2im as one add per tap of the kernel inside the unpadded result,
-    empty adds included: the tap table's adds plus the empty ones, so the
-    same bits, a NaN's sign included."""
-    kernel, oh, ow = cols.shape[2], cols.shape[4], cols.shape[5]
-    for i in range(kernel):
-        taps_r, x_r = ops._tap_reach(i, stride, padding, oh, x.shape[2])
-        for j in range(kernel):
-            taps_c, x_c = ops._tap_reach(j, stride, padding, ow, x.shape[3])
-            x[:, :, x_r, x_c] += cols[:, :, i, j, taps_r, taps_c]
-
-
 def _nan_signless(a):
     """The bits of ``a`` with every NaN's sign bit cleared: numpy's in-place
     add gives the first or the second operand's NaN by the length of its
     inner loop, so a cell that sums NaNs of both signs on a padded grid may
     differ from the same sum inside the result in that bit alone."""
     a = np.ascontiguousarray(a)
+    if np.iscomplexobj(a):
+        a = a.view(np.float64)  # the real and imaginary parts side by side
     bits = a.view(np.uint64).copy()
     bits[np.isnan(a)] &= np.uint64(2**63 - 1)
     return bits.tobytes()
 
 
+# (kernel, stride, padding, height, width) past the grids above: stride 3,
+# even kernels, 1xn and nx1 maps, and kernel 1 at strides 2 and 3.
+ODD_GEOMETRIES = [(3, 3, 1, 7, 8), (3, 3, 0, 5, 5), (5, 3, 2, 6, 4), (2, 1, 0, 3, 4),
+                  (2, 2, 1, 4, 5), (4, 2, 1, 5, 6), (6, 3, 1, 4, 4), (3, 1, 1, 1, 6),
+                  (3, 1, 1, 6, 1), (3, 2, 1, 1, 5), (5, 1, 2, 7, 1), (4, 2, 1, 1, 3),
+                  (1, 2, 0, 5, 4), (1, 2, 0, 1, 1), (1, 2, 1, 3, 3), (1, 3, 0, 4, 7)]
+ODD_IDS = ["%d-%d-k%d-%dx%d" % (p, s, k, h, w) for k, s, p, h, w in ODD_GEOMETRIES]
+
+
+def _check_gather_bits(monkeypatch, kernel, stride, padding, h, w, seed):
+    """The gather against one add per tap onto a zeroed padded grid, every
+    bit on finite data and NaN signs aside with a quarter of the entries
+    +/-0.0, +/-inf or NaN (so some cells add inf - inf or NaNs of both
+    signs), real and complex: _col2im on columns, and conv_apply_adjoint at
+    groups 1 and 3 over five samples in one slice, in pairs and one at a
+    time. Every slice is handed the one index built for the geometry; an
+    unpadded 1x1 kernel's adjoint is its product and gathers nothing."""
+    oh, ow = ir.window_out_hw(h, w, kernel, stride, padding)
+    rng = np.random.default_rng(seed)
+    product = kernel == 1 and stride == 1 and not padding
+    col2im, indices = ops._col2im, []
+
+    def recorded(cols, index, x):
+        indices.append(index)
+        col2im(cols, index, x)
+
+    monkeypatch.setattr(ops, "_col2im", recorded)
+    for special in (False, True):
+        bits = _nan_signless if special else np.ndarray.tobytes
+        for is_complex in (False, True):
+            with np.errstate(invalid="ignore"):
+                cols = _operand(rng, (5, 3, kernel, kernel, oh, ow), is_complex, special)
+                assert bits(_gathered_col2im(cols, stride, padding, (h, w))) == \
+                    bits(_per_tap_col2im(cols, stride, padding, (h, w)))
+            z = _operand(rng, (5, 6, oh, ow), is_complex, special)
+            per_sample = _adjoint_bytes_per_sample(z, 3, kernel, stride, padding, (h, w))
+            for groups in (1, 3):
+                weight = rng.standard_normal((6, 3 // groups, kernel, kernel))
+                with np.errstate(invalid="ignore"):
+                    want = _one_grid_adjoint(z, weight, stride, padding, groups, (h, w))
+                for samples, blocks in ((1, 5), (2, 3), (5, 1)):
+                    monkeypatch.setattr(ops, "_COL_BLOCK_BYTES", samples * per_sample)
+                    ops._gather_index.cache_clear()
+                    indices.clear()
+                    with np.errstate(invalid="ignore"):
+                        got = ops.conv_apply_adjoint(z, weight, stride, padding, groups, (h, w))
+                    assert got.flags.c_contiguous
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert bits(got) == bits(want), (special, is_complex, groups, samples)
+                    assert ops._gather_index.cache_info()[:2] == (0, 0 if product else 1)
+                    assert len(indices) == (0 if product else blocks)
+                    assert all(index is indices[0] for index in indices)
+
+
 @pytest.mark.parametrize("kernel,stride,padding,hw", DEEP_GEOMETRIES, ids=DEEP_IDS)
 def test_deep_stage_col2im_matches_per_tap_loop_bit_for_bit(monkeypatch, kernel, stride,
                                                             padding, hw):
-    # a quarter of the columns' and the adjoint operand's entries are
-    # +/-0.0, +/-inf or NaN, so some cells add inf - inf or NaNs of both signs
-    oh, ow = ir.window_out_hw(hw, hw, kernel, stride, padding)
-    rng = np.random.default_rng(kernel * 10 + hw)
-    cols = _with_specials(rng, rng.standard_normal((5, 3, kernel, kernel, oh, ow)))
-    z = _with_specials(rng, rng.standard_normal((5, 6, oh, ow)))
-    per_sample = z.itemsize * 3 * kernel * kernel * oh * ow  # column bytes of one sample
-    with np.errstate(invalid="ignore"):
-        got, every = np.zeros((5, 3, hw, hw)), np.zeros((5, 3, hw, hw))
-        ops._col2im(cols, got, stride, padding)
-        _every_tap_col2im(cols, every, stride, padding)
-        assert got.tobytes() == every.tobytes()
-        assert _nan_signless(got) == _nan_signless(_per_tap_col2im(cols, stride, padding,
-                                                                   (hw, hw)))
-        for groups in (1, 3):
-            weight = rng.standard_normal((6, 3 // groups, kernel, kernel))
-            grid = _one_grid_adjoint(z, weight, stride, padding, groups, (hw, hw))
-            for samples, blocks in ((1, 5), (2, 3), (5, 1)):
-                monkeypatch.setattr(ops, "_COL_BLOCK_BYTES", samples * per_sample)
-                ops._taps.cache_clear()
-                got = ops.conv_apply_adjoint(z, weight, stride, padding, groups, (hw, hw))
-                # one table, built by the first slice, serves every slice
-                assert ops._taps.cache_info()[:2] == (blocks - 1, 1)
-                monkeypatch.setattr(ops, "_col2im", _every_tap_col2im)
-                every = ops.conv_apply_adjoint(z, weight, stride, padding, groups, (hw, hw))
-                assert got.tobytes() == every.tobytes(), (groups, samples)
-                assert _nan_signless(got) == _nan_signless(grid), (groups, samples)
-                monkeypatch.undo()
+    _check_gather_bits(monkeypatch, kernel, stride, padding, hw, hw, kernel * 10 + hw)
 
 
-def _reached(i, stride, padding, out, size):
-    """(window positions, result cells) at which tap ``i`` lands inside an
-    axis of ``size`` cells, one window position at a time."""
-    hits = [(o, o * stride + i - padding) for o in range(out)
-            if 0 <= o * stride + i - padding < size]
-    return [o for o, _ in hits], [cell for _, cell in hits]
+@pytest.mark.parametrize("kernel,stride,padding,h,w", ODD_GEOMETRIES, ids=ODD_IDS)
+def test_odd_geometry_col2im_matches_per_tap_loop_bit_for_bit(monkeypatch, kernel, stride,
+                                                              padding, h, w):
+    _check_gather_bits(monkeypatch, kernel, stride, padding, h, w, 100 + kernel * 10 + h)
 
 
-def _expand(s, length):
-    return list(range(*s.indices(length)))
+@pytest.mark.parametrize("kernel,padding", [(3, 1), (3, 2), (4, 3), (5, 4)])
+def test_one_cell_col2im_adds_its_taps_in_order_bit_for_bit(kernel, padding):
+    """One channel on a 1x1 map: each sample's one cell takes up to 25
+    taps, which a single reduction would add pairwise from eight up. Spread
+    magnitudes make any other order show; specials leave NaN signs aside."""
+    oh = ir.window_out_hw(1, 1, kernel, 1, padding)[0]
+    rng = np.random.default_rng(kernel + padding)
+    for special in (False, True):
+        bits = _nan_signless if special else np.ndarray.tobytes
+        for n in (1, 4):
+            scale = 10.0 ** rng.integers(-8, 9, (n, 1, kernel, kernel, oh, oh))
+            cols = _operand(rng, scale.shape, False, special) * scale
+            with np.errstate(invalid="ignore"):
+                assert bits(_gathered_col2im(cols, 1, padding, (1, 1))) == \
+                    bits(_per_tap_col2im(cols, 1, padding, (1, 1)))
+                z = _operand(rng, (n, 2, oh, oh), False, special) * 10.0 ** rng.integers(
+                    -8, 9, (n, 2, oh, oh))
+                weight = rng.standard_normal((2, 1, kernel, kernel))
+                assert bits(ops.conv_apply_adjoint(z, weight, 1, padding, 1, (1, 1))) == \
+                    bits(_one_grid_adjoint(z, weight, 1, padding, 1, (1, 1)))
 
 
 @pytest.mark.parametrize("kernel,stride,padding,h,w",
                          [(k, s, p, _grid_extent(k, s, p), _grid_extent(k, s, p) + 1)
                           for k, s, p in KERNEL_GRID]
-                         + [(k, s, p, hw, hw) for k, s, p, hw in DEEP_GEOMETRIES],
-                         ids=KERNEL_GRID_IDS + DEEP_IDS)
+                         + [(k, s, p, hw, hw) for k, s, p, hw in DEEP_GEOMETRIES]
+                         + ODD_GEOMETRIES,
+                         ids=KERNEL_GRID_IDS + DEEP_IDS + ODD_IDS)
 def test_tap_table_lists_exactly_the_taps_that_reach_the_result(kernel, stride, padding, h, w):
+    """The gather index, read per result cell over two channels: the
+    columns of the taps that reach the cell, in ascending tap order, then
+    the position of the sample's closing +0.0 up to the most taps any cell
+    takes."""
     oh, ow = ir.window_out_hw(h, w, kernel, stride, padding)
-    want = []
+    per_channel = kernel * kernel * oh * ow
+    reached = {}  # cell -> its columns, one tap and window at a time
     for i in range(kernel):
-        taps_r, x_r = _reached(i, stride, padding, oh, h)
         for j in range(kernel):
-            taps_c, x_c = _reached(j, stride, padding, ow, w)
-            if x_r and x_c:
-                want.append((i, j, taps_r, x_r, taps_c, x_c))
-    table = ops._taps(kernel, stride, padding, (oh, ow), (h, w))
-    assert [(i, j, _expand(tr, oh), _expand(xr, h), _expand(tc, ow), _expand(xc, w))
-            for i, j, tr, xr, tc, xc in table] == want
-    assert [(i, j) for i, j, *_ in table] == sorted((i, j) for i, j, *_ in table)
+            for oy in range(oh):
+                for ox in range(ow):
+                    cell = (oy * stride + i - padding, ox * stride + j - padding)
+                    reached.setdefault(cell, []).append((i * kernel + j) * oh * ow
+                                                        + oy * ow + ox)
+    want = [[ch * per_channel + col for col in reached.get((y, x), [])]
+            for ch in range(2) for y in range(h) for x in range(w)]
+    most = max(map(len, want))
+    index = ops._gather_index(2, kernel, stride, padding, (oh, ow), (h, w))
+    assert index.dtype == np.intp and index.flags.c_contiguous
+    assert index.shape == (most, 2 * h * w)
+    assert index.T.tolist() == [cell + [2 * per_channel] * (most - len(cell)) for cell in want]
 
 
 def test_tap_table_of_a_padded_3x3_kernel_on_one_cell_is_its_centre():
-    assert [(i, j) for i, j, *_ in ops._taps(3, 1, 1, (1, 1), (1, 1))] == [(1, 1)]
-
-
-class _CountedAdds(np.ndarray):
-    """A view that counts the slice assignments, one per in-place add of
-    ``x[key] += ...``, made through it."""
-
-    adds = 0
-
-    def __setitem__(self, key, value):
-        type(self).adds += 1
-        super().__setitem__(key, value)
+    # tap (1, 1) of each channel's one window; channel 1's columns follow channel 0's nine
+    assert ops._gather_index(2, 3, 1, 1, (1, 1), (1, 1)).tolist() == [[4, 13]]
 
 
 @pytest.mark.parametrize("name,hw,seeds,adds,kernel_taps",
                          [("DLA-34", 16, (7, 3, 1), 144, 240),
                           ("DLA-X-102", 16, (1, 9, 1), 196, 340),
                           ("DLA-169", 16, (11, 42, 1), 275, 547),
-                          ("decoder", 32, (8, 33, 5), 156, 188)])
+                          ("decoder", 32, (8, 33, 5), 129, 161)])
 def test_col2im_adds_only_the_taps_that_reach_its_result(monkeypatch, name, hw, seeds, adds,
                                                          kernel_taps):
     """One 6-sample grad_check at the benchmark's toy-gradcheck point: the
-    adds col2im issues, counted without timing, are its tap tables' lengths,
-    fewer than the kernels' taps (one add per tap before the table)."""
-    col2im, tables, taps = ops._col2im, [0], [0]
+    taps its conv adjoints gather, read off their indices, are the taps
+    that reach each result, ``adds`` in all, fewer than the kernels' taps.
+    An unpadded 1x1 adjoint's one tap is its product. Both count once per
+    adjoint: a col2im that added tap by tap and skipped the taps that reach
+    nothing made as many adds, but once per sample slice, and the decoder's
+    three 3x3 adjoints over 32 channels ran in two (156 and 188)."""
+    adjoint, gathered, taps = ops.conv_apply_adjoint, [0], [0]
 
-    def counted(cols, x, stride, padding):
-        tables[0] += len(ops._taps(cols.shape[2], stride, padding, cols.shape[4:],
-                                   x.shape[2:]))
-        taps[0] += cols.shape[2] * cols.shape[3]
-        col2im(cols, x.view(_CountedAdds), stride, padding)
+    def counted(z, w, stride, padding, groups, in_hw):
+        channels, kernel, (oh, ow) = groups * w.shape[1], w.shape[2], z.shape[2:]
+        taps[0] += kernel * kernel
+        if kernel == 1 and stride == 1 and not padding:
+            gathered[0] += 1
+        else:
+            index = ops._gather_index(channels, kernel, stride, padding, (oh, ow),
+                                      tuple(in_hw))
+            per_channel = kernel * kernel * oh * ow
+            columns = index[index < channels * per_channel]
+            gathered[0] += len(np.unique(columns % per_channel // (oh * ow)))
+        return adjoint(z, w, stride, padding, groups, in_hw)
 
-    monkeypatch.setattr(ops, "_col2im", counted)
-    monkeypatch.setattr(_CountedAdds, "adds", 0)
+    monkeypatch.setattr(ops, "conv_apply_adjoint", counted)
     g = (build_toy_dense_decoder("DLA-34", 16, hw, num_classes=5) if name == "decoder"
          else build_toy_classifier(name, 16, hw, num_classes=10))
     init_seed, data_seed, check_seed = seeds
     x = np.random.default_rng(data_seed).standard_normal((2, 3, hw, hw))
     grad_check(g, init_params(g, init_seed), x, epsilon=1e-5, sample=6, seed=check_seed)
-    assert (_CountedAdds.adds, tables[0], taps[0]) == (adds, adds, kernel_taps)
+    assert (gathered[0], taps[0]) == (adds, kernel_taps)
 
 
 @pytest.mark.parametrize("factor", [2, 4, 6, 8, 16])
@@ -481,9 +543,9 @@ def test_probe_pass_columns_fit_the_block_budget(monkeypatch):
         blocks.append((len(cols), cols.nbytes))
         return cols
 
-    def recorded_col2im(cols, *args):
-        scattered.append((len(cols), cols.nbytes))
-        col2im(cols, *args)
+    def recorded_col2im(cols, index, x):  # the block and its gathered copy
+        scattered.append((len(cols), cols.nbytes + len(cols) * index.size * cols.itemsize))
+        col2im(cols, index, x)
 
     monkeypatch.setattr(ops, "_im2col", recorded_im2col)
     monkeypatch.setattr(ops, "_col2im", recorded_col2im)
@@ -1011,9 +1073,25 @@ def join_net():
         "decoder-partial-group", "join"])
 def test_grad_check_matches_full_forward_differences_bit_for_bit(build, hw, sample):
     g = build()
-    params = init_params(g, 7)
-    before = params.copy()
     xval = np.random.default_rng(3).standard_normal((2, 3, hw, hw))
+    _check_full_forward_differences(g, init_params(g, 7), xval, sample)
+
+
+@pytest.mark.parametrize("seed", RANDOM_GRAPH_SEEDS)
+def test_grad_check_matches_full_forward_differences_on_random_graphs(seed):
+    """The probe lanes on graphs the catalog never builds: grouped, strided
+    and 1x1 convolutions, pools, upsamplings, concats and adds in random
+    order, with one or two outputs."""
+    g = random_graph(random.Random(seed))
+    xval = np.random.default_rng(seed).standard_normal((2,) + astuple(g.shapes[0]))
+    _check_full_forward_differences(g, init_params(g, seed), xval, 12)
+
+
+def _check_full_forward_differences(g, params, xval, sample):
+    """Each entry of a ``sample``-entry grad_check equals, to the bit, the
+    central difference of two full forwards, and the check leaves the
+    parameters as they were."""
+    before = params.copy()
     eps, seed = 1e-5, 1
     report = grad_check(g, params, xval, epsilon=eps, sample=sample, seed=seed)
     for nid, named in before.tensors.items():
