@@ -13,13 +13,14 @@ ParseError on a NaN or infinite metadata value. A document holds exactly
 one Input node, and, being a ``Graph``, is shape-consistent at the extents
 that node declares, so every document that parses can be analyzed.
 
-``parse`` checks each distinct attrs record and each distinct tags record
-once: within one parse, nodes whose records are equal, value types and
-key order included, share one ``PrimOp`` or one ``Tags``. So a parsed
-graph costs what its distinct ops cost, as a built one does, and
-``PrimOp.attrs`` must not be mutated. The cache lives for one parse only:
-documents come from outside the program, so they must not fill the
-process-wide table that ``ir``'s op helpers keep.
+``parse`` takes each node's op from ``ir``'s op table, as the op helpers
+do, so a parsed graph shares one ``PrimOp`` per distinct kind and attrs
+record, value types included, and a canonical document of a built graph
+parses to the very ops its builder made. Within one parse, nodes whose tags
+records are equal share one ``Tags``. So a parsed graph costs what its
+distinct ops cost, and ``PrimOp.attrs`` must not be mutated. Documents
+from outside the program may fill the table: it stays within its bound and
+keeps only ops that pass ``PrimOp``'s checks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .ir import Graph, GraphError, GraphNode, OpKind, PrimOp, Tags, is_tag_value
+from .ir import Graph, GraphError, GraphNode, OpKind, Tags, _interned, is_tag_value
 
 FORMAT_VERSION = "1"
 
@@ -75,37 +76,31 @@ def _array(texts: Any) -> str:
     return "[\n    %s\n  ]" % body if body else "[]"
 
 
-def _block(cache: dict, key: tuple, pairs: Any) -> str:
-    """The attrs or tags object of a node record from its (key, value)
-    ``pairs``, stored in ``cache`` under ``key``."""
+def _block(pairs: Any) -> str:
+    """The attrs or tags object of a node record from its (key, value) ``pairs``."""
     pairs = sorted(pairs)
-    text = "{%s\n      }" % ",".join("\n        %s: %s" % (_quote(k), _value(v))
-                                       for k, v in pairs) if pairs else "{}"
-    cache[key] = text
-    return text
+    return "{%s\n      }" % ",".join("\n        %s: %s" % (_quote(k), _value(v))
+                                     for k, v in pairs) if pairs else "{}"
 
 
 def serialize(graph: Graph, metadata: dict[str, Any] | None = None) -> str:
     """The bytes of ``json.dumps(document, sort_keys=True, indent=2) +
     "\\n"`` for the document of ``graph`` and ``metadata`` (tests/conftest.py's
-    ``graph_to_document``), written without building the document."""
-    attr_blocks: dict[tuple, str] = {}
-    tag_blocks: dict[tuple, str] = {}
+    ``graph_to_document``), written without building the document. Each
+    op's attrs are rendered once, keyed by ``id``, since the graph keeps
+    its ops alive for the call, and each ``Tags`` value once: equal tags
+    render alike, since ``Tags`` holds no bool or float."""
+    attr_blocks: dict[int, str] = {}
+    tag_blocks: dict[Tags, str] = {}
     records = []
     for node in graph.nodes:
         op, tags = node.op, node.tags
-        attrs = op.attrs
-        values = tuple(attrs.values())
-        key = (*attrs, *values, *map(type, values))  # with types, since 1 == 1.0
-        try:
-            attrs_text = attr_blocks[key]
-        except KeyError:
-            attrs_text = _block(attr_blocks, key, attrs.items())
-        key = (tags.stage, tags.block_id, tags.agg_node_id)  # an int never equals a str
-        try:
-            tags_text = tag_blocks[key]
-        except KeyError:
-            tags_text = _block(tag_blocks, key, _tags_to_json(tags).items())
+        attrs_text = attr_blocks.get(id(op))
+        if attrs_text is None:
+            attrs_text = attr_blocks[id(op)] = _block(op.attrs.items())
+        tags_text = tag_blocks.get(tags)
+        if tags_text is None:
+            tags_text = tag_blocks[tags] = _block(_tags_to_json(tags).items())
         inputs = node.inputs
         records.append(_RECORD % (
             attrs_text, node.id,
@@ -130,14 +125,12 @@ _NODE_KEY_SET = frozenset(_NODE_KEYS)
 _TAG_SET = frozenset(_TAG_KEYS)
 
 
-def _parse_node(record: Any, position: int, op_cache: dict[tuple, PrimOp],
-                tag_cache: dict[tuple, Tags]) -> GraphNode:
-    """One node record. Nodes with equal attrs records share the checked
-    ``PrimOp`` that ``op_cache`` holds for them, and nodes with equal tags
-    records the ``Tags`` that ``tag_cache`` holds; a record is checked when
-    its key first shows up. Keys hold the values' types, since
-    ``True == 1 == 1.0``; a record with an unhashable value is checked, and
-    rejected, every time."""
+def _parse_node(record: Any, position: int, tag_cache: dict[tuple, Tags]) -> GraphNode:
+    """One node record. Its op comes from ``ir``'s op table, and nodes with
+    equal tags records share the ``Tags`` that ``tag_cache`` holds for them,
+    checked when its key first shows up. Keys hold the values' types, since
+    ``True == 1 == 1.0``; a tags record with an unhashable value is checked,
+    and rejected, every time."""
     # Checks raise inline rather than through _expect: they run on every node.
     if not isinstance(record, dict):
         raise ParseError("node record %d is not an object" % position)
@@ -165,16 +158,9 @@ def _parse_node(record: Any, position: int, op_cache: dict[tuple, PrimOp],
         tags = tag_cache[tag_key] = Tags(tags_json.get("stage"), tags_json.get("block_id"),
                                          tags_json.get("agg_node_id"))
     text = record["kind"]
-    values = tuple(attrs.values())
-    op_key = (text, *attrs, *values, *map(type, values))
-    try:
-        op = op_cache.get(op_key)
-    except TypeError:  # an unhashable kind or value, which PrimOp rejects
-        op = None
     try:  # OpKind(text) says why text names no kind
-        if op is None:
-            kind = _KIND_OF_TEXT.get(text) if type(text) is str else None
-            op = op_cache[op_key] = PrimOp(kind or OpKind(text), dict(attrs))
+        kind = _KIND_OF_TEXT.get(text) if type(text) is str else None
+        op = _interned(kind or OpKind(text), attrs)
         return GraphNode(record["id"], op, tuple(inputs), tags)
     except (ValueError, GraphError) as exc:
         raise ParseError("node %d: %s" % (position, exc)) from None
@@ -197,10 +183,8 @@ def parse(text: str) -> tuple[Graph, dict[str, Any]]:
         raise ParseError("metadata holds a NaN or infinite number") from None
     raw_nodes = doc["nodes"]
     _expect(isinstance(raw_nodes, list) and raw_nodes, "document has no nodes")
-    op_cache: dict[tuple, PrimOp] = {}
     tag_cache: dict[tuple, Tags] = {}
-    nodes = tuple(_parse_node(rec, i, op_cache, tag_cache)
-                  for i, rec in enumerate(raw_nodes))
+    nodes = tuple(_parse_node(rec, i, tag_cache) for i, rec in enumerate(raw_nodes))
     for key in ("inputs", "outputs"):
         _expect(isinstance(doc[key], list), "%s list is not a list of node ids", key)
     try:

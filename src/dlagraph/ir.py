@@ -13,10 +13,13 @@ sample's CHW extents; the batch extent is the executor's. The
 ``GraphBuilder`` is the single-writer construction API; built graphs are
 safe to share between any number of readers.
 
-The op helpers (``conv``, ``relu`` and the rest) return one shared, checked
-``PrimOp`` per distinct argument set, so the nodes of a built graph share
-their ops as those of a parsed one do, and ``PrimOp.attrs`` must not be
-mutated.
+Every ``PrimOp`` the package makes comes from one bounded table,
+``_interned``: the op helpers (``conv``, ``relu`` and the rest) and
+``graphdoc.parse`` return one shared, checked op per distinct kind and
+attrs, so built and parsed graphs share their ops, and ``PrimOp.attrs``
+must not be mutated. The helpers write their attrs in sorted key order, as
+a canonical document lists them, so parsing a built graph's document gives
+back the very ops its builder made.
 
 What each op kind means statically is one ``OpDef`` entry in ``OPS``: its
 attribute schema, arity, shape rule, learnable-tensor shapes and DOT label.
@@ -293,11 +296,10 @@ def param_shapes(op: PrimOp) -> dict[str, tuple[int, ...]]:
     return OPS[op.kind].params(op.attrs)
 
 
-# The op helpers return one shared, checked PrimOp per distinct argument
-# set, so a built graph, like a parsed one, costs what its distinct ops cost.
-# Keys hold the values' types, since ``True == 1 == 1.0``. Only ops that
-# pass their checks are kept; the table is cleared when it reaches
-# _INTERNED_MAX, which no catalog build comes near.
+# The one op table. Keys hold the attr names, which a document may list in
+# any order, and the values' types, since ``True == 1 == 1.0``. It keeps only
+# ops that pass PrimOp's checks and is cleared at _INTERNED_MAX, so documents
+# from outside may fill it too; a catalog round keeps 76 ops.
 _INTERNED: dict[tuple, PrimOp] = {}
 _INTERNED_MAX = 4096
 
@@ -306,7 +308,7 @@ def _interned(kind: OpKind, attrs: dict[str, Any]) -> PrimOp:
     """The kept op of ``kind`` with ``attrs``, checked when first made;
     raises what ``PrimOp`` raises."""
     values = tuple(attrs.values())
-    key = (kind, *values, *map(type, values))
+    key = (kind, *attrs, *values, *map(type, values))
     try:
         op = _INTERNED.get(key)
     except TypeError:  # an unhashable value, which PrimOp rejects
@@ -322,9 +324,9 @@ def _interned(kind: OpKind, attrs: dict[str, Any]) -> PrimOp:
 def conv(kernel: int, stride: int, padding: int, in_channels: int,
          out_channels: int, groups: int = 1, has_bias: bool = False) -> PrimOp:
     return _interned(OpKind.CONV, {
-        "kernel": kernel, "stride": stride, "padding": padding,
-        "in_channels": in_channels, "out_channels": out_channels,
-        "groups": groups, "has_bias": has_bias,
+        "groups": groups, "has_bias": has_bias, "in_channels": in_channels,
+        "kernel": kernel, "out_channels": out_channels, "padding": padding,
+        "stride": stride,
     })
 
 
@@ -338,7 +340,7 @@ def relu() -> PrimOp:
 
 def max_pool(kernel: int, stride: int, ceil_mode: bool = False) -> PrimOp:
     return _interned(OpKind.MAX_POOL,
-                     {"kernel": kernel, "stride": stride, "ceil_mode": ceil_mode})
+                     {"ceil_mode": ceil_mode, "kernel": kernel, "stride": stride})
 
 
 def global_avg_pool() -> PrimOp:
@@ -347,7 +349,7 @@ def global_avg_pool() -> PrimOp:
 
 def linear(in_features: int, out_features: int, has_bias: bool = True) -> PrimOp:
     return _interned(OpKind.LINEAR, {
-        "in_features": in_features, "out_features": out_features, "has_bias": has_bias,
+        "has_bias": has_bias, "in_features": in_features, "out_features": out_features,
     })
 
 
@@ -362,7 +364,7 @@ def add() -> PrimOp:
 
 def upsample(factor: int, mode: UpsampleMode, channels: int) -> PrimOp:
     return _interned(OpKind.UPSAMPLE,
-                     {"factor": factor, "mode": mode.value, "channels": channels})
+                     {"channels": channels, "factor": factor, "mode": mode.value})
 
 
 def softmax() -> PrimOp:

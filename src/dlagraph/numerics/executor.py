@@ -337,7 +337,6 @@ class _Step(NamedTuple):
 class _Plan(NamedTuple):
     steps: tuple[_Step, ...]
     keep: frozenset[NodeId]  # the values a tape holds
-    output_shapes: tuple[tuple[int, int, int], ...]  # per sample, per graph output
 
 
 _PLANS: dict[int, _Plan] = {}  # by graph identity, while the graph lives
@@ -348,16 +347,14 @@ def _plan(graph: Graph) -> _Plan:
     later one. ``Graph`` cannot be hashed, so the cache is keyed by
     identity, and its entry goes when the graph does.
 
-    One step per non-Input node in ``topo_order``, the values the tape
-    keeps, and the (C, H, W) of each graph output, from which
-    ``grad_check`` draws its contraction before it runs the graph. A step's
-    ``frees`` are the values it is the last to read (its own if none reads
-    it), graph outputs excepted; ``_walk`` drops them once it has run, and
-    tapes those in ``keep`` first. A value is kept if it is a graph input
-    or output, if its own backward reads its output, or if a consumer's
-    backward reads its inputs or the consumer takes two or more inputs:
-    ``_walk`` reads such an input from the tape in the pairs its range
-    lacks."""
+    One step per non-Input node in ``topo_order`` and the values the tape
+    keeps. A step's ``frees`` are the values it is the last to read (its
+    own if none reads it), graph outputs excepted; ``_walk`` drops them
+    once it has run, and tapes those in ``keep`` first. A value is kept if
+    it is a graph input or output, if its own backward reads its output, or
+    if a consumer's backward reads its inputs or the consumer takes two or
+    more inputs: ``_walk`` reads such an input from the tape in the pairs
+    its range lacks."""
     key = id(graph)
     plan = _PLANS.get(key)
     if plan is not None:
@@ -387,9 +384,7 @@ def _plan(graph: Graph) -> _Plan:
               tuple(frees.get(nid, ())))
         for nid in topo_order(graph)
         if (node := graph.nodes[nid]).op.kind is not OpKind.INPUT)
-    shapes = graph.shapes
-    plan = _PLANS[key] = _Plan(steps, frozenset(keep), tuple(
-        (shapes[o].channels, shapes[o].height, shapes[o].width) for o in graph.outputs))
+    plan = _PLANS[key] = _Plan(steps, frozenset(keep))
     weakref.finalize(graph, _PLANS.pop, key, None)
     return plan
 
@@ -538,9 +533,9 @@ def _walk(graph: Graph, params: ParamStore, tape: Tape,
     Each value the pass reaches holds a +/- lane pair for each pick of one
     range ``[lo, hi)``, in pick order, the span of its inputs' ranges and
     the picks rooted at it. A pick's root runs twice at batch N with its
-    entry moved, on tape inputs; the node's other lanes run once, on its
-    inputs' lanes, an input giving its tape value in the pairs its range
-    lacks. A pick in the range whose cone misses the node gives the node's
+    entry moved in a copy of its tensor, on tape inputs; the node's other
+    lanes run once, on its inputs' lanes, an input giving its tape value in
+    the pairs its range lacks. A pick in the range whose cone misses the node gives the node's
     tape value. Returns the values still held at the end, which are the
     graph outputs some cone holds, and each reached node's range.
 
@@ -557,7 +552,7 @@ def _walk(graph: Graph, params: ParamStore, tape: Tape,
     rooted: dict[NodeId, list[int]] = {}
     for k, (nid, *_) in enumerate(group):
         rooted.setdefault(nid, []).append(k)
-    steps, keep, _ = _plan(graph)
+    steps, keep = _plan(graph)
     n = len(tape.values[graph.inputs[0]]) if group else 0  # rows per lane, read with picks
     plain = int(fill)  # plain lanes ahead of the pairs
     values: dict[NodeId, np.ndarray] = dict(tape.values) if fill else {}
@@ -605,12 +600,11 @@ def _walk(graph: Graph, params: ParamStore, tape: Tape,
             del y, kept  # a stacked kept goes now
         xs = [tape_value(i) for i in inputs] if here else None
         for k in here:
-            _, _, arr, offset = group[k]
-            original = arr.flat[offset]
-            for value in (original + epsilon, original - epsilon):
-                arr.flat[offset] = value
-                parts.append(run(attrs, p, xs, Mode.TRAIN, False, 1)[0])
-            arr.flat[offset] = original
+            _, name, arr, offset = group[k]
+            moved = arr.copy()
+            for value in (arr.flat[offset] + epsilon, arr.flat[offset] - epsilon):
+                moved.flat[offset] = value
+                parts.append(run(attrs, {**p, name: moved}, xs, Mode.TRAIN, False, 1)[0])
         values[nid] = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if lo < mid or here:
             ranges[nid] = (lo, mid + len(here))
@@ -639,9 +633,10 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     that owns the perturbed parameter, as two lanes of a pass shared by up
     to ``_PROBE_GROUP`` consecutive picks (see ``_walk``), and reads
     every other activation from the tape; that gives the same bits as two
-    full forwards. The first group's walk runs the whole plan with the
-    plain batch as one more lane and fills the tape as ``forward``'s walk
-    does, so no separate forward runs. The backward pass
+    full forwards. The moved entries live in copies, so ``params`` is never
+    written, even when a kernel raises. The first group's walk runs the
+    whole plan with the plain batch as one more lane and fills the tape as
+    ``forward``'s walk does, so no separate forward runs. The backward pass
     differentiates only with respect to the sampled nodes.
     Raises ValueError for ``sample < 1``, an ``epsilon`` that is not finite
     and positive, a negative or NaN ``tolerance``, or parameters with no
@@ -663,7 +658,8 @@ def grad_check(graph: Graph, params: ParamStore, x: np.ndarray,
     # Keep the contracted scalar small: central differences carry an
     # absolute roundoff of about |loss| * 1e-16 / epsilon, and that noise
     # must stay below the 1e-8 floor of the relative-error denominator.
-    contraction = [rng.standard_normal((n,) + shape) for shape in _plan(graph).output_shapes]
+    contraction = [rng.standard_normal((n, s.channels, s.height, s.width))
+                   for s in map(graph.shapes.__getitem__, graph.outputs)]
     norm = np.sqrt(sum(float(np.vdot(c, c)) for c in contraction))
     contraction = [c * (0.01 / norm) for c in contraction]
     picks = sorted(rng.choice(total, size=min(sample, total), replace=False).tolist())

@@ -301,6 +301,65 @@ def test_parse_shares_one_prim_op_per_distinct_attrs_record():
     assert len(by_record) < len(parsed.nodes) / 3
 
 
+def test_parsing_a_document_twice_gives_the_same_ops():
+    text = serialize(build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5))
+    first, _ = parse(text)
+    second, _ = parse(text)
+    assert all(a.op is b.op for a, b in zip(first.nodes, second.nodes))
+
+
+@pytest.mark.parametrize("name", catalog_names() + ("decoder",))
+def test_a_parsed_catalog_document_holds_its_builders_ops(name):
+    g = (build_dense_decoder(arch_spec("DLA-34"), DenseHeadSpec(19), TensorShape(3, 864, 864))
+         if name == "decoder" else build_classifier(arch_spec(name), 1000, SHAPE224))
+    parsed, _ = parse(serialize(g))
+    assert all(p.op is b.op for p, b in zip(parsed.nodes, g.nodes))
+
+
+def test_parse_keeps_the_op_table_within_its_bound(monkeypatch):
+    monkeypatch.setattr(ir, "_INTERNED", {})
+    monkeypatch.setattr(ir, "_INTERNED_MAX", 3)
+    b = GraphBuilder()
+    x = b.add_input(TensorShape(1, 4, 4))
+    for c in range(1, 8):  # eight distinct ops and an Output
+        x = b.add(ir.conv(1, 1, 0, c, c + 1), [x])
+    b.mark_output(x)
+    g = b.build()
+    text = serialize(g)
+    parsed, _ = parse(text)
+    assert len(ir._INTERNED) <= 3
+    assert parsed == g and serialize(parsed) == text
+
+
+def _one_batch_norm_document(epsilon):
+    return serialize(small_graph()).replace('"epsilon": 1e-05', '"epsilon": %s' % epsilon)
+
+
+def test_parse_keeps_int_float_and_bool_attrs_apart_as_the_helpers_do():
+    by_int, by_float = (parse(_one_batch_norm_document(e))[0].nodes[2].op
+                        for e in ("1", "1.0"))
+    assert by_int is not by_float
+    assert by_int is ir.batch_norm(8, 1) and by_float is ir.batch_norm(8, 1.0)
+    with pytest.raises(ParseError, match="attr 'epsilon' must be a float, got True"):
+        parse(_one_batch_norm_document("true"))
+    text = serialize(small_graph())
+    ir.conv(3, 2, 1, 4, 8, has_bias=True)  # kept first: it differs only by 1 == True
+    with pytest.raises(ParseError, match="attr 'has_bias' must be a bool, got 1"):
+        parse(text.replace('"has_bias": false', '"has_bias": 1'))
+    with pytest.raises(ParseError, match="attr 'kernel' must be a int, got 3.0"):
+        parse(text.replace('"kernel": 3', '"kernel": 3.0'))
+
+
+def test_attrs_listed_in_any_order_give_their_own_op():
+    # the Input's (channels, height, width) = (4, 8, 8) listed as (height,
+    # width, channels): by values alone it would read as an 8x8x4 Input
+    ir.input_op(8, 8, 4)
+    doc = json.loads(serialize(small_graph()))
+    doc["nodes"][0]["attrs"] = {"height": 8, "width": 8, "channels": 4}
+    parsed, _ = parse(json.dumps(doc))
+    assert parsed == small_graph() and parsed.nodes[0].op is not ir.input_op(8, 8, 4)
+
+
 # --- the emitter against the json.dumps reference ---------------------------
 
 def reference(graph, metadata=None):

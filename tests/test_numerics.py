@@ -12,7 +12,7 @@ from conftest import (RANDOM_GRAPH_SEEDS, kept_bits, naive_conv2d, random_graph,
 
 from dlagraph import graphdoc, ir
 from dlagraph.aggregation import AggNodeSpec, build_aggregation_node
-from dlagraph.analysis import infer_shapes
+from dlagraph.analysis import cost_report, count_params, infer_shapes
 from dlagraph.architectures import (build_toy_classifier, build_toy_dense_decoder,
                                     catalog_names)
 from dlagraph.ir import GraphBuilder, OpKind, TensorShape, UpsampleMode
@@ -909,6 +909,67 @@ def test_executed_shapes_equal_the_graphs_shapes(name):
         assert y.shape == (2,) + astuple(g.shapes[o])
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_executed_multiply_adds_equal_the_counted_fmas(monkeypatch, name):
+    """FMA witness on the nine toy classifiers: the multiply-adds that the
+    convolutions and linear layers of one forward perform are
+    ``cost_report``'s FMAs times the batch."""
+    g = build_toy_classifier(name, 16, 16, num_classes=10)
+    performed = []
+
+    def counted(kernel):
+        def run(x, w, *args):
+            y = kernel(x, w, *args)
+            performed.append(x.shape[0] * w.size * y.shape[2] * y.shape[3])
+            return y
+        return run
+
+    monkeypatch.setattr(ops, "conv_apply", counted(ops.conv_apply))
+    monkeypatch.setattr(ops, "linear_apply", counted(ops.linear_apply))
+    declared = g.shapes[g.inputs[0]]
+    x = np.random.default_rng(0).standard_normal((2,) + astuple(declared))
+    forward(g, init_params(g, 0), [x])
+    assert sum(performed) == 2 * cost_report(g, declared).fmas > 0
+
+
+@pytest.mark.parametrize("name", catalog_names() + ("decoder",))
+def test_allocated_parameters_equal_the_counted_parameters(name):
+    g = (build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5) if name == "decoder"
+         else build_toy_classifier(name, 16, 16, num_classes=10))
+    entries = list(init_params(g, 0).learnable_entries())
+    assert sum(arr.size for _, _, arr in entries) == count_params(g) > 0
+
+
+class _Interrupt(Exception):
+    pass
+
+
+def test_grad_check_never_writes_the_parameters_even_when_a_kernel_raises(monkeypatch):
+    """A kernel that raises at any call of a grad_check, a probe root's runs
+    included, leaves every parameter equal to its snapshot bit for bit."""
+    g = build_toy_classifier("DLA-34", 16, 16, num_classes=10)
+    params = init_params(g, 7)
+    snapshot = _bytes(params.tensors)
+    x = np.random.default_rng(3).standard_normal((2, 3, 16, 16))
+    conv_apply, calls = ops.conv_apply, []
+
+    def interrupted(*args):
+        calls.append(None)
+        if len(calls) == raise_at:
+            raise _Interrupt
+        return conv_apply(*args)
+
+    monkeypatch.setattr(ops, "conv_apply", interrupted)
+    raise_at = 0
+    grad_check(g, params, x, sample=6, seed=1)
+    assert _bytes(params.tensors) == snapshot
+    for raise_at in range(1, len(calls) + 1):
+        calls.clear()
+        with pytest.raises(_Interrupt):
+            grad_check(g, params, x, sample=6, seed=1)
+        assert _bytes(params.tensors) == snapshot, raise_at
+
+
 @pytest.mark.parametrize("seed", RANDOM_GRAPH_SEEDS)
 def test_random_graphs_run_forward_and_backward_to_finite_values(seed):
     g = random_graph(random.Random(seed))
@@ -1150,8 +1211,9 @@ def test_probe_pass_runs_each_conv_node_once_over_its_upstream_lanes(monkeypatch
     g = build_toy_classifier("DLA-34", 16, 16, num_classes=10)
     params = init_params(g, 7)
     x = np.random.default_rng(3).standard_normal((2, 3, 16, 16))
-    owner = {id(params.tensors[n.id]["weight"]): n.id for n in g.nodes
-             if n.op.kind is OpKind.CONV}
+    weights = {n.id: params.tensors[n.id]["weight"] for n in g.nodes
+               if n.op.kind is OpKind.CONV}
+    owner = {id(w): nid for nid, w in weights.items()}
     below = {n.id: set() for n in g.nodes}  # each node's cone, itself left out
     for node in reversed(g.nodes):  # ids ascend along every edge
         for i in node.inputs:
@@ -1159,8 +1221,12 @@ def test_probe_pass_runs_each_conv_node_once_over_its_upstream_lanes(monkeypatch
     conv_apply, walk = ops.conv_apply, executor._walk
     calls, passes = [], []
 
-    def counted(x, w, *args):
-        calls.append(owner[id(w)])
+    def counted(x, w, *args):  # a root's runs get a copy with one entry moved
+        nid = owner.get(id(w))
+        if nid is None:
+            nid = next(n for n, held in weights.items()
+                       if held.shape == w.shape and np.count_nonzero(held != w) == 1)
+        calls.append(nid)
         return conv_apply(x, w, *args)
 
     def recorded(graph, params, tape, group, epsilon, fill=False, update_running=False):

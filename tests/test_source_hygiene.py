@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked through its syntax trees: no
 module outside ``__init__.py`` imports a name it never uses, no line is
-longer than 98 characters, no line holds two statements, and every private
-module-level name is read somewhere in the package."""
+longer than 98 characters, no line holds two statements, every private
+module-level name is read somewhere in the package, and only ``ir`` makes a
+``PrimOp``, so its op table stays the one path to an op."""
 
 import ast
 import pathlib
@@ -93,3 +94,10 @@ def test_every_private_module_level_name_is_referenced(path):
               for name, line in _module_level_private_names(_tree(path))
               if name not in referenced]
     assert not unused, "private module-level names never referenced: %s" % ", ".join(unused)
+
+
+@pytest.mark.parametrize("path", _each(p for p in SOURCES if p != ROOT / "ir.py"))
+def test_only_ir_makes_a_prim_op(path):
+    calls = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Call)
+             and "PrimOp" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not calls, "PrimOp made outside ir.py, not through its op table: lines %s" % calls
