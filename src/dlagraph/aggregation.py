@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import ir
-from .blocks import BlockSpec, build_block
+from .blocks import BlockSpec, build_block, conv_bn
 from .ir import GraphBuilder, NodeId
 
 
@@ -41,14 +41,14 @@ class AggNodeSpec:
     residual connection. The convolution's input width is that of the
     concatenated inputs.
 
-    ``residual_index`` selects which input the identity path attaches to;
-    by default the last one. Tree roots that receive appended cross-stage
-    inputs keep the residual on the last backbone feature instead.
+    ``residual_index`` is the input the identity path attaches to, indexed
+    as a list (-1 is the last input), or None for no residual. Tree roots
+    that receive appended cross-stage inputs keep the residual on the last
+    backbone feature.
     """
 
     out_channels: int
     kernel: int = 1
-    residual: bool = False
     residual_index: int | None = None
 
 
@@ -79,18 +79,13 @@ def build_aggregation_node(b: GraphBuilder, inputs: Sequence[NodeId],
     inputs = list(inputs)
     if len(inputs) < 2:
         raise ir.ArityMismatch("aggregation nodes take at least 2 inputs, got %d" % len(inputs))
-    residual_src: NodeId | None = None
-    if spec.residual:
-        idx = len(inputs) - 1 if spec.residual_index is None else spec.residual_index
-        residual_src = inputs[idx]
-        if b.channels(residual_src) != spec.out_channels:
-            raise ResidualChannelMismatch("residual operand has %d channels, node emits %d"
-                                          % (b.channels(residual_src), spec.out_channels))
+    residual_src = None if spec.residual_index is None else inputs[spec.residual_index]
+    if residual_src is not None and b.channels(residual_src) != spec.out_channels:
+        raise ResidualChannelMismatch("residual operand has %d channels, node emits %d"
+                                      % (b.channels(residual_src), spec.out_channels))
     with b.agg_node():
         cat = b.add(ir.concat(), inputs)
-        conv = b.add(ir.conv(spec.kernel, 1, spec.kernel // 2,
-                             b.channels(cat), spec.out_channels), [cat])
-        y = b.add(ir.batch_norm(spec.out_channels), [conv])
+        y = conv_bn(b, cat, spec.kernel, spec.out_channels)
         if residual_src is not None:
             y = b.add(ir.add(), [y, residual_src])
         return b.add(ir.relu(), [y])
@@ -134,14 +129,10 @@ def build_hda(b: GraphBuilder, x: NodeId, spec: HdaSpec) -> NodeId:
         first = build_block(b, cur, spec.block)
         second = build_block(b, first, spec.block)
         node_inputs = [*rerouted, first, second]
-        residual_index = len(node_inputs) - 1
         if top:
             node_inputs.extend(spec.extra_root_inputs)
-        agg = AggNodeSpec(
-            out_channels=spec.block.out_channels,
-            residual=spec.residual_nodes,
-            residual_index=residual_index if spec.residual_nodes else None,
-        )
+        agg = AggNodeSpec(spec.block.out_channels,
+                          residual_index=len(rerouted) + 1 if spec.residual_nodes else None)
         return build_aggregation_node(b, node_inputs, agg)
 
     return tree(spec.depth, x, True)
@@ -153,7 +144,8 @@ def build_unmerged_hda(b: GraphBuilder, x: NodeId, spec: HdaSpec) -> NodeId:
     aggregates them. Kept as a structural baseline for comparison; the
     catalog never builds it."""
     _check_depth(spec.depth)
-    agg = AggNodeSpec(spec.block.out_channels, residual=spec.residual_nodes)
+    agg = AggNodeSpec(spec.block.out_channels,
+                      residual_index=-1 if spec.residual_nodes else None)
 
     def tree(depth: int, src: NodeId) -> tuple[NodeId, NodeId]:
         # returns (backbone continuation, aggregation output)

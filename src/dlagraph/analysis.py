@@ -168,21 +168,15 @@ def structure_stats(graph: Graph) -> StructureStats:
     hop count from a block output to the graph output (counted in
     aggregation nodes entered); all zero on a graph without those tags."""
     groups = _stage_groups(graph)
-    block_ids = set().union(*(g[0] for g in groups.values()))
-    agg_ids = set().union(*(g[1] for g in groups.values()))
-
+    block_outputs = _block_output_nodes(graph)
     hops = _agg_hops_to_output(graph)
-    max_hops = 0
-    for bid, nid in _block_output_nodes(graph).items():
-        if nid in hops:
-            max_hops = max(max_hops, hops[nid])
-
     return StructureStats(
-        blocks=len(block_ids),
-        agg_nodes=len(agg_ids),
+        blocks=len(block_outputs),
+        agg_nodes=len(set().union(*(g[1] for g in groups.values()))),
         max_root_fanin=max((g[2] for g in groups.values()), default=0),
         per_stage_depth={tree[0]: tree[2] for tree in _stage_trees(groups)},
-        max_block_to_output_hops=max_hops,
+        max_block_to_output_hops=max((hops[nid] for nid in block_outputs.values()
+                                      if nid in hops), default=0),
     )
 
 

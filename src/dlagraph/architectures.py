@@ -25,7 +25,7 @@ from typing import Sequence
 from . import ir
 from .aggregation import AggNodeSpec, HdaSpec, build_hda, build_ida
 from .analysis import count_params
-from .blocks import BlockKind, BlockSpec
+from .blocks import BlockKind, BlockSpec, conv_bn
 from .ir import Graph, GraphBuilder, NodeId, TensorShape, UpsampleMode
 
 
@@ -118,14 +118,7 @@ def _check_input(shape: TensorShape, strict: bool) -> None:
 
 
 def _conv_level(b: GraphBuilder, x: NodeId, kernel: int, stride: int, out_ch: int) -> NodeId:
-    y = b.add(ir.conv(kernel, stride, kernel // 2, b.channels(x), out_ch), [x])
-    y = b.add(ir.batch_norm(out_ch), [y])
-    return b.add(ir.relu(), [y])
-
-
-def _project(b: GraphBuilder, x: NodeId, out_ch: int) -> NodeId:
-    y = b.add(ir.conv(1, 1, 0, b.channels(x), out_ch), [x])
-    return b.add(ir.batch_norm(out_ch), [y])
+    return b.add(ir.relu(), [conv_bn(b, x, kernel, out_ch, stride=stride)])
 
 
 def _build_backbone(b: GraphBuilder, spec: ArchSpec,
@@ -148,7 +141,7 @@ def _build_backbone(b: GraphBuilder, spec: ArchSpec,
         out_ch = c[stage_index - 1]
         with b.stage(stage_index):
             pooled = b.add(ir.max_pool(2, 2, ceil_mode=True), [y])
-            extra = pooled if b.channels(pooled) == out_ch else _project(b, pooled, out_ch)
+            extra = pooled if b.channels(pooled) == out_ch else conv_bn(b, pooled, 1, out_ch)
             y = build_hda(b, pooled, HdaSpec(
                 depth=spec.stage_depths[stage_index - 3],
                 block=BlockSpec(spec.block_kind, out_ch, cardinality=spec.cardinality,
@@ -190,8 +183,7 @@ def build_dense_decoder(spec: ArchSpec, head: DenseHeadSpec,
     with b.stage("decoder"):
         fused: list[NodeId] = []
         for stage_index in range(2, 7):
-            y = _project(b, stages[stage_index - 1], width)
-            y = b.add(ir.relu(), [y])
+            y = _conv_level(b, stages[stage_index - 1], 1, 1, width)
             factor = 2 ** (stage_index - 2)
             if factor > 1:
                 y = b.add(ir.upsample(factor, UpsampleMode.LEARNED_TRANSPOSED_CONV,

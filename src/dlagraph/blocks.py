@@ -54,8 +54,11 @@ class BlockSpec:
         return self.out_channels // self.mid_ratio
 
 
-def _conv_bn(b: GraphBuilder, x: NodeId, kernel: int, out_ch: int, groups: int = 1) -> NodeId:
-    c = b.add(ir.conv(kernel, 1, kernel // 2, b.channels(x), out_ch, groups=groups), [x])
+def conv_bn(b: GraphBuilder, x: NodeId, kernel: int, out_ch: int,
+            groups: int = 1, stride: int = 1) -> NodeId:
+    """Same-padded kernel x kernel convolution of ``x`` to ``out_ch``
+    channels, then its batch norm; returns the batch norm's id."""
+    c = b.add(ir.conv(kernel, stride, kernel // 2, b.channels(x), out_ch, groups=groups), [x])
     return b.add(ir.batch_norm(out_ch), [c])
 
 
@@ -74,10 +77,10 @@ def build_block(b: GraphBuilder, x: NodeId, spec: BlockSpec) -> NodeId:
                                     % (mid, groups))
         layers = [(1, mid, 1), (3, mid, groups), (1, out, 1)]
     with b.block():
-        y = _conv_bn(b, x, *layers[0])
+        y = conv_bn(b, x, *layers[0])
         for kernel, width, groups in layers[1:]:
             y = b.add(ir.relu(), [y])
-            y = _conv_bn(b, y, kernel, width, groups)
-        skip = x if b.channels(x) == out else _conv_bn(b, x, 1, out)
+            y = conv_bn(b, y, kernel, width, groups)
+        skip = x if b.channels(x) == out else conv_bn(b, x, 1, out)
         joined = b.add(ir.add(), [y, skip])
         return b.add(ir.relu(), [joined])

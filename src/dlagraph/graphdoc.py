@@ -171,6 +171,8 @@ def parse(text: str) -> tuple[Graph, dict[str, Any]]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("not valid JSON: %s" % exc) from None
+    except RecursionError:
+        raise ParseError("document nests too deeply to parse") from None
     _expect(isinstance(doc, dict), "document root is not an object")
     for key in ("format_version", "metadata", "inputs", "outputs", "nodes"):
         _expect(key in doc, "document lacks %r", key)
@@ -181,6 +183,8 @@ def parse(text: str) -> tuple[Graph, dict[str, Any]]:
         json.dumps(doc["metadata"], allow_nan=False)
     except ValueError:
         raise ParseError("metadata holds a NaN or infinite number") from None
+    except RecursionError:
+        raise ParseError("metadata nests too deeply to serialize") from None
     raw_nodes = doc["nodes"]
     _expect(isinstance(raw_nodes, list) and raw_nodes, "document has no nodes")
     tag_cache: dict[tuple, Tags] = {}

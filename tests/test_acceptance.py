@@ -8,6 +8,8 @@ kink crossings and near-degenerate batch-norm variances. The corrupted
 backward test proves the checker still detects wrong gradients there.
 """
 
+import hashlib
+
 import numpy as np
 
 from dlagraph import ir
@@ -181,16 +183,45 @@ def test_criterion_gradient_correctness():
 
 
 
+def _toy_documents():
+    docs = {name: serialize(build_toy_classifier(name, 16, 16, num_classes=10))
+            for name in catalog_names()}
+    docs["decoder"] = serialize(build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5))
+    return docs
+
+
 def test_toy_cases_are_nine_distinct_graphs():
     """At width cap 16, toy DLA-X-60-C and DLA-X-60 serialize to the same
     bytes, since their widths differ only above the cap, and share a pinned
     point: the gradient criterion's ten cases check nine computations."""
-    docs = {name: serialize(build_toy_classifier(name, 16, 16, num_classes=10))
-            for name in catalog_names()}
-    docs["decoder"] = serialize(build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5))
+    docs = _toy_documents()
     assert len(docs) == 10 and len(set(docs.values())) == 9
     assert docs["DLA-X-60-C"] == docs["DLA-X-60"]
     assert GRADCHECK_POINTS["DLA-X-60-C"] == GRADCHECK_POINTS["DLA-X-60"]
+
+
+TOY_DOCUMENT_SHA256 = {
+    "DLA-34": "5c6a70ace216ef9ca10855f261e6cf4366c69ed4a00265fbd5eddb23377fb0c0",
+    "DLA-46-C": "a21e7acb8365441ff5e74c0fd526def1950c1ac4eebbdd5a9505bf741bb20b96",
+    "DLA-60": "b2efe0ee8dfbf193537babd7e59381017b1f8d74fd3bc13a320acf92fcde044b",
+    "DLA-102": "35d64b6143059626435c43a9f1528c6178d96eef4e418abeec5877829d5d7c54",
+    "DLA-169": "cccbdc99be7568799312f14cee7e7832097845b4ed50e1e33d54d67f68e11a51",
+    "DLA-X-46-C": "2e0205b5cb24573f52f39c19c80e68445ed6015725d20c8ee4064bbc0a1b5409",
+    "DLA-X-60-C": "8b5ad8ce8bd6ae661c8129dc53e73fc6fb4c0df536a2252c18af8b9dabc2bc65",
+    "DLA-X-60": "8b5ad8ce8bd6ae661c8129dc53e73fc6fb4c0df536a2252c18af8b9dabc2bc65",
+    "DLA-X-102": "150f7b23df94c5f70b8236214e86cc8f1a7f4d98fddc481fddd7d4bf3b0b2593",
+    "decoder": "51c4b4b0f3143be2ee1b57cdb33ab9fc5a767d437b2576a5ad0d75e007ea04f4",
+}
+
+
+def test_toy_documents_are_pinned():
+    """The sha256 of each toy case's document. Documents hold no floats
+    computed at run time, so the bytes, unlike the benchmark's recorded
+    figures, are the same on every host."""
+    digests = {name: hashlib.sha256(doc.encode()).hexdigest()
+               for name, doc in _toy_documents().items()}
+    assert digests == TOY_DOCUMENT_SHA256
+
 
 def _reference_bilinear(x, factor):
     n, c, h, w = x.shape

@@ -30,7 +30,7 @@ def test_node_parameter_count_two_inputs():
 def test_residual_node_adds_the_last_input():
     b, (x1, x2, x3) = fresh(256, count=3)
     out = build_aggregation_node(b, [x1, x2, x3],
-                                 AggNodeSpec(256, residual=True))
+                                 AggNodeSpec(256, residual_index=-1))
     g = b.build()
     adds = [n for n in g.nodes if n.op.kind == OpKind.ADD]
     assert len(adds) == 1
@@ -40,7 +40,7 @@ def test_residual_node_adds_the_last_input():
 def test_residual_channel_mismatch():
     b, (x1, x2) = fresh(128, count=2)
     with pytest.raises(ResidualChannelMismatch):
-        build_aggregation_node(b, [x1, x2], AggNodeSpec(256, residual=True))
+        build_aggregation_node(b, [x1, x2], AggNodeSpec(256, residual_index=-1))
 
 
 def test_spatial_mismatch():

@@ -100,6 +100,14 @@ def test_document_that_is_not_utf8_exits_4(capsys, tmp_path, command):
     assert err.startswith("dlagraph: %s is not UTF-8 text: " % bad)
 
 
+@pytest.mark.parametrize("command", ["check", "report", "export-dot"])
+def test_document_that_nests_too_deeply_exits_4(capsys, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 1000 + "]" * 1000)
+    code, out, err = run(capsys, command, str(deep))
+    assert (code, out, err) == (4, "", "dlagraph: document nests too deeply to parse\n")
+
+
 def test_argument_parser_is_built_once():
     assert _build_parser() is _build_parser()
 

@@ -52,6 +52,36 @@ def test_parse_rejects_invalid_json():
         parse("{not json")
 
 
+def _deeply_nested_metadata():
+    doc = graph_to_document(small_graph())
+    doc["metadata"] = {"deep": "@"}
+    return json.dumps(doc).replace('"@"', '{"a": ' * 1000 + "1" + "}" * 1000)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 1000 + "]" * 1000, id="deep-list"),
+    pytest.param(_deeply_nested_metadata(), id="deep-metadata"),
+])
+def test_parse_rejects_a_document_that_nests_too_deeply(text):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == "document nests too deeply to parse"
+
+
+def test_parse_rejects_metadata_too_deep_to_serialize(monkeypatch):
+    # On CPython 3.11 json.loads gives up at the same depth as json.dumps,
+    # so only a stand-in for json.dumps reaches this check.
+    text = json.dumps(graph_to_document(small_graph()))
+
+    def dumps(obj, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == "metadata nests too deeply to serialize"
+
+
 def test_parse_rejects_wrong_version():
     doc = graph_to_document(small_graph())
     doc["format_version"] = "2"

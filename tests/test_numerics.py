@@ -847,7 +847,7 @@ def test_zeroed_residual_node_is_identity_in_eval_mode():
     b = GraphBuilder()
     x1 = b.add_input(TensorShape(4, 4, 4))
     x2 = b.add_input(TensorShape(4, 4, 4))
-    out = build_aggregation_node(b, [x1, x2], AggNodeSpec(4, residual=True))
+    out = build_aggregation_node(b, [x1, x2], AggNodeSpec(4, residual_index=-1))
     b.mark_output(out)
     g = b.build()
     params = init_params(g, 0)
@@ -1628,11 +1628,16 @@ def test_decoder_training_step_heap_peak_is_bounded():
     its normalized activations (43.4 MB), or if backward builds a conv's
     columns over the whole batch (51.9 MB). The forward bound fails if
     forward builds a conv's columns over the whole batch (35.2 MB) or
-    tapes every value (34.3 MB)."""
+    tapes every value (34.3 MB). One untraced step first fills the
+    per-geometry caches, such as the conv adjoint's gather indices, so the
+    trace measures the step alone."""
     g = build_toy_dense_decoder("DLA-34", 16, 32, num_classes=5)
     params = init_params(g, 9)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((16, 3, 32, 32))
+    (probs,), tape = forward(g, params, [x], Mode.TRAIN, update_running=False)
+    backward(g, params, tape, [np.ones_like(probs)])
+    del probs, tape
     tracemalloc.start()
     try:
         (probs,), tape = forward(g, params, [x], Mode.TRAIN)
