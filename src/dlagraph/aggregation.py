@@ -75,11 +75,17 @@ def build_aggregation_node(b: GraphBuilder, inputs: Sequence[NodeId],
     """Concat -> Conv kxk -> BN (-> Add residual) -> ReLU over ``inputs``,
     preserving their order. Returns the ReLU id; the whole subgraph is
     tagged with a fresh aggregation-node id. Inputs of different spatial
-    extents raise ShapeConflict from the Concat before any node is added."""
+    extents raise ShapeConflict from the Concat, and fewer than two inputs
+    or a ``residual_index`` outside them ArityMismatch, before any node is
+    added."""
     inputs = list(inputs)
     if len(inputs) < 2:
         raise ir.ArityMismatch("aggregation nodes take at least 2 inputs, got %d" % len(inputs))
-    residual_src = None if spec.residual_index is None else inputs[spec.residual_index]
+    residual = spec.residual_index
+    if residual is not None and not -len(inputs) <= residual < len(inputs):
+        raise ir.ArityMismatch("residual_index %d is out of range for %d inputs"
+                               % (residual, len(inputs)))
+    residual_src = None if residual is None else inputs[residual]
     if residual_src is not None and b.channels(residual_src) != spec.out_channels:
         raise ResidualChannelMismatch("residual operand has %d channels, node emits %d"
                                       % (b.channels(residual_src), spec.out_channels))

@@ -10,7 +10,7 @@ activations, pooling, and concatenation contribute zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from . import ir
@@ -34,7 +34,7 @@ def infer_shapes(graph: Graph, input_shape: TensorShape) -> ShapeMap:
     nid = graph.inputs[0]
     if input_shape != shapes[nid]:
         nodes = list(graph.nodes)
-        nodes[nid] = replace(nodes[nid], op=ir.input_op(
+        nodes[nid] = nodes[nid]._replace(op=ir.input_op(
             input_shape.channels, input_shape.height, input_shape.width))
         shapes = Graph(tuple(nodes), graph.inputs, graph.outputs).shapes
     # ids are topological already; topo_order stays while bench/workloads.py lists it

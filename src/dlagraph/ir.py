@@ -13,6 +13,12 @@ sample's CHW extents; the batch extent is the executor's. The
 ``GraphBuilder`` is the single-writer construction API; built graphs are
 safe to share between any number of readers.
 
+The per-node records, ``TensorShape``, ``Tags`` and ``GraphNode``, are
+validated tuples: every way to make one (the constructor, ``_make``,
+``_replace``, pickling and copying) runs its checks, and each equals the
+plain tuple of its fields. Use ``_replace``, ``tuple()`` and ``_fields``
+on them, not ``dataclasses.replace``, ``astuple`` and ``fields``.
+
 Every ``PrimOp`` the package makes comes from one bounded table,
 ``_interned``: the op helpers (``conv``, ``relu`` and the rest) and
 ``graphdoc.parse`` return one shared, checked op per distinct kind and
@@ -35,8 +41,8 @@ import heapq
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple, Sequence
 
 NodeId = int
 
@@ -57,19 +63,34 @@ class ShapeConflict(GraphError):
     """Operand shapes are inconsistent with the op's attributes."""
 
 
-@dataclass(frozen=True)
-class TensorShape:
-    """Extents of one sample of a dense NCHW tensor, its CHW; every extent
-    is at least 1. No op changes the batch extent, so shapes omit it."""
+_tuple_new = tuple.__new__
 
+
+def _checked_make(cls, iterable):
+    """A record's ``_make``, through its ``__new__``; so ``_replace``, which
+    calls ``_make``, checks too, as pickling and copying do."""
+    return cls(*iterable)
+
+
+class _TensorShape(NamedTuple):
     channels: int
     height: int
     width: int
 
-    def __post_init__(self) -> None:
-        if self.channels < 1 or self.height < 1 or self.width < 1:
-            name = next(n for n in ("channels", "height", "width") if getattr(self, n) < 1)
-            raise ValueError("%s must be >= 1, got %d" % (name, getattr(self, name)))
+
+class TensorShape(_TensorShape):
+    """Extents of one sample of a dense NCHW tensor, its CHW; every extent
+    is at least 1. No op changes the batch extent, so shapes omit it."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, channels: int, height: int, width: int) -> TensorShape:
+        if channels < 1 or height < 1 or width < 1:
+            name, value = next((n, v) for n, v in zip(cls._fields, (channels, height, width))
+                               if v < 1)
+            raise ValueError("%s must be >= 1, got %d" % (name, value))
+        return _tuple_new(cls, (channels, height, width))
 
     @property
     def spatial(self) -> tuple[int, int]:
@@ -391,50 +412,61 @@ def is_tag_value(key: str, value: Any) -> bool:
     return type(value) is int or (key == "stage" and type(value) is str)
 
 
-@dataclass(frozen=True)
-class Tags:
-    """Structural labels: stage (1..6, "head" or "decoder"), block id and
-    aggregation-node id, each None or a value ``is_tag_value`` accepts."""
-
+class _Tags(NamedTuple):
     stage: int | str | None = None
     block_id: int | None = None
     agg_node_id: int | None = None
 
-    def __post_init__(self) -> None:
-        for key in ("stage", "block_id", "agg_node_id"):
-            value = getattr(self, key)
+
+class Tags(_Tags):
+    """Structural labels: stage (1..6, "head" or "decoder"), block id and
+    aggregation-node id, each None or a value ``is_tag_value`` accepts."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, stage: int | str | None = None, block_id: int | None = None,
+                agg_node_id: int | None = None) -> Tags:
+        values = (stage, block_id, agg_node_id)
+        for key, value in zip(cls._fields, values):
             if value is not None and not is_tag_value(key, value):
                 raise ValueError("tag %r has the wrong type: %r" % (key, value))
+        return _tuple_new(cls, values)
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    """One op application; construction raises UnknownInput unless the id is
-    an int and every input id is an int in ``[0, id)``, then ArityMismatch
-    unless the op's kind takes that many inputs."""
-
+class _GraphNode(NamedTuple):
     id: NodeId
     op: PrimOp
     inputs: tuple[NodeId, ...]
     tags: Tags = Tags()
 
-    def __post_init__(self) -> None:
-        nid, inputs = self.id, self.inputs
-        known = type(nid) is int
+
+class GraphNode(_GraphNode):
+    """One op application; construction raises UnknownInput unless the id is
+    an int and every input id is an int in ``[0, id)``, then ArityMismatch
+    unless the op's kind takes that many inputs."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, id: NodeId, op: PrimOp, inputs: tuple[NodeId, ...],
+                tags: Tags = Tags()) -> GraphNode:
+        known = type(id) is int
         if known:  # a plain loop: this runs for every node of every graph
             for i in inputs:
-                if type(i) is not int or not 0 <= i < nid:
+                if type(i) is not int or not 0 <= i < id:
                     known = False
                     break
         if not known:
             raise UnknownInput("node %r: id must be an int and inputs %r earlier node ids"
-                               % (nid, inputs))
-        spec = OPS[self.op.kind]
+                               % (id, inputs))
+        spec = OPS[op.kind]
         n = len(inputs)
         if n < spec.min_inputs or (spec.max_inputs is not None and n > spec.max_inputs):
             bound = "exactly" if spec.min_inputs == spec.max_inputs else "at least"
             raise ArityMismatch("%s takes %s %d inputs, got %d" % (
-                self.op.kind.value, bound, spec.min_inputs, n))
+                op.kind.value, bound, spec.min_inputs, n))
+        return _tuple_new(cls, (id, op, inputs, tags))
 
 
 @dataclass(frozen=True)
@@ -539,7 +571,7 @@ class GraphBuilder:
     def _scope(self, key: str, value: Any):
         """Label nodes added inside with tag ``key`` set to ``value``; yields it."""
         outer = self._tags
-        self._tags = replace(outer, **{key: value})
+        self._tags = outer._replace(**{key: value})
         try:
             yield value
         finally:

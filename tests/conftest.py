@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 
 from dlagraph import graphdoc, ir
@@ -156,5 +154,5 @@ def random_graph(rng):
         b.mark_output(nid)
     g = b.build()
     # a builder's scopes hand out dense ids; a document may hold any int
-    nodes = [dataclasses.replace(n, tags=t) for n, t in zip(g.nodes, tags)]
+    nodes = [n._replace(tags=t) for n, t in zip(g.nodes, tags)]
     return ir.Graph((*nodes, *g.nodes[len(tags):]), g.inputs, g.outputs)

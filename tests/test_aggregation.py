@@ -213,3 +213,20 @@ def test_aggregation_node_rejects_fewer_than_two_inputs():
     with pytest.raises(ir.ArityMismatch, match="at least 2 inputs, got 1"):
         build_aggregation_node(b, [x], AggNodeSpec(8))
     assert len(b) == 1
+
+
+@pytest.mark.parametrize("index", [5, 2, -3])
+def test_aggregation_node_rejects_a_residual_index_outside_its_inputs(index):
+    b, (x1, x2) = fresh(8, count=2)
+    with pytest.raises(ir.ArityMismatch,
+                       match="residual_index %d is out of range for 2 inputs" % index):
+        build_aggregation_node(b, [x1, x2], AggNodeSpec(8, residual_index=index))
+    assert len(b) == 2
+
+
+@pytest.mark.parametrize("index", [-1, 0, 1, -2])
+def test_aggregation_node_adds_the_residual_its_index_names(index):
+    b, inputs = fresh(8, count=2)
+    build_aggregation_node(b, inputs, AggNodeSpec(8, residual_index=index))
+    (add,) = [n for n in b.build().nodes if n.op.kind == OpKind.ADD]
+    assert add.inputs[1] == inputs[index]

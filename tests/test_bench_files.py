@@ -53,6 +53,18 @@ def test_bench_file_schema_and_ok_ratio(path):
             wins = workload[key]
             assert set(wins) == {m["name"] for m in END_TO_END}, (name, key)
             assert all(0 <= n <= doc["pairs"] for n in wins.values()), (name, key)
+        # files written before the gain and spread were kept lack both
+        if "median_gain" in workload or "parent_spread" in workload:
+            for metric in END_TO_END:
+                sign = 1 if metric["better"] == "higher" else -1
+                parent, change = (workload[side]["metrics"][metric["name"]]["scaled"]
+                                  for side in SIDES)
+                assert workload["median_gain"][metric["name"]] == \
+                    sign * (change["median"] - parent["median"]), (name, metric)
+                assert workload["parent_spread"][metric["name"]] == \
+                    parent["q3"] - parent["q1"], (name, metric)
+            assert set(workload["median_gain"]) == set(workload["parent_spread"]) == \
+                {m["name"] for m in END_TO_END}, name
         for side, traced in workload.get("traced", {}).items():  # optional per-layer data
             assert side in SIDES, (name, side)
             assert traced["correct"], (name, side)
@@ -82,3 +94,6 @@ def test_summary_counts_a_win_in_each_metric_direction():
     assert summary["parent"]["metrics"]["throughput_per_s"]["scaled"] == \
         {"q1": 10.0, "median": 10.0, "q3": 11.0}
     assert summary["change"]["ok_ratio"] == 1.0
+    # medians: throughput 10 -> 11, p50 5 -> 4; parent quartiles 10..11 and 4.5..5
+    assert summary["median_gain"] == {"throughput_per_s": 1.0, "latency_ms.p50": 1.0}
+    assert summary["parent_spread"] == {"throughput_per_s": 1.0, "latency_ms.p50": 0.5}

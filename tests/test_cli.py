@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
+from dlagraph.architectures import build_toy_classifier
 from dlagraph.cli import _build_parser, main
-from dlagraph.graphdoc import parse, to_dot
+from dlagraph.graphdoc import parse, serialize, to_dot
 
 
 def run(capsys, *argv):
@@ -490,6 +491,16 @@ def test_mutated_document_gets_documented_exit_code(capsys, catalog_docs, case):
             extents = doc["nodes"][0]["attrs"]
             assert json.loads(out)["input_shape"] == "%(height)dx%(width)dx%(channels)d" % extents
     assert tuple(codes) == expected
+
+
+def test_check_names_the_shapes_of_an_add_whose_operands_differ(capsys, tmp_path):
+    doc = json.loads(serialize(build_toy_classifier("DLA-34", 16, 16)))
+    _first(doc, "Add")["inputs"][1] = 0
+    path = tmp_path / "add.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "check", str(path)) == (4, "", (
+        "dlagraph: node 16: add operands differ: TensorShape(channels=16, height=4, width=4)"
+        " vs TensorShape(channels=3, height=16, width=16)\n"))
 
 
 def test_import_does_not_load_numpy():

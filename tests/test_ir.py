@@ -1,10 +1,14 @@
+import copy
+import pickle
+import re
+
 import pytest
 
 from dlagraph import ir
 from dlagraph.ir import (ArityMismatch, Graph, GraphBuilder, GraphNode,
                          PrimOp, OpKind, ShapeConflict, Tags, TensorShape, UnknownInput,
                          infer_node_shape, topo_order, validate)
-from dlagraph.architectures import arch_spec, build_classifier
+from dlagraph.architectures import arch_spec, build_classifier, build_toy_classifier
 
 
 def test_tensor_shape_rejects_nonpositive_extents():
@@ -289,3 +293,53 @@ def test_op_table_stays_within_its_bound(monkeypatch):
     assert len(ir._INTERNED) <= 3
     assert [op.attrs["channels"] for op in ops] == list(range(1, 8))
     assert ir.batch_norm(7) is ops[-1]
+
+
+# (a good record, a field, a value its checks reject, the error they raise)
+BAD_RECORDS = {
+    "shape-extent-0": (TensorShape(3, 4, 5), "height", 0,
+                       ValueError, "height must be >= 1, got 0"),
+    "tags-bool-stage": (Tags(2, None, 1), "stage", True,
+                        ValueError, "tag 'stage' has the wrong type: True"),
+    "node-input-not-earlier": (GraphNode(1, ir.relu(), (0,)), "inputs", (1,), UnknownInput,
+                               "node 1: id must be an int and inputs (1,) earlier node ids"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_every_way_to_make_a_record_runs_its_checks(case):
+    good, name, bad, error, message = BAD_RECORDS[case]
+    record_type = type(good)
+    values = good._asdict() | {name: bad}
+    makers = [lambda: record_type(**values), lambda: record_type(*values.values()),
+              lambda: record_type._make(values.values()), lambda: good._replace(**{name: bad})]
+    # pickling and copying make the record again from its fields
+    raw = tuple.__new__(record_type, values.values())  # skips the checks
+    makers += [lambda: pickle.loads(pickle.dumps(raw)), lambda: copy.copy(raw),
+               lambda: copy.deepcopy(raw)]
+    for make in makers:
+        with pytest.raises(error, match="^%s$" % re.escape(message)):
+            make()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_records_round_trip_and_stay_immutable(case):
+    good, name, _, _, _ = BAD_RECORDS[case]
+    for again in (pickle.loads(pickle.dumps(good)), copy.copy(good), copy.deepcopy(good),
+                  good._replace(), type(good)._make(good)):
+        assert type(again) is type(good) and again == good
+    assert not hasattr(good, "__dict__")
+    assert good == tuple(good)
+    with pytest.raises(AttributeError):
+        setattr(good, name, getattr(good, name))
+
+
+def test_record_reprs_are_pinned():
+    """The text that messages, ``check`` diagnostics included, print for a record."""
+    assert repr(TensorShape(3, 4, 5)) == "TensorShape(channels=3, height=4, width=5)"
+    assert repr(Tags(2, None, 1)) == "Tags(stage=2, block_id=None, agg_node_id=1)"
+    assert repr(build_toy_classifier("DLA-34", 16, 16).nodes[1]) == (
+        "GraphNode(id=1, op=PrimOp(kind=<OpKind.CONV: 'Conv'>, attrs={'groups': 1, "
+        "'has_bias': False, 'in_channels': 3, 'kernel': 7, 'out_channels': 16, "
+        "'padding': 3, 'stride': 1}), inputs=(0,), "
+        "tags=Tags(stage=1, block_id=None, agg_node_id=None))")

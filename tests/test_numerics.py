@@ -2,7 +2,6 @@ import gc
 import math
 import random
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -900,13 +899,13 @@ def test_executed_shapes_equal_the_graphs_shapes(name):
          else build_toy_classifier(name, 16, 16, num_classes=10))
     declared = g.shapes[g.inputs[0]]
     assert infer_shapes(g, declared) == dict(enumerate(g.shapes))
-    x = np.random.default_rng(0).standard_normal((2,) + astuple(declared))
+    x = np.random.default_rng(0).standard_normal((2,) + tuple(declared))
     outs, tape = forward(g, init_params(g, 0), [x])
     assert set(tape.values) >= set(g.outputs)
     for nid, value in tape.values.items():
-        assert value.shape == (2,) + astuple(g.shapes[nid]), nid
+        assert value.shape == (2,) + tuple(g.shapes[nid]), nid
     for o, y in zip(g.outputs, outs):
-        assert y.shape == (2,) + astuple(g.shapes[o])
+        assert y.shape == (2,) + tuple(g.shapes[o])
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -927,7 +926,7 @@ def test_executed_multiply_adds_equal_the_counted_fmas(monkeypatch, name):
     monkeypatch.setattr(ops, "conv_apply", counted(ops.conv_apply))
     monkeypatch.setattr(ops, "linear_apply", counted(ops.linear_apply))
     declared = g.shapes[g.inputs[0]]
-    x = np.random.default_rng(0).standard_normal((2,) + astuple(declared))
+    x = np.random.default_rng(0).standard_normal((2,) + tuple(declared))
     forward(g, init_params(g, 0), [x])
     assert sum(performed) == 2 * cost_report(g, declared).fmas > 0
 
@@ -974,12 +973,12 @@ def test_grad_check_never_writes_the_parameters_even_when_a_kernel_raises(monkey
 def test_random_graphs_run_forward_and_backward_to_finite_values(seed):
     g = random_graph(random.Random(seed))
     params = init_params(g, seed)
-    x = np.random.default_rng(seed).standard_normal((2,) + astuple(g.shapes[0]))
+    x = np.random.default_rng(seed).standard_normal((2,) + tuple(g.shapes[0]))
     outs, tape = forward(g, params, [x])
     grads, input_grads = backward(g, params, tape, [np.ones_like(y) for y in outs],
                                   wrt=range(len(g)))
     for y, o in zip(outs, g.outputs):
-        assert y.shape == (2,) + astuple(g.shapes[o]) and np.isfinite(y).all()
+        assert y.shape == (2,) + tuple(g.shapes[o]) and np.isfinite(y).all()
     assert np.isfinite(input_grads[0]).all()
     assert all(np.isfinite(t).all() for store in grads.values() for t in store.values())
 
@@ -1144,7 +1143,7 @@ def test_grad_check_matches_full_forward_differences_on_random_graphs(seed):
     and 1x1 convolutions, pools, upsamplings, concats and adds in random
     order, with one or two outputs."""
     g = random_graph(random.Random(seed))
-    xval = np.random.default_rng(seed).standard_normal((2,) + astuple(g.shapes[0]))
+    xval = np.random.default_rng(seed).standard_normal((2,) + tuple(g.shapes[0]))
     _check_full_forward_differences(g, init_params(g, seed), xval, 12)
 
 

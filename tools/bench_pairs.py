@@ -17,7 +17,10 @@ of every end-to-end metric that ``BENCHMARK.json`` declares, scaled and
 unscaled (``bench/NOTES.md`` explains the host-speed scale; metrics that
 are not timings are the same in both), the lowest ``ok_ratio``, every
 run's values, and per metric the number of pairs the change won, on scaled
-values (``wins``) and on unscaled ones (``wins_unscaled``). After the
+values (``wins``) and on unscaled ones (``wins_unscaled``). Beside the wins,
+on scaled values, stand the change's median gain in the metric's better
+direction (``median_gain``) and the parent's quartile spread, q3 - q1
+(``parent_spread``): a claimed gain should exceed that spread. After the
 pairs, one ``--trace 1`` run per side and workload, at seed 0, adds the
 per-layer metrics and the tracer's ``wrapper_self_check`` under the
 workload's ``traced`` key.
@@ -107,7 +110,9 @@ def quartiles(values: list[float]) -> dict:
 def summarize(runs: dict, metrics: list[dict]) -> dict:
     """Per side: quartiles of each metric, scaled and unscaled; per metric:
     the pairs in which the change beat the parent, on scaled values
-    (``wins``) and on unscaled ones (``wins_unscaled``)."""
+    (``wins``) and on unscaled ones (``wins_unscaled``), and on scaled
+    values the change's median gain in the better direction
+    (``median_gain``) and the parent's q3 - q1 (``parent_spread``)."""
     out = {}
     for side in SIDES:
         side_runs = runs[side]
@@ -126,6 +131,13 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
             wins[m["name"]] = sum(sign * (c[kind][m["name"]] - p[kind][m["name"]]) > 0
                                   for p, c in zip(runs["parent"], runs["change"]))
         out[key] = wins
+    gains, spreads = {}, {}
+    for m in metrics:
+        sign = 1 if m["better"] == "higher" else -1
+        parent, change = (out[side]["metrics"][m["name"]]["scaled"] for side in SIDES)
+        gains[m["name"]] = sign * (change["median"] - parent["median"])
+        spreads[m["name"]] = parent["q3"] - parent["q1"]
+    out["median_gain"], out["parent_spread"] = gains, spreads
     return out
 
 
